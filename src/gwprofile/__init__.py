@@ -16,7 +16,6 @@ from .model import (
     OffspringDistribution,
     TreeModel,
     builtin_model,
-    displacement_prob,
     excursion_weight,
     load_model,
     parse_model_config,
@@ -46,7 +45,6 @@ __all__ = [
     "OffspringDistribution",
     "TreeModel",
     "builtin_model",
-    "displacement_prob",
     "excursion_weight",
     "load_model",
     "parse_model_config",

@@ -66,13 +66,17 @@ def _close_out(fh) -> None:
         fh.close()
 
 
-def _config(args, stream: int = 0) -> SamplerConfig:
-    kwargs = {"seed": args.seed, "stream": stream}
-    if getattr(args, "vertex_cap", None) is not None:
-        kwargs["vertex_cap"] = args.vertex_cap
-    if getattr(args, "rejection_cap", None) is not None:
-        kwargs["rejection_cap"] = args.rejection_cap
-    return SamplerConfig(**kwargs)
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= lo, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _chunks(count: int, workers: int) -> List[Tuple[int, int]]:
@@ -269,14 +273,10 @@ def _cmd_kernel(args) -> int:
             nu = nu_table(model, smax + 2)
             f = f_table(nu, p + smax + 1, smax + 1)
             w.writerow(["r", "s", "probability"])
-            for s in range(smax + 1):
-                for r in range(p + s + 1):
-                    state = (r, s) if r > 0 else (0, 0)
-                    if r == 0 and s > 0:
-                        continue
-                    prob = K.transition_prob(f, (p, q), state)
-                    if prob != 0:
-                        w.writerow([state[0], state[1], str(prob)])
+            for r, s in K.kernel_row(p, smax):
+                prob = K.transition_prob(f, (p, q), (r, s))
+                if prob != 0:
+                    w.writerow([r, s, str(prob)])
         else:
             p, q, v = _parse_state(args.from_state, 3)
             V = args.edges
@@ -285,15 +285,11 @@ def _cmd_kernel(args) -> int:
             if p == 0:
                 w.writerow([0, 0, V, "1"])
             else:
-                ww = v + p + q
-                for s in range(min(smax, V) + 1):
-                    for r in range(p + s + 1):
-                        state = (r, s, ww) if r > 0 else (0, 0, V)
-                        if r == 0 and (s > 0 or ww != V):
-                            continue
-                        prob = K.cond_transition_prob(ftilde, V, (p, q, v), state)
-                        if prob != 0:
-                            w.writerow([state[0], state[1], state[2], str(prob)])
+                for r, s in K.kernel_row(p, min(smax, V)):
+                    state = (r, s, v + p + q) if r > 0 else (0, 0, V)
+                    prob = K.cond_transition_prob(ftilde, V, (p, q, v), state)
+                    if prob != 0:
+                        w.writerow([*state, str(prob)])
     finally:
         _close_out(fh)
     RunManifest(
@@ -305,20 +301,10 @@ def _cmd_kernel(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _verify_counting_lemma(args, report) -> bool:
     import math
 
-    from .oracle import enumerate_bicoloured_forests
+    from .oracle import _compositions, enumerate_bicoloured_forests
 
     ok = True
     cases = 0
@@ -342,7 +328,7 @@ def _verify_counting_lemma(args, report) -> bool:
 
 def _verify_joint_law(args, report) -> bool:
     from .genfun import f_table, nu_table
-    from .kernel import binomial
+    from .kernel import _weight
     from .oracle import enumerate_marked_forests
 
     model = builtin_model("incomplete-binary")
@@ -356,13 +342,7 @@ def _verify_joint_law(args, report) -> bool:
             for q in range(p + s + 1):
                 for r in range(p + s + 1):
                     fr = f[r][s] if r > 0 else (Fraction(1) if s == 0 else Fraction(0))
-                    want = (
-                        Fraction(p, p + s)
-                        * Fraction(1, 4 ** (p + s))
-                        * binomial(p + s, q)
-                        * binomial(p + s, r)
-                        * fr
-                    )
+                    want = _weight(p, q, r, s) * fr
                     got = law.get((q, r), Fraction(0))
                     cells += 1
                     if got != want:
@@ -635,7 +615,7 @@ def _cmd_stats(args) -> int:
     vertex_cap = args.vertex_cap or defaults.vertex_cap
     tasks = [
         (args.model, args.seed, vertex_cap, args.max_level, lo, hi)
-        for lo, hi in _chunks(args.count, max(args.workers, 1))
+        for lo, hi in _chunks(args.count, args.workers)
     ]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -678,14 +658,10 @@ def _cmd_stats(args) -> int:
                     continue
                 p, q = from_state
                 expected = {}
-                for s in range(smax + 1):
-                    for r in range(p + s + 1):
-                        if r == 0 and s > 0:
-                            continue
-                        state = (r, s) if r > 0 else (0, 0)
-                        prob = float(K.transition_prob(f, (p, q), state))
-                        if prob > 0:
-                            expected[state] = expected.get(state, 0.0) + prob
+                for state in K.kernel_row(p, smax):
+                    prob = float(K.transition_prob(f, from_state, state))
+                    if prob > 0:
+                        expected[state] = prob
                 res = chi_square(census.row(from_state), expected)
                 p_values.append(res.p_value)
                 w.writerow(
@@ -698,7 +674,7 @@ def _cmd_stats(args) -> int:
                         "" if res.p_value is None else f"{res.p_value:.6g}",
                     ]
                 )
-            if not bonferroni(p_values, args.alpha * max(len(p_values), 1)):
+            if not bonferroni(p_values, args.alpha):
                 exit_code = 1
         if capped:
             w.writerow(["capped", "", "", "", "", capped])
@@ -734,13 +710,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["tree", "excursion", "conditioned", "quadrangulation"],
         default="tree",
     )
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_int_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vertex-cap", type=int, dest="vertex_cap")
     p.add_argument("--rejection-cap", type=int, dest="rejection_cap")
     p.add_argument("--edges", type=int, help="edge count for --kind conditioned")
     p.add_argument("--sign", choices=["+", "-"], default="+")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
 
@@ -766,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--from", dest="from_state", required=True, help="p,q (or p,q,v with --edges)"
     )
-    p.add_argument("--smax", type=int, default=10)
+    p.add_argument("--smax", type=_int_at_least(0), default=10)
     p.add_argument("--edges", type=int, help="condition on total edge count V")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_kernel)
@@ -796,14 +772,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="Monte Carlo transition census and tests")
     p.add_argument("--model", required=True)
-    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--count", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vertex-cap", type=int, dest="vertex_cap")
     p.add_argument("--max-level", type=int, dest="max_level", default=10**9)
     p.add_argument("--min-visits", type=int, dest="min_visits", default=500)
-    p.add_argument("--alpha", type=float, default=0.001)
+    p.add_argument(
+        "--alpha",
+        type=float,
+        default=0.001,
+        help="family-wise level of --test-kernel: Bonferroni over the rows tested",
+    )
     p.add_argument("--test-kernel", dest="test_kernel", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_stats)
 

@@ -25,13 +25,13 @@ negative excursions).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, ReconstructionError
 from .model import TreeModel, is_excursion
-from .tree import LabelledPlaneTree, encode
+from .tree import LabelledPlaneTree, encode, renumber_preorder
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,6 @@ class ExcursionForest:
             h += 1
         return h
 
-    def shape_nested(self) -> tuple:
-        """Forest shape as a tuple of nested child tuples."""
-
-        def rec(v: int) -> tuple:
-            return tuple(rec(c) for c in self.children[v])
-
-        return tuple(rec(r) for r in self.roots)
-
     def validate(self) -> None:
         for v in range(self.n_vertices):
             exc = self.decorations[v]
@@ -133,11 +125,33 @@ class ExcursionDecomposition:
     forest: ExcursionForest
 
 
+def _mirror(d: ExcursionDecomposition) -> ExcursionDecomposition:
+    """Reflect every label: the decomposition of the reflected tree at -level.
+
+    An involution; it flips every sign, the level and the root sign.
+    """
+    f = d.forest
+    forest = replace(
+        f,
+        signs=tuple(-s for s in f.signs),
+        decorations=tuple(
+            Excursion(e.tree.relabel(reflect=True), -e.sign, e.n) for e in f.decorations
+        ),
+        root_sign=-f.root_sign,
+    )
+    return ExcursionDecomposition(
+        -d.level, d.root_component.relabel(reflect=True), forest
+    )
+
+
 class _Builder:
-    __slots__ = ("labels", "children", "port_owners")
+    """One component under construction, its vertices in creation order."""
+
+    __slots__ = ("labels", "parents", "children", "port_owners")
 
     def __init__(self, root_label: int):
         self.labels = [root_label]
+        self.parents = [None]
         self.children = [[]]
         # (forest vertex, builder vertex index of its duplicated leaf)
         self.port_owners = []
@@ -145,31 +159,10 @@ class _Builder:
     def add(self, parent: int, label: int) -> int:
         idx = len(self.labels)
         self.labels.append(label)
+        self.parents.append(parent)
         self.children.append([])
         self.children[parent].append(idx)
         return idx
-
-    def preorder(self) -> list:
-        order = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        return order
-
-    def to_tree(self, shift: int = 0) -> LabelledPlaneTree:
-        # Builder indices follow DFS-with-sibling-batches order; renumber
-        # to preorder for the canonical representation.
-        order = self.preorder()
-        new_id = {old: new for new, old in enumerate(order)}
-        labels = [self.labels[old] + shift for old in order]
-        children = [[new_id[c] for c in self.children[old]] for old in order]
-        parents: list = [None] * len(order)
-        for v, kids in enumerate(children):
-            for c in kids:
-                parents[c] = v
-        return LabelledPlaneTree(labels, parents, children)
 
 
 def decompose(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
@@ -179,24 +172,7 @@ def decompose(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
     if m == 0:
         raise DomainError("decomposition level must be nonzero")
     if m < 0:
-        mirrored = _decompose_positive(t.relabel(reflect=True), -m)
-        forest = mirrored.forest
-        return ExcursionDecomposition(
-            level=m,
-            root_component=mirrored.root_component.relabel(reflect=True),
-            forest=ExcursionForest(
-                parents=forest.parents,
-                children=forest.children,
-                roots=forest.roots,
-                signs=tuple(-s for s in forest.signs),
-                attachments=forest.attachments,
-                decorations=tuple(
-                    Excursion(e.tree.relabel(reflect=True), -e.sign, e.n)
-                    for e in forest.decorations
-                ),
-                root_sign=-1,
-            ),
-        )
+        return _mirror(_decompose_positive(t.relabel(reflect=True), -m))
     return _decompose_positive(t, m)
 
 
@@ -233,24 +209,28 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
                 entries.append((c, b, nc))
         stack.extend(reversed(entries))
 
-    # Attachment index of a forest vertex = preorder rank of its duplicated
-    # leaf among the ports of the parent component.
+    # Builder indices follow DFS-with-sibling-batches order; each component
+    # is renumbered to preorder.  The attachment index of a forest vertex is
+    # the preorder rank of its duplicated leaf among the ports of the parent
+    # component.  Decoration labels are shifted so that their root is +1 or -1.
     k = len(forest_parent)
     attachments = [0] * k
-    for builder in builders:
-        if not builder.port_owners:
-            continue
-        rank = {old: pos for pos, old in enumerate(builder.preorder())}
+    components = []
+    for b, builder in enumerate(builders):
+        rank, labels, parents, children = renumber_preorder(
+            builder.labels, builder.parents, builder.children
+        )
         in_preorder = sorted(builder.port_owners, key=lambda fl: rank[fl[1]])
         for slot, (fv, _) in enumerate(in_preorder):
             attachments[fv] = slot
-
-    decorations = []
-    for fv in range(k):
-        shift = -(m - 1) if signs[fv] == 1 else -m
-        builder = builders[fv + 1]
-        tree = builder.to_tree(shift)
-        decorations.append(Excursion(tree, signs[fv], len(builder.port_owners)))
+        if b:
+            shift = -(m - 1) if signs[b - 1] == 1 else -m
+            labels = [l + shift for l in labels]
+        components.append(LabelledPlaneTree(labels, parents, children))
+    decorations = [
+        Excursion(components[fv + 1], signs[fv], len(builders[fv + 1].port_owners))
+        for fv in range(k)
+    ]
 
     children: list = [[] for _ in range(k)]
     roots = []
@@ -274,7 +254,7 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
         root_sign=1,
     )
     return ExcursionDecomposition(
-        level=m, root_component=builders[0].to_tree(), forest=forest
+        level=m, root_component=components[0], forest=forest
     )
 
 
@@ -287,23 +267,7 @@ def reconstruct(d: ExcursionDecomposition) -> LabelledPlaneTree:
     if m == 0:
         raise DomainError("decomposition level must be nonzero")
     if m < 0:
-        mirrored = ExcursionDecomposition(
-            level=-m,
-            root_component=d.root_component.relabel(reflect=True),
-            forest=ExcursionForest(
-                parents=d.forest.parents,
-                children=d.forest.children,
-                roots=d.forest.roots,
-                signs=tuple(-s for s in d.forest.signs),
-                attachments=d.forest.attachments,
-                decorations=tuple(
-                    Excursion(e.tree.relabel(reflect=True), -e.sign, e.n)
-                    for e in d.forest.decorations
-                ),
-                root_sign=1,
-            ),
-        )
-        return _reconstruct_positive(mirrored).relabel(reflect=True)
+        return _reconstruct_positive(_mirror(d)).relabel(reflect=True)
     return _reconstruct_positive(d)
 
 

@@ -80,6 +80,23 @@ def _lookup(table, *idx):
     return Fraction(cur) if not isinstance(cur, float) else cur
 
 
+def _weight(p: int, q: int, r: int, s: int) -> Fraction:
+    """The table-free factor p/(p+s) 4^{-(p+s)} C(p+s,r) C(p+s,q) of the kernel."""
+    n = p + s
+    return Fraction(p * binomial(n, r) * binomial(n, q), n * 4**n)
+
+
+def kernel_row(p: int, smax: int) -> List[Tuple[int, int]]:
+    """Targets (r, s) of a free-chain row from p, for s <= smax.
+
+    Ordered by s, then r; r = 0 only at s = 0, since (0, 0) is absorbing,
+    which is also the whole row from p = 0.
+    """
+    if p == 0:
+        return [(0, 0)]
+    return [(0, 0)] + [(r, s) for s in range(smax + 1) for r in range(1, p + s + 1)]
+
+
 def transition_prob(f, from_state, to_state) -> Fraction:
     """One-step probability of the free chain (exact)."""
     p, q = check_state(*from_state)
@@ -92,14 +109,7 @@ def transition_prob(f, from_state, to_state) -> Fraction:
     num = _lookup(f, r, s) if r > 0 else (Fraction(1) if s == 0 else Fraction(0))
     if num == 0:
         return Fraction(0)
-    return (
-        Fraction(p, p + s)
-        * Fraction(1, 4 ** (p + s))
-        * binomial(p + s, r)
-        * binomial(p + s, q)
-        * num
-        / denom
-    )
+    return _weight(p, q, r, s) * num / denom
 
 
 def _ftilde_at(ftilde, p: int, q: int, l: int) -> Fraction:
@@ -126,14 +136,7 @@ def cond_transition_prob(ftilde, V: int, from_state, to_state) -> Fraction:
     num = _ftilde_at(ftilde, r, s, V - w - r)
     if num == 0:
         return Fraction(0)
-    return (
-        Fraction(p, p + s)
-        * Fraction(1, 4 ** (p + s))
-        * binomial(p + s, r)
-        * binomial(p + s, q)
-        * num
-        / denom
-    )
+    return _weight(p, q, r, s) * num / denom
 
 
 def harmonic_H(f, ftilde, V: int, state) -> Fraction:
@@ -180,14 +183,13 @@ def simulate_chain(
                 raise ResourceLimitError(
                     f"row ({p},{q}) not resolved within s <= {_SMAX}"
                 )
-            base = float(p) / (p + s) / 4 ** (p + s) * binomial(p + s, q) / denom
             for r in range(p + s + 1):
                 fr = (
                     float(_lookup(f, r, s))
                     if r > 0
                     else (1.0 if s == 0 else 0.0)
                 )
-                pr = base * binomial(p + s, r) * fr
+                pr = float(_weight(p, q, r, s)) * fr / denom
                 if pr > 0.0:
                     last_positive = (r, s)
                 acc += pr
@@ -279,12 +281,5 @@ def count_profile(plus, check, f=None) -> ProfileCount:
             if qc1 > 0
             else (Fraction(1) if pc1 == 0 else Fraction(0))
         )
-        u = (
-            Fraction(1, 4 ** (1 + pc1 + q1))
-            * Fraction(1, 1 + pc1 + q1)
-            * binomial(1 + pc1 + q1, p1)
-            * binomial(1 + pc1 + q1, qc1)
-            * fp
-            * fc
-        )
+        u = _weight(1, qc1, p1, pc1 + q1) * fp * fc
     return ProfileCount(int(card), event_prob, u)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError
-from .tree import LabelledPlaneTree, edge_profile
+from .tree import LabelledPlaneTree, edge_profile, renumber_preorder
 
 # Orientation conventions for the bijection (see module docstring).
 # Each is a boolean "reverse the natural scan order" flag.
@@ -167,10 +167,6 @@ class Quadrangulation(PlanarMap):
         for f in self._faces:
             if len(f) != 4:
                 raise IntegrityError(f"face {f} has degree {len(f)}, expected 4")
-
-    @property
-    def n_faces_total(self) -> int:
-        return self.n_faces
 
     def root_endpoints(self) -> Tuple[int, int]:
         """(origin vertex, head vertex) of the root edge."""
@@ -390,10 +386,8 @@ def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
         stack.extend(reversed(entries))
     if len(labels) != q.n_vertices - 1:
         raise IntegrityError("selected edges do not span the vertices")
-    from .sampler import _preorder_tree
-
-    t = _preorder_tree(labels, parents, children)
-    return t, bit
+    _, *arrays = renumber_preorder(labels, parents, children)
+    return LabelledPlaneTree.unchecked(*arrays), bit
 
 
 # -- balls and profiles -----------------------------------------------------

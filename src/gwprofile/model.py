@@ -215,12 +215,6 @@ class DisplacementFamily:
                 if w > 0:
                     yield v, w
 
-    def supported_arities_bounded(self) -> Optional[int]:
-        """Largest arity with any positive vector for table kind, else None."""
-        if self.kind == "per-arity-table":
-            return max(self.tables)
-        return None
-
 
 def _prod(xs: Iterable[Fraction]) -> Fraction:
     out = Fraction(1)
@@ -240,32 +234,12 @@ class TreeModel:
     increments_pm1_only: bool
 
     def __post_init__(self):
-        self._check_flags()
-
-    def _check_flags(self) -> None:
-        disp = self.displacement
-        if disp.kind == "iid-uniform-pm1":
-            sym, pm1 = True, True
-        elif disp.kind == "iid-uniform-pm01":
-            sym, pm1 = True, False
-        else:
-            arities = [
-                d
-                for d in disp.tables
-                if self.offspring.prob(d) > 0
-            ]
-            sym = all(
-                disp.prob(d, tuple(-e for e in v)) == w
-                for d in arities
-                for v, w in disp.vectors(d)
-            )
-            pm1 = all(
-                0 not in v for d in arities for v, w in disp.vectors(d)
-            )
-        if sym != self.symmetric_displacements or pm1 != self.increments_pm1_only:
+        flags = (self.symmetric_displacements, self.increments_pm1_only)
+        if _infer_flags(self.offspring, self.displacement) != flags:
             raise ConfigurationError(
                 "model flags inconsistent with displacement family"
             )
+        disp = self.displacement
         # Every arity with positive offspring probability must have a
         # displacement law (iid kinds cover all arities).
         if disp.kind == "per-arity-table":
@@ -293,14 +267,6 @@ class TreeModel:
         else:
             disp_key = (disp.kind,)
         return (off_key, disp_key)
-
-
-def offspring_prob(model: TreeModel, k: int) -> Fraction:
-    return model.offspring.prob(k)
-
-
-def displacement_prob(model: TreeModel, d: int, v: Sequence[int]) -> Fraction:
-    return model.displacement.prob(d, v)
 
 
 def builtin_model(model_id: str) -> TreeModel:

@@ -122,6 +122,10 @@ def _subtree_shapes(model: TreeModel, budget: int) -> List[Tuple[tuple, Fraction
 
 def _compositions(total: int, parts: int):
     """All tuples of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         yield (total,)
         return

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .excursion import Excursion
 from .model import TreeModel, builtin_model
-from .tree import LabelledPlaneTree
+from .tree import LabelledPlaneTree, renumber_preorder
 
 STREAM_MIX = 0x9E3779B97F4A7C15  # odd 64-bit mixing constant (golden ratio)
 
@@ -179,7 +179,8 @@ class Sampler:
                 children.append([])
                 kids.append(first + i)
             stack.extend(range(first + d - 1, first - 1, -1))
-        return _preorder_tree(labels, parents, children)
+        _, *arrays = renumber_preorder(labels, parents, children)
+        return LabelledPlaneTree.unchecked(*arrays)
 
     def sample_tree(self, root_label: int = 0) -> LabelledPlaneTree:
         """One tree from the unconditioned model law, rooted at ``root_label``."""
@@ -302,67 +303,19 @@ class Sampler:
         """
         from .maps import tree_to_map
 
-        model = builtin_model("geom-pm01")
-        saved = self.model, self._offspring_cum, self._vector_cum
-        self.model, self._offspring_cum, self._vector_cum = model, None, {}
-        try:
-            for _ in range(self.config.rejection_cap):
-                t = self._grow(0, self.config.vertex_cap)
-                if t is not None and t.n_edges >= 1:
-                    bit = self.rng.getrandbits(1)
-                    return tree_to_map(t, bit)
-            raise ResourceLimitError(
-                f"no tree with >=1 edge in"
-                f" rejection_cap={self.config.rejection_cap} attempts"
-            )
-        finally:
-            self.model, self._offspring_cum, self._vector_cum = saved
-
-
-def _preorder_tree(labels, parents, children) -> LabelledPlaneTree:
-    """Renumber a structurally valid rooted tree into preorder storage."""
-    n = len(labels)
-    rank = [0] * n
-    order = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        rank[v] = len(order)
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    new_labels = [labels[v] for v in order]
-    new_parents = [None if parents[v] is None else rank[parents[v]] for v in order]
-    new_children = [tuple(rank[c] for c in children[v]) for v in order]
-    return LabelledPlaneTree.unchecked(new_labels, new_parents, new_children)
-
-
-# -- module-level one-shot wrappers ---------------------------------------
-
-
-def sample_tree(
-    model: TreeModel, config: Optional[SamplerConfig] = None, root_label: int = 0
-) -> LabelledPlaneTree:
-    return Sampler(model, config).sample_tree(root_label)
-
-
-def sample_excursion(
-    model: TreeModel, sign: int, config: Optional[SamplerConfig] = None
-) -> Excursion:
-    return Sampler(model, config).sample_excursion(sign)
-
-
-def sample_conditioned(
-    model: TreeModel, n_edges: int, config: Optional[SamplerConfig] = None
-) -> LabelledPlaneTree:
-    return Sampler(model, config).sample_conditioned(n_edges)
-
-
-def sample_marked_tree(nu: Sequence[Fraction], config: Optional[SamplerConfig] = None):
-    return Sampler(builtin_model("incomplete-binary"), config).sample_marked_tree(nu)
-
-
-def sample_quadrangulation(config: Optional[SamplerConfig] = None):
-    return Sampler(builtin_model("geom-pm01"), config).sample_quadrangulation()
+        # Trees come from geom-pm01 whatever this sampler's model, drawn
+        # from this sampler's stream.
+        trees = Sampler(builtin_model("geom-pm01"), self.config)
+        trees.rng = self.rng
+        for _ in range(self.config.rejection_cap):
+            t = trees._grow(0, self.config.vertex_cap)
+            if t is not None and t.n_edges >= 1:
+                bit = self.rng.getrandbits(1)
+                return tree_to_map(t, bit)
+        raise ResourceLimitError(
+            f"no tree with >=1 edge in"
+            f" rejection_cap={self.config.rejection_cap} attempts"
+        )
 
 
 # -- fast profile path (incomplete binary model) ---------------------------

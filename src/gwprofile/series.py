@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -216,12 +216,6 @@ class RationalSeries:
             [k * self.coeffs[k] for k in range(1, self.order + 1)]
         )
 
-    def map_coeffs(self, fn: Callable) -> "RationalSeries":
-        return RationalSeries([fn(c) for c in self.coeffs])
-
-    def floats(self) -> list:
-        return [float(c) for c in self.coeffs]
-
 
 def _rational_sqrt(x: Fraction) -> Fraction:
     num = math.isqrt(x.numerator)
@@ -332,13 +326,6 @@ class BivariateSeries:
             ]
         )
 
-    def shift_z(self, k: int = 1) -> "BivariateSeries":
-        """Multiply by z^k (truncated)."""
-        nz = self.z_order
-        zero_row = tuple([Fraction(0)] * (self.u_order + 1))
-        rows = [zero_row] * min(k, nz + 1) + list(self.coeffs[: max(nz + 1 - k, 0)])
-        return BivariateSeries(rows)
-
     def compose_z(self, inner: "BivariateSeries") -> "BivariateSeries":
         """Substitute ``inner`` for z: sum_i b_i(u) inner^i.
 
@@ -357,7 +344,3 @@ class BivariateSeries:
             )
             result = result * inner + promoted
         return result
-
-    def eval_u_one_partial(self) -> RationalSeries:
-        """Row sums: sum_{j<=u_order} c[i][j], a lower bound on u=1 values."""
-        return RationalSeries([sum(row, Fraction(0)) for row in self.coeffs])

@@ -40,15 +40,15 @@ def _gamma_p_value(statistic: float, dof: int) -> float:
 def _pool(pairs: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
     """Pool (observed, expected) cells with small expected counts.
 
-    Cells are sorted by expected count; the smallest are merged into one
-    bucket until it reaches 5.  A final bucket with expected count in
-    [1, 5) is kept as its own cell (Cochran's allowance); below 1 it is
-    folded into the smallest retained cell."""
+    Cells are sorted by expected count; every cell below 5 is merged into
+    one bucket.  A bucket with expected count in [1, 5) is kept as its own
+    cell (Cochran's allowance); below 1 it is folded into the smallest
+    retained cell."""
     pairs = sorted(pairs, key=lambda oe: oe[1])
     pooled_o = pooled_e = 0.0
     kept: List[Tuple[float, float]] = []
     for o, e in pairs:
-        if pooled_e < POOL_THRESHOLD and e < POOL_THRESHOLD:
+        if e < POOL_THRESHOLD:
             pooled_o += o
             pooled_e += e
         else:
@@ -116,9 +116,7 @@ def chi_square_homogeneity(
     pooled = [0, 0]
     kept: List[Tuple[int, int]] = []
     for a, b in cols:
-        tot = a + b
-        light = min(na, nb) / n * tot < POOL_THRESHOLD
-        if light and min(na, nb) / n * sum(pooled) < POOL_THRESHOLD:
+        if min(na, nb) / n * (a + b) < POOL_THRESHOLD:
             pooled[0] += a
             pooled[1] += b
         else:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, TreeParseError
 
@@ -122,16 +122,6 @@ class LabelledPlaneTree:
     def vertices(self) -> range:
         return range(len(self.labels))
 
-    def leaves(self) -> Iterator[int]:
-        return (v for v in self.vertices() if not self.children[v])
-
-    def depth(self, v: int) -> int:
-        d = 0
-        while self.parents[v] is not None:
-            v = self.parents[v]
-            d += 1
-        return d
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelledPlaneTree):
             return NotImplemented
@@ -160,15 +150,6 @@ class LabelledPlaneTree:
         labels, parents, children = _preorder_from_nested(root_label, nested)
         return cls(labels, parents, children)
 
-    def to_nested(self) -> Nested:
-        def rec(v: int) -> Nested:
-            lv = self.labels[v]
-            return tuple(
-                (self.labels[c] - lv, rec(c)) for c in self.children[v]
-            )
-
-        return rec(0)
-
     def relabel(self, shift: int = 0, reflect: bool = False) -> "LabelledPlaneTree":
         """Return a copy with labels mapped to ``-l + shift`` (reflect) or ``l + shift``."""
         if reflect:
@@ -176,26 +157,6 @@ class LabelledPlaneTree:
         else:
             labels = tuple(l + shift for l in self.labels)
         return LabelledPlaneTree(labels, self.parents, self.children)
-
-    def subtree(self, v: int) -> "LabelledPlaneTree":
-        """The subtree rooted at v, as a standalone tree (labels kept)."""
-        new_id = {v: 0}
-        labels = [self.labels[v]]
-        parents: list = [None]
-        children: list = [[]]
-        stack = list(reversed(self.children[v]))
-        order = []
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(self.children[u]))
-        for u in order:
-            new_id[u] = len(labels)
-            labels.append(self.labels[u])
-            parents.append(new_id[self.parents[u]])
-            children.append([])
-            children[new_id[self.parents[u]]].append(new_id[u])
-        return LabelledPlaneTree(labels, parents, children)
 
 
 def _preorder_from_nested(root_label: int, nested: Nested):
@@ -216,25 +177,49 @@ def _preorder_from_nested(root_label: int, nested: Nested):
     return labels, parents, children
 
 
+def renumber_preorder(labels, parents, children):
+    """Renumber a rooted tree stored in any vertex order (root 0) to preorder.
+
+    Returns ``(rank, labels, parents, children)``: ``rank[v]`` is the
+    preorder index of old vertex v, and the three arrays hold the tree in
+    preorder storage, ready for a :class:`LabelledPlaneTree` constructor.
+    """
+    n = len(labels)
+    rank = [0] * n
+    order = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        rank[v] = len(order)
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    new_labels = [labels[v] for v in order]
+    new_parents = [None if parents[v] is None else rank[parents[v]] for v in order]
+    new_children = [tuple(rank[c] for c in children[v]) for v in order]
+    return rank, new_labels, new_parents, new_children
+
+
 # -- text grammar ---------------------------------------------------------
 
 _INC = {"+": 1, "-": -1, "0": 0}
-_INC_CHAR = {1: "+", -1: "-", 0: "0"}
+_OPEN_CHILD = {1: "+(", -1: "-(", 0: "0("}
 
 
 def encode(t: LabelledPlaneTree) -> str:
     """Serialize a tree in the exact text grammar."""
-    parts = [str(t.root_label)]
-
-    def rec(v: int) -> None:
-        parts.append("(")
-        lv = t.labels[v]
-        for c in t.children[v]:
-            parts.append(_INC_CHAR[t.labels[c] - lv])
-            rec(c)
-        parts.append(")")
-
-    rec(0)
+    labels, parents = t.labels, t.parents
+    parts = [str(labels[0]), "("]
+    # Vertices whose ')' is still due; preorder storage means a vertex's
+    # parent is always on this stack when the vertex is reached.
+    stack = [0]
+    for v in range(1, len(labels)):
+        p = parents[v]
+        while stack[-1] != p:
+            stack.pop()
+            parts.append(")")
+        parts.append(_OPEN_CHILD[labels[v] - labels[p]])
+        stack.append(v)
+    parts.append(")" * len(stack))
     return "".join(parts)
 
 
@@ -261,27 +246,32 @@ def decode(text: str) -> LabelledPlaneTree:
     labels = [root_label]
     parents: list = [None]
     children: list = [[]]
-
-    def parse_children(v: int, i: int) -> int:
-        if i >= len(text) or text[i] != "(":
+    if i >= n or text[i] != "(":
+        raise TreeParseError("expected '('", i)
+    i += 1
+    stack = [0]  # vertices whose ')' is still due
+    while stack:
+        if i >= n:
+            raise TreeParseError("unexpected end of input, expected ')' or increment", i)
+        ch = text[i]
+        if ch == ")":
+            stack.pop()
+            i += 1
+            continue
+        inc = _INC.get(ch)
+        if inc is None:
+            raise TreeParseError(f"unexpected character {ch!r}", i)
+        v = stack[-1]
+        c = len(labels)
+        labels.append(labels[v] + inc)
+        parents.append(v)
+        children.append([])
+        children[v].append(c)
+        i += 1
+        if i >= n or text[i] != "(":
             raise TreeParseError("expected '('", i)
         i += 1
-        while True:
-            if i >= len(text):
-                raise TreeParseError("unexpected end of input, expected ')' or increment", i)
-            ch = text[i]
-            if ch == ")":
-                return i + 1
-            if ch not in _INC:
-                raise TreeParseError(f"unexpected character {ch!r}", i)
-            c = len(labels)
-            labels.append(labels[v] + _INC[ch])
-            parents.append(v)
-            children.append([])
-            children[v].append(c)
-            i = parse_children(c, i + 1)
-
-    i = parse_children(0, i)
+        stack.append(c)
     if i != n:
         raise TreeParseError("trailing data after tree", i)
     return LabelledPlaneTree(labels, parents, children)
@@ -296,22 +286,20 @@ def truncate(t: LabelledPlaneTree, level: int) -> LabelledPlaneTree:
     Vertices labelled ``level`` themselves are kept (as leaves).  The root
     is always kept.
     """
-    labels = [t.labels[0]]
-    parents: list = [None]
-    children: list = [[]]
-
-    def rec(v: int, nv: int) -> None:
-        if t.labels[v] == level:
-            return
-        for c in t.children[v]:
-            nc = len(labels)
-            labels.append(t.labels[c])
-            parents.append(nv)
-            children.append([])
-            children[nv].append(nc)
-            rec(c, nc)
-
-    rec(0, 0)
+    labels: list = []
+    parents: list = []
+    children: list = []
+    stack = [(0, None)]  # (vertex of t, index of its kept parent)
+    while stack:
+        v, parent = stack.pop()
+        nv = len(labels)
+        labels.append(t.labels[v])
+        parents.append(parent)
+        children.append([])
+        if parent is not None:
+            children[parent].append(nv)
+        if t.labels[v] != level:
+            stack.extend((c, nv) for c in reversed(t.children[v]))
     return LabelledPlaneTree(labels, parents, children)
 
 
@@ -355,18 +343,6 @@ class VerticalEdgeProfile:
     def check_state(self, m: int) -> tuple:
         """The pair (check_plus[m], check_minus[m])."""
         return (self.check_plus.get(m, 0), self.check_minus.get(m, 0))
-
-    def cond_state(self, m: int) -> tuple:
-        """The triple (x_plus[m], x_minus[m], mass_below(m))."""
-        return (self.x_plus.get(m, 0), self.x_minus.get(m, 0), self.mass_below(m))
-
-    @property
-    def max_label(self) -> int:
-        return max(self.vertical)
-
-    @property
-    def min_label(self) -> int:
-        return min(self.vertical)
 
 
 def edge_profile(t: LabelledPlaneTree) -> VerticalEdgeProfile:

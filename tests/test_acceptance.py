@@ -28,6 +28,7 @@ from gwprofile.kernel import (
     binomial,
     cond_transition_prob,
     count_profile,
+    kernel_row,
     transition_prob,
 )
 from gwprofile.maps import map_to_tree, tree_to_map, verify_profile_relations
@@ -192,16 +193,11 @@ def test_criterion_06_unconditioned_kernel_monte_carlo():
     for from_state in census.rows():
         if from_state == (0, 0) or census.row_total(from_state) < 500:
             continue
-        p, q = from_state
         expected = {}
-        for s in range(smax + 1):
-            for r in range(p + s + 1):
-                if r == 0 and s > 0:
-                    continue
-                state = (r, s) if r > 0 else (0, 0)
-                prob = float(transition_prob(f, (p, q), state))
-                if prob > 0:
-                    expected[state] = expected.get(state, 0.0) + prob
+        for state in kernel_row(from_state[0], smax):
+            prob = float(transition_prob(f, from_state, state))
+            if prob > 0:
+                expected[state] = prob
         res = chi_square(census.row(from_state), expected)
         if res.p_value is not None:
             assert res.p_value > 0.001, (from_state, res)

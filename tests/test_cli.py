@@ -43,6 +43,40 @@ class TestExitCodes:
         assert err.startswith("gwprofile: error: DomainError")
 
 
+class TestCountFlags:
+    """Bad counts are usage errors (exit 2) at parse time."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "--model", "builtin:incomplete-binary", "--count", "0"],
+             "argument --count: must be >= 1, got 0"),
+            (["sample", "--model", "builtin:geom-pm1", "--count", "-3"],
+             "argument --count: must be >= 1, got -3"),
+            (["sample", "--model", "builtin:geom-pm1", "--workers", "0"],
+             "argument --workers: must be >= 1, got 0"),
+            (["stats", "--model", "builtin:incomplete-binary", "--workers", "-1"],
+             "argument --workers: must be >= 1, got -1"),
+            (["kernel", "--from", "1,0", "--smax", "-2"],
+             "argument --smax: must be >= 0, got -2"),
+            (["kernel", "--from", "1,0", "--smax", "x"],
+             "argument --smax: invalid int value: 'x'"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(message)
+        assert "Traceback" not in err
+
+    def test_smallest_values_accepted(self, capsys):
+        code, out, _ = run(capsys, "kernel", "--from", "1,0", "--smax", "0")
+        assert code == 0
+        assert out.splitlines() == ["r,s,probability", "0,0,5/8", "1,0,1/4"]
+
+
 class TestSample:
     def test_deterministic_and_worker_independent(self, capsys):
         args = ("sample", "--model", "builtin:geom-pm1", "--count", "8", "--seed", "5")
@@ -141,3 +175,18 @@ class TestStats:
         lines = out.strip().splitlines()
         assert lines[0].startswith("kind,")
         assert any(line.startswith("test,1,0,") for line in lines)
+
+    def test_alpha_is_family_wise(self, capsys):
+        # The run fails exactly when some row's p-value is <= alpha / rows.
+        args = ("stats", "--model", "builtin:incomplete-binary", "--count", "2000",
+                "--seed", "7", "--min-visits", "50", "--test-kernel")
+        code, out, _ = run(capsys, *args, "--alpha", "1e-12")
+        assert code == 0
+        p_values = [float(line.split(",")[5]) for line in out.splitlines()
+                    if line.startswith("test,") and line.split(",")[5]]
+        n, p_min = len(p_values), min(p_values)
+        assert n >= 3
+        code, _, _ = run(capsys, *args, "--alpha", repr(p_min * n / 2))
+        assert code == 0
+        code, _, _ = run(capsys, *args, "--alpha", repr(p_min * n * 2))
+        assert code == 1

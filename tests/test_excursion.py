@@ -9,6 +9,7 @@ from gwprofile.excursion import (
     Excursion,
     ExcursionDecomposition,
     ExcursionForest,
+    _mirror,
     decompose,
     decomposition_weight,
     excursion_counts,
@@ -58,6 +59,16 @@ class TestDecompose:
         assert len(d.forest.roots) == 2
         for r in d.forest.roots:
             assert d.forest.decorations[r].sign == -1
+
+    @given(random_trees(root_label=0), st.sampled_from([1, 2, -1, -2]))
+    @settings(max_examples=50)
+    def test_mirror_is_an_involution(self, t, m):
+        d = decompose(t, m)
+        mirrored = _mirror(d)
+        assert mirrored.level == -m
+        assert mirrored.forest.root_sign == -d.forest.root_sign
+        assert mirrored == decompose(t.relabel(reflect=True), -m)
+        assert _mirror(mirrored) == d
 
     def test_level_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -14,6 +14,7 @@ from gwprofile.kernel import (
     cond_transition_prob,
     count_profile,
     harmonic_H,
+    kernel_row,
     simulate_chain,
     transition_prob,
 )
@@ -119,6 +120,23 @@ class TestConditionedKernel:
                     free = transition_prob(f, (p, q), (tgt[0], tgt[1]))
                     if h_from != 0:
                         assert lhs == free * h_to / h_from, ((p, q, v), tgt)
+
+
+class TestKernelRow:
+    def test_targets(self):
+        assert kernel_row(0, 5) == [(0, 0)]
+        assert kernel_row(1, 1) == [(0, 0), (1, 0), (1, 1), (2, 1)]
+        assert kernel_row(2, 0) == [(0, 0), (1, 0), (2, 0)]
+
+    def test_covers_the_row(self):
+        # every target with positive probability and s <= smax is listed
+        f = tables(12, 10)
+        for p, q in [(1, 0), (2, 1), (3, 3)]:
+            row = kernel_row(p, 3)
+            for s in range(4):
+                for r in range(p + s + 2):
+                    if transition_prob(f, (p, q), (r, s) if r else (0, 0)) > 0:
+                        assert ((r, s) if r else (0, 0)) in row
 
 
 class TestSimulate:

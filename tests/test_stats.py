@@ -54,8 +54,21 @@ class TestChiSquare:
         res = chi_square({"a": 500, "b": 480}, {"a": 0.5, "b": 0.49})
         assert res.cells == 3
 
+    def test_pools_every_small_cell(self):
+        # ten cells of expected count 1 form one bucket of 10 next to the 90
+        obs = {("small", i): 1 for i in range(10)} | {"big": 90}
+        exp = {("small", i): 0.01 for i in range(10)} | {"big": 0.9}
+        res = chi_square(obs, exp)
+        assert res.cells == 2 and res.dof == 1
+
 
 class TestHomogeneity:
+    def test_pools_every_light_column(self):
+        # ten columns of expected count 1 per row form one pooled column
+        counts = {i: 1 for i in range(10)} | {"big": 90}
+        res = chi_square_homogeneity(counts, dict(counts))
+        assert res.cells == 2 and res.dof == 1
+
     def test_identical_samples(self):
         a = {"x": 50, "y": 50}
         res = chi_square_homogeneity(a, dict(a))

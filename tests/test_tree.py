@@ -10,6 +10,7 @@ from gwprofile import (
     encode,
     truncate,
 )
+from gwprofile.tree import renumber_preorder
 
 
 def nested_trees(max_children=3):
@@ -67,6 +68,47 @@ class TestGrammar:
     @given(random_trees())
     def test_roundtrip(self, t):
         assert decode(encode(t)) == t
+
+    def test_error_offsets(self):
+        for bad, offset in [("0", 1), ("0(+)", 3), ("0(+()", 5), ("0(x)", 2), ("0()(", 3)]:
+            with pytest.raises(TreeParseError) as exc:
+                decode(bad)
+            assert exc.value.offset == offset, bad
+
+
+DEPTH = 10**5
+DEEP_PATH = "0" + "(+" * DEPTH + "()" + ")" * DEPTH
+
+
+class TestDeepPath:
+    """A depth-10^5 path: far beyond Python's recursion limit."""
+
+    def test_encode_decode(self):
+        t = decode(DEEP_PATH)
+        assert t.n_edges == DEPTH and t.labels[-1] == DEPTH
+        assert encode(t) == DEEP_PATH
+
+    def test_truncate(self):
+        t = decode(DEEP_PATH)
+        assert truncate(t, 3) == decode("0(+(+(+())))")
+        assert truncate(t, DEPTH + 1) == t
+
+    def test_decompose_reconstruct(self):
+        from gwprofile.excursion import decompose, reconstruct
+
+        t = decode(DEEP_PATH)
+        for m in (1, -1):
+            assert reconstruct(decompose(t, m)) == t
+
+
+class TestRenumberPreorder:
+    def test_breadth_first_input(self):
+        # 0 has children 1, 2 (labels 1, -1); 1 has child 3 (label 2).
+        rank, labels, parents, children = renumber_preorder(
+            [0, 1, -1, 2], [None, 0, 0, 1], [[1, 2], [3], [], []]
+        )
+        assert rank == [0, 1, 3, 2]
+        assert LabelledPlaneTree(labels, parents, children) == decode("0(+(+())-())")
 
 
 class TestTruncate:
