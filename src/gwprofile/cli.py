@@ -799,7 +799,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigurationError, TreeParseError) as exc:
         print(f"gwprofile: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except GWProfileError as exc:
+    except (GWProfileError, OSError, RecursionError, MemoryError, ValueError) as exc:
+        # Unreadable or unwritable files, undecodable input, and inputs too
+        # deep or too large to process: one line, never a traceback.
         print(f"gwprofile: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, ReconstructionError
 from .model import TreeModel, is_excursion
-from .tree import LabelledPlaneTree, encode, renumber_preorder
+from .tree import LabelledPlaneTree, encode
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,14 @@ class Excursion:
         sign = is_excursion(self.tree)
         if sign != self.sign:
             raise DomainError(f"excursion sign {self.sign} does not match tree")
-        n = sum(1 for l in self.tree.labels if l == 0)
+        n = self.tree.labels.count(0)
         if n != self.n:
             raise DomainError(f"excursion n={self.n} does not match tree ({n})")
 
     @classmethod
     def from_tree(cls, tree: LabelledPlaneTree) -> "Excursion":
         sign = is_excursion(tree)
-        return cls(tree, sign, sum(1 for l in tree.labels if l == 0))
+        return cls(tree, sign, tree.labels.count(0))
 
     def key(self) -> str:
         return encode(self.tree)
@@ -67,10 +67,15 @@ class Excursion:
 class ExcursionForest:
     """Plane forest of excursions with alternating signs.
 
-    Vertices are indexed 0..k-1 in creation (preorder-of-cut) order;
-    ``roots`` lists the forest roots in plane order; ``attachments[v]`` is
-    the index (in preorder) of the attachment leaf inside the parent
-    component (the root component for forest roots).
+    Forest vertices are numbered 0..k-1 by their cut edge in the
+    decomposed tree t: by the preorder index in t of the cut edge's parent
+    endpoint (the vertex the excursion root was cut from), and among cut
+    edges from the same vertex in plane order.  ``roots`` lists the forest
+    roots and ``children[v]`` the forest children of v, each in plane order,
+    that is in the order of their attachment leaves.  ``attachments[v]`` is
+    the rank of v's attachment leaf, in preorder, among the port leaves of
+    the parent component (the root component for forest roots): the leaves
+    labelled m in the root component, and those labelled 0 in an excursion.
     """
 
     parents: Tuple[Optional[int], ...]
@@ -85,36 +90,41 @@ class ExcursionForest:
     def n_vertices(self) -> int:
         return len(self.parents)
 
-    def height(self, v: int) -> int:
-        h = 0
-        while self.parents[v] is not None:
-            v = self.parents[v]
-            h += 1
-        return h
-
     def validate(self) -> None:
-        for v in range(self.n_vertices):
+        """Check signs, child counts and attachment slots in one pass from the roots."""
+        root_slots = sorted(self.attachments[r] for r in self.roots)
+        if root_slots != list(range(len(root_slots))):
+            raise ReconstructionError(
+                "root attachment indices are not a bijection"
+            )
+        reached = [False] * self.n_vertices
+        stack = [(r, self.root_sign) for r in self.roots]
+        while stack:
+            v, expected_sign = stack.pop()
+            if reached[v]:
+                raise ReconstructionError(f"forest vertex {v} is reached twice")
+            reached[v] = True
             exc = self.decorations[v]
-            expected_sign = self.root_sign * (-1) ** self.height(v)
             if exc.sign != expected_sign:
                 raise ReconstructionError(
                     f"forest vertex {v}: sign {exc.sign}, expected {expected_sign}"
                 )
-            if exc.n != len(self.children[v]):
+            kids = self.children[v]
+            if exc.n != len(kids):
                 raise ReconstructionError(
                     f"forest vertex {v}: decoration has n={exc.n} label-0 "
-                    f"leaves but {len(self.children[v])} forest children"
+                    f"leaves but {len(kids)} forest children"
                 )
-            kid_slots = sorted(self.attachments[c] for c in self.children[v])
+            kid_slots = sorted(self.attachments[c] for c in kids)
             if kid_slots != list(range(len(kid_slots))):
                 raise ReconstructionError(
                     f"forest vertex {v}: attachment indices are not a "
                     "bijection onto its leaves"
                 )
-        root_slots = sorted(self.attachments[r] for r in self.roots)
-        if root_slots != list(range(len(root_slots))):
+            stack.extend((c, -expected_sign) for c in kids)
+        if not all(reached):
             raise ReconstructionError(
-                "root attachment indices are not a bijection"
+                "some forest vertices are not reached from the roots"
             )
 
 
@@ -144,27 +154,6 @@ def _mirror(d: ExcursionDecomposition) -> ExcursionDecomposition:
     )
 
 
-class _Builder:
-    """One component under construction, its vertices in creation order."""
-
-    __slots__ = ("labels", "parents", "children", "port_owners")
-
-    def __init__(self, root_label: int):
-        self.labels = [root_label]
-        self.parents = [None]
-        self.children = [[]]
-        # (forest vertex, builder vertex index of its duplicated leaf)
-        self.port_owners = []
-
-    def add(self, parent: int, label: int) -> int:
-        idx = len(self.labels)
-        self.labels.append(label)
-        self.parents.append(parent)
-        self.children.append([])
-        self.children[parent].append(idx)
-        return idx
-
-
 def decompose(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
     """Cut t at height m - 1/2 (mirrored for m <= -1)."""
     if t.root_label != 0:
@@ -177,85 +166,76 @@ def decompose(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
 
 
 def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
-    root_builder = _Builder(t.labels[0])
-    builders = [root_builder]  # builder 0 = root component
-    forest_parent: list = []
-    signs: list = []
-
-    labels = t.labels
-    # Stack of (vertex in t, builder index, vertex index inside builder);
-    # children are processed in plane order when allocating builder slots,
-    # then pushed reversed so the pop order is preorder.
-    stack = [(0, 0, 0)]
-    while stack:
-        v, b, nv = stack.pop()
-        builder = builders[b]
+    labels, parents = t.labels, t.parents
+    n = len(labels)
+    # Components in creation order: 0 is the root component, c + 1 the
+    # excursion of the c-th cut edge met in t's preorder.  t's preorder
+    # restricted to a component, with each cut child standing in for its
+    # duplicated leaf, is the component's preorder, so every vertex is
+    # appended where it lands and no component is renumbered.
+    comp = [0] * n  # component of each vertex of t
+    local = [0] * n  # its index inside that component
+    comp_labels = [[labels[0]]]
+    comp_parents: list = [[None]]
+    comp_shift = [0]  # added to t's labels: excursion roots become +1 / -1
+    ports: list = [[]]  # per component, the cuts attached below it, in preorder
+    cut_from = []  # per cut: the vertex of t it was cut from
+    signs = []
+    attachments = []
+    cut_sum = 2 * m - 1  # a cut edge joins labels m - 1 and m
+    for v in range(1, n):
+        p = parents[v]
         lv = labels[v]
-        entries = []
-        for c in t.children[v]:
-            lc = labels[c]
-            if (lv == m - 1 and lc == m) or (lv == m and lc == m - 1):
-                # Cut edge: leaf duplicate stays here, child starts a new
-                # excursion component.
-                leaf = builder.add(nv, lc)
-                builders.append(_Builder(lc))
-                fv = len(forest_parent)
-                forest_parent.append(None if b == 0 else b - 1)
-                signs.append(1 if lc == m else -1)
-                builder.port_owners.append((fv, leaf))
-                entries.append((c, len(builders) - 1, 0))
-            else:
-                nc = builder.add(nv, lc)
-                entries.append((c, b, nc))
-        stack.extend(reversed(entries))
+        b = comp[p]
+        cl = comp_labels[b]
+        # v itself, or for a cut edge the duplicated leaf standing in for it.
+        comp_parents[b].append(local[p])
+        cl.append(lv + comp_shift[b])
+        if labels[p] + lv != cut_sum:
+            comp[v] = b
+            local[v] = len(cl) - 1
+            continue
+        # Cut edge: v roots a new excursion.
+        c = len(signs)
+        kids = ports[b]
+        attachments.append(len(kids))
+        kids.append(c)
+        cut_from.append(p)
+        sign = 1 if lv == m else -1
+        signs.append(sign)
+        comp[v] = len(comp_labels)
+        comp_labels.append([sign])
+        comp_parents.append([None])
+        comp_shift.append(sign - lv)
+        ports.append([])
 
-    # Builder indices follow DFS-with-sibling-batches order; each component
-    # is renumbered to preorder.  The attachment index of a forest vertex is
-    # the preorder rank of its duplicated leaf among the ports of the parent
-    # component.  Decoration labels are shifted so that their root is +1 or -1.
-    k = len(forest_parent)
-    attachments = [0] * k
-    components = []
-    for b, builder in enumerate(builders):
-        rank, labels, parents, children = renumber_preorder(
-            builder.labels, builder.parents, builder.children
-        )
-        in_preorder = sorted(builder.port_owners, key=lambda fl: rank[fl[1]])
-        for slot, (fv, _) in enumerate(in_preorder):
-            attachments[fv] = slot
-        if b:
-            shift = -(m - 1) if signs[b - 1] == 1 else -m
-            labels = [l + shift for l in labels]
-        components.append(LabelledPlaneTree(labels, parents, children))
-    decorations = [
-        Excursion(components[fv + 1], signs[fv], len(builders[fv + 1].port_owners))
-        for fv in range(k)
-    ]
-
-    children: list = [[] for _ in range(k)]
-    roots = []
-    for fv, p in enumerate(forest_parent):
-        if p is None:
-            roots.append(fv)
-        else:
-            children[p].append(fv)
-    # Order forest children (and roots) by attachment index = plane order.
-    roots.sort(key=lambda fv: attachments[fv])
-    for lst in children:
-        lst.sort(key=lambda fv: attachments[fv])
-
+    # Number the forest by cut_from, stably (see ExcursionForest).
+    k = len(signs)
+    order = sorted(range(k), key=cut_from.__getitem__)
+    number = [0] * k
+    for i, c in enumerate(order):
+        number[c] = i
     forest = ExcursionForest(
-        parents=tuple(forest_parent),
-        children=tuple(tuple(c) for c in children),
-        roots=tuple(roots),
-        signs=tuple(signs),
-        attachments=tuple(attachments),
-        decorations=tuple(decorations),
+        parents=tuple(
+            None if comp[cut_from[c]] == 0 else number[comp[cut_from[c]] - 1]
+            for c in order
+        ),
+        children=tuple(tuple(number[x] for x in ports[c + 1]) for c in order),
+        roots=tuple(number[x] for x in ports[0]),
+        signs=tuple(signs[c] for c in order),
+        attachments=tuple(attachments[c] for c in order),
+        decorations=tuple(
+            Excursion(
+                LabelledPlaneTree.unchecked(comp_labels[c + 1], comp_parents[c + 1]),
+                signs[c],
+                len(ports[c + 1]),
+            )
+            for c in order
+        ),
         root_sign=1,
     )
-    return ExcursionDecomposition(
-        level=m, root_component=components[0], forest=forest
-    )
+    root_component = LabelledPlaneTree.unchecked(comp_labels[0], comp_parents[0])
+    return ExcursionDecomposition(level=m, root_component=root_component, forest=forest)
 
 
 # -- reconstruction ----------------------------------------------------------
@@ -280,108 +260,62 @@ def _reconstruct_positive(d: ExcursionDecomposition) -> LabelledPlaneTree:
     if forest.root_sign != 1:
         raise ReconstructionError("forest roots must be positive excursions")
     forest.validate()
+    n_ports = rc.labels.count(m)
+    if n_ports != len(forest.roots):
+        raise ReconstructionError(
+            f"root component has {n_ports} level-{m} leaves but the "
+            f"forest has {len(forest.roots)} roots"
+        )
 
-    # Glued-label components: None = root component; forest vertex v has
-    # its decoration's labels shifted back up.
-    def glued(fv: Optional[int]) -> LabelledPlaneTree:
-        if fv is None:
-            return rc
-        e = forest.decorations[fv]
-        return e.tree.relabel(shift=(m - 1) if e.sign == 1 else m)
-
-    def ports(fv: Optional[int], tree: LabelledPlaneTree) -> list:
-        if fv is None:
-            port_label = m
-        else:
-            port_label = (m - 1) if forest.decorations[fv].sign == 1 else m
-        out = []
-        for v in tree.vertices():
-            if tree.labels[v] == port_label:
-                if tree.children[v]:
-                    raise ReconstructionError(
-                        f"component {fv}: port vertex {v} is not a leaf"
-                    )
-                out.append(v)
-        return out
-
-    # children of each component, indexed by attachment slot
-    def slotted_children(fv: Optional[int]) -> list:
-        kids = forest.roots if fv is None else forest.children[fv]
-        slots = [None] * len(kids)
+    def slotted(kids) -> list:
+        """Forest children indexed by attachment slot."""
+        slots = [0] * len(kids)
         for c in kids:
             slots[forest.attachments[c]] = c
         return slots
 
-    rc_ports = ports(None, rc)
-    if len(rc_ports) != len(forest.roots):
-        raise ReconstructionError(
-            f"root component has {len(rc_ports)} level-{m} leaves but the "
-            f"forest has {len(forest.roots)} roots"
-        )
-
-    labels: list = []
-    parents: list = []
-    children: list = []
-
-    # Frames: (component id, component tree, port set, child slots,
-    #          next-slot counter) shared per component instance.
-    class Frame:
-        __slots__ = ("fv", "tree", "is_port", "slots", "used")
-
-        def __init__(self, fv):
-            self.fv = fv
-            self.tree = glued(fv)
-            plist = ports(fv, self.tree)
-            if fv is not None:
-                exc = forest.decorations[fv]
-                if len(plist) != exc.n:
-                    raise ReconstructionError(
-                        f"forest vertex {fv}: decoration has {len(plist)} "
-                        f"attachment leaves but n={exc.n}"
-                    )
-            self.is_port = set(plist)
-            self.slots = slotted_children(fv)
-            self.used = 0
-
-    frames: Dict[Optional[int], Frame] = {}
-
-    def frame(fv):
-        fr = frames.get(fv)
-        if fr is None:
-            fr = Frame(fv)
-            frames[fv] = fr
-        return fr
-
-    # Emission stack: (frame, vertex in component, parent final index).
-    root_frame = frame(None)
-    stack = [(root_frame, 0, None)]
-    while stack:
-        fr, v, pf = stack.pop()
-        if v in fr.is_port:
-            # Replace the port leaf by the root of the attached component.
-            slot = fr.used
-            fr.used += 1
-            cfv = fr.slots[slot]
-            cfr = frame(cfv)
-            if cfr.tree.labels[0] != fr.tree.labels[v]:
-                raise ReconstructionError(
-                    f"attachment label mismatch at forest vertex {cfv}"
-                )
-            stack.append((cfr, 0, pf))
+    # One pass in preorder.  Each component is walked through its own
+    # preorder arrays; at a port (a leaf labelled m in the root component,
+    # 0 in an excursion) the walk switches to the attached excursion, whose
+    # root takes the port's place, and resumes after it.  State of the
+    # component being walked: its labels and parents, the shift back to
+    # glued labels, the port label, its forest children by slot, the output
+    # index of each of its vertices, the next vertex, the next slot and the
+    # output parent of its root.
+    out_labels: list = []
+    out_parents: list = []
+    cl, cp, shift, port = rc.labels, rc.parents, 0, m
+    slots, out, u, used, root_parent = slotted(forest.roots), [0] * len(cl), 0, 0, None
+    suspended = []
+    while True:
+        if u == len(cl):
+            if not suspended:
+                break
+            cl, cp, shift, port, slots, out, u, used, root_parent = suspended.pop()
             continue
-        idx = len(labels)
-        labels.append(fr.tree.labels[v])
-        parents.append(pf)
-        children.append([])
-        if pf is not None:
-            children[pf].append(idx)
-        for c in reversed(fr.tree.children[v]):
-            stack.append((fr, c, idx))
-    # The stack pops children in reverse order of pushing; pushing reversed
-    # restores plane order, but port slot counters must also advance in
-    # plane order, which the preorder pop guarantees.
-    result = LabelledPlaneTree(labels, parents, children)
-    return result
+        label = cl[u]
+        if label == port:
+            if u + 1 < len(cl) and cp[u + 1] == u:
+                raise ReconstructionError(f"port vertex {u} is not a leaf")
+            fv = slots[used]
+            exc = forest.decorations[fv]
+            new_shift = (m - 1) if exc.sign == 1 else m
+            if exc.tree.labels[0] + new_shift != label + shift:
+                raise ReconstructionError(
+                    f"attachment label mismatch at forest vertex {fv}"
+                )
+            suspended.append(
+                (cl, cp, shift, port, slots, out, u + 1, used + 1, root_parent)
+            )
+            root_parent = out[cp[u]]
+            cl, cp, shift, port = exc.tree.labels, exc.tree.parents, new_shift, 0
+            slots, out, u, used = slotted(forest.children[fv]), [0] * len(cl), 0, 0
+            continue
+        out[u] = len(out_labels)
+        out_labels.append(label + shift)
+        out_parents.append(out[cp[u]] if u else root_parent)
+        u += 1
+    return LabelledPlaneTree.unchecked(out_labels, out_parents)
 
 
 # -- counts and weights -------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError
-from .tree import LabelledPlaneTree, edge_profile, renumber_preorder
+from .tree import LabelledPlaneTree, edge_profile
 
 # Orientation conventions for the bijection (see module docstring).
 # Each is a boolean "reverse the natural scan order" flag.
@@ -358,36 +358,33 @@ def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
     bit = 0 if q.vertex_of(q.root_dart) == root else 1
     if lab[root] != 0:
         raise IntegrityError("root vertex is not labelled 0")
-    # build the plane tree by DFS
-    labels = [0]
-    parents: List[Optional[int]] = [None]
-    children: List[List[int]] = [[]]
+    # Build the plane tree by DFS; a vertex gets its preorder index when
+    # it is popped.
+    labels: List[int] = []
+    parents: List[Optional[int]] = []
     root_based = (
         q.root_dart
         if q.vertex_of(q.root_dart) == root
         else q.alpha[q.root_dart]
     )
-    # stack entries: (tree index, map vertex, first rotation dart, inclusive)
-    stack: List[Tuple[int, int, int, bool]] = [(0, root, root_based, True)]
+    # stack entries: (parent tree index, map vertex, first rotation dart, inclusive)
+    stack: List[Tuple[Optional[int], int, int, bool]] = [(None, root, root_based, True)]
     seen = {root}
     while stack:
-        iv, v, start, include_start = stack.pop()
+        parent, v, start, include_start = stack.pop()
+        iv = len(labels)
+        labels.append(lab[v])
+        parents.append(parent)
         entries = []
         for w, w_anchor in scan(v, start, include_start):
             if w in seen:
                 raise IntegrityError("selected edges contain a cycle")
             seen.add(w)
-            iw = len(labels)
-            labels.append(lab[w])
-            parents.append(iv)
-            children.append([])
-            children[iv].append(iw)
-            entries.append((iw, w, w_anchor, False))
+            entries.append((iv, w, w_anchor, False))
         stack.extend(reversed(entries))
     if len(labels) != q.n_vertices - 1:
         raise IntegrityError("selected edges do not span the vertices")
-    _, *arrays = renumber_preorder(labels, parents, children)
-    return LabelledPlaneTree.unchecked(*arrays), bit
+    return LabelledPlaneTree.unchecked(labels, parents), bit
 
 
 # -- balls and profiles -----------------------------------------------------

@@ -361,12 +361,11 @@ def is_excursion(t: LabelledPlaneTree) -> int:
     sign = t.root_label
     if sign not in (1, -1):
         raise DomainError("excursion root must be labelled +1 or -1")
-    for v in t.vertices():
-        lv = t.labels[v]
-        if lv * sign < 0:
-            raise DomainError("excursion labels must all have the root's sign")
-        if lv == 0 and t.children[v]:
-            raise DomainError("label-0 vertices of an excursion must be leaves")
+    labels = t.labels
+    if (min(labels) if sign == 1 else -max(labels)) < 0:
+        raise DomainError("excursion labels must all have the root's sign")
+    if any(labels[p] == 0 for p in t.parents[1:]):
+        raise DomainError("label-0 vertices of an excursion must be leaves")
     return sign
 
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .excursion import Excursion
 from .model import TreeModel, builtin_model
-from .tree import LabelledPlaneTree, renumber_preorder
+from .tree import LabelledPlaneTree
 
 STREAM_MIX = 0x9E3779B97F4A7C15  # odd 64-bit mixing constant (golden ratio)
 
@@ -156,31 +156,30 @@ class Sampler:
         With ``freeze_zero`` vertices labelled 0 are kept as leaves and
         consume no randomness (excursion law).
         """
-        labels = [root_label]
-        parents: List[Optional[int]] = [None]
-        children: List[List[int]] = [[]]
-        stack = [0]
+        labels: List[int] = []
+        parents: List[Optional[int]] = []
+        draw_offspring = self.draw_offspring
+        draw_displacements = self.draw_displacements
+        # (label, parent) of every vertex drawn but not yet expanded; a
+        # vertex gets its preorder index when it is popped.
+        stack: List[Tuple[int, Optional[int]]] = [(root_label, None)]
+        drawn = 1
         while stack:
-            v = stack.pop()
-            if freeze_zero and labels[v] == 0:
+            label, parent = stack.pop()
+            v = len(labels)
+            labels.append(label)
+            parents.append(parent)
+            if freeze_zero and label == 0:
                 continue
-            d = self.draw_offspring()
+            d = draw_offspring()
             if d == 0:
                 continue
-            incs = self.draw_displacements(d)
-            base = labels[v]
-            first = len(labels)
-            if first + d > vertex_cap:
+            incs = draw_displacements(d)
+            drawn += d
+            if drawn > vertex_cap:
                 return None
-            kids = children[v]
-            for i, inc in enumerate(incs):
-                labels.append(base + inc)
-                parents.append(v)
-                children.append([])
-                kids.append(first + i)
-            stack.extend(range(first + d - 1, first - 1, -1))
-        _, *arrays = renumber_preorder(labels, parents, children)
-        return LabelledPlaneTree.unchecked(*arrays)
+            stack.extend([(label + inc, v) for inc in reversed(incs)])
+        return LabelledPlaneTree.unchecked(labels, parents)
 
     def sample_tree(self, root_label: int = 0) -> LabelledPlaneTree:
         """One tree from the unconditioned model law, rooted at ``root_label``."""

@@ -4,10 +4,22 @@ A labelled plane tree is a rooted tree with an ordered list of children at
 every vertex and an integer label at every vertex, such that the labels of
 the two endpoints of every edge differ by at most 1.
 
-Trees are stored flat, in preorder (depth-first, children left to right):
-vertex 0 is the root, ``parents[v]`` is the preorder index of v's parent
-(``None`` for the root) and ``children[v]`` is the tuple of v's children in
-plane order.
+Trees are stored as two tuples indexed by preorder (depth-first, children
+left to right), the contour order of Le Gall, "Random trees and
+applications" (2005): vertex 0 is the root, ``labels[v]`` is v's label and
+``parents[v]`` is the preorder index of v's parent (``None`` for the root),
+so ``parents[v] < v``.  Plane order is implicit: the children of v are the
+vertices with parent v, in increasing index.  ``children[v]``, the tuple of
+v's children, is built from ``parents`` on first use and cached.  Equality
+and hashing use ``(labels, parents)``.
+
+Validation runs where arrays come from outside the package: the public
+constructor ``LabelledPlaneTree(labels, parents, children)`` and
+``from_nested`` check every invariant.  The package's own producers
+(samplers, :func:`decode`, :func:`truncate`, ``relabel``, the excursion
+decomposition and its inverse, the map bijection) append vertices in
+preorder and build their output with :meth:`LabelledPlaneTree.unchecked`;
+the tests check their outputs against the validating constructor.
 
 The text grammar is exact and whitespace-free::
 
@@ -34,9 +46,9 @@ Nested = tuple
 
 
 class LabelledPlaneTree:
-    """Immutable labelled plane tree in preorder representation."""
+    """Immutable labelled plane tree: preorder ``labels`` and ``parents``."""
 
-    __slots__ = ("labels", "parents", "children", "_hash")
+    __slots__ = ("labels", "parents", "_children", "_hash")
 
     def __init__(
         self,
@@ -46,7 +58,7 @@ class LabelledPlaneTree:
     ):
         self.labels = tuple(labels)
         self.parents = tuple(parents)
-        self.children = tuple(tuple(c) for c in children)
+        self._children = tuple(tuple(c) for c in children)
         self._hash = None
         self._validate()
 
@@ -54,13 +66,13 @@ class LabelledPlaneTree:
         n = len(self.labels)
         if n == 0:
             raise DomainError("a tree must have at least one vertex")
-        if len(self.parents) != n or len(self.children) != n:
+        if len(self.parents) != n or len(self._children) != n:
             raise DomainError("labels, parents and children must have equal length")
         if self.parents[0] is not None:
             raise DomainError("vertex 0 must be the root")
         seen_parent = [False] * n
         seen_parent[0] = True
-        for v, kids in enumerate(self.children):
+        for v, kids in enumerate(self._children):
             for c in kids:
                 if not (0 <= c < n) or self.parents[c] != v or seen_parent[c]:
                     raise DomainError("children/parents tables are inconsistent")
@@ -78,24 +90,37 @@ class LabelledPlaneTree:
         while stack:
             v = stack.pop()
             order.append(v)
-            stack.extend(reversed(self.children[v]))
+            stack.extend(reversed(self._children[v]))
         if order != list(range(n)):
             raise DomainError("vertices are not in preorder")
 
     @classmethod
-    def unchecked(cls, labels, parents, children) -> "LabelledPlaneTree":
-        """Construct without validation.
+    def unchecked(cls, labels, parents) -> "LabelledPlaneTree":
+        """Construct from preorder arrays without validation.
 
-        For internal producers (samplers, decomposition) whose outputs are
-        correct by construction and are cross-validated in tests; the
-        arrays must satisfy exactly the invariants of ``__init__``.
+        For the package's own producers, whose outputs are correct by
+        construction and are checked against the validating constructor
+        in tests; the arrays must satisfy exactly the invariants of
+        ``__init__``.
         """
         t = cls.__new__(cls)
         t.labels = tuple(labels)
         t.parents = tuple(parents)
-        t.children = tuple(tuple(c) for c in children)
+        t._children = None
         t._hash = None
         return t
+
+    @property
+    def children(self) -> tuple:
+        """``children[v]``: v's children in plane order (built once, on first use)."""
+        kids = self._children
+        if kids is None:
+            lists = [[] for _ in self.parents]
+            parents = self.parents
+            for v in range(1, len(parents)):
+                lists[parents[v]].append(v)
+            kids = self._children = tuple(map(tuple, lists))
+        return kids
 
     # -- basic accessors -------------------------------------------------
 
@@ -125,14 +150,11 @@ class LabelledPlaneTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelledPlaneTree):
             return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.children == other.children
-        )
+        return self.labels == other.labels and self.parents == other.parents
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.labels, self.children))
+            self._hash = hash((self.labels, self.parents))
         return self._hash
 
     def __repr__(self) -> str:
@@ -156,47 +178,30 @@ class LabelledPlaneTree:
             labels = tuple(-l + shift for l in self.labels)
         else:
             labels = tuple(l + shift for l in self.labels)
-        return LabelledPlaneTree(labels, self.parents, self.children)
+        t = LabelledPlaneTree.unchecked(labels, self.parents)
+        t._children = self._children
+        return t
 
 
 def _preorder_from_nested(root_label: int, nested: Nested):
     labels = [root_label]
     parents: list = [None]
     children: list = [[]]
-
-    def rec(v: int, kids: Nested) -> None:
+    # One iterator over the remaining children of each vertex on the path.
+    stack = [(0, iter(nested))]
+    while stack:
+        v, kids = stack[-1]
         for inc, sub in kids:
             c = len(labels)
             labels.append(labels[v] + inc)
             parents.append(v)
             children.append([])
             children[v].append(c)
-            rec(c, sub)
-
-    rec(0, nested)
+            stack.append((c, iter(sub)))
+            break
+        else:
+            stack.pop()
     return labels, parents, children
-
-
-def renumber_preorder(labels, parents, children):
-    """Renumber a rooted tree stored in any vertex order (root 0) to preorder.
-
-    Returns ``(rank, labels, parents, children)``: ``rank[v]`` is the
-    preorder index of old vertex v, and the three arrays hold the tree in
-    preorder storage, ready for a :class:`LabelledPlaneTree` constructor.
-    """
-    n = len(labels)
-    rank = [0] * n
-    order = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        rank[v] = len(order)
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    new_labels = [labels[v] for v in order]
-    new_parents = [None if parents[v] is None else rank[parents[v]] for v in order]
-    new_children = [tuple(rank[c] for c in children[v]) for v in order]
-    return rank, new_labels, new_parents, new_children
 
 
 # -- text grammar ---------------------------------------------------------
@@ -245,7 +250,6 @@ def decode(text: str) -> LabelledPlaneTree:
 
     labels = [root_label]
     parents: list = [None]
-    children: list = [[]]
     if i >= n or text[i] != "(":
         raise TreeParseError("expected '('", i)
     i += 1
@@ -265,8 +269,6 @@ def decode(text: str) -> LabelledPlaneTree:
         c = len(labels)
         labels.append(labels[v] + inc)
         parents.append(v)
-        children.append([])
-        children[v].append(c)
         i += 1
         if i >= n or text[i] != "(":
             raise TreeParseError("expected '('", i)
@@ -274,7 +276,7 @@ def decode(text: str) -> LabelledPlaneTree:
         stack.append(c)
     if i != n:
         raise TreeParseError("trailing data after tree", i)
-    return LabelledPlaneTree(labels, parents, children)
+    return LabelledPlaneTree.unchecked(labels, parents)
 
 
 # -- truncation and edge profile ------------------------------------------
@@ -286,21 +288,24 @@ def truncate(t: LabelledPlaneTree, level: int) -> LabelledPlaneTree:
     Vertices labelled ``level`` themselves are kept (as leaves).  The root
     is always kept.
     """
-    labels: list = []
-    parents: list = []
-    children: list = []
-    stack = [(0, None)]  # (vertex of t, index of its kept parent)
-    while stack:
-        v, parent = stack.pop()
-        nv = len(labels)
-        labels.append(t.labels[v])
-        parents.append(parent)
-        children.append([])
-        if parent is not None:
-            children[parent].append(nv)
-        if t.labels[v] != level:
-            stack.extend((c, nv) for c in reversed(t.children[v]))
-    return LabelledPlaneTree(labels, parents, children)
+    labels, parents = t.labels, t.parents
+    # new[v]: v's index in the result, or -1 when v is deleted.  A vertex is
+    # kept when its parent is kept and not labelled ``level``; the kept set
+    # is closed under ancestors, so t's preorder restricted to it is its
+    # preorder.
+    new = [0] * len(labels)
+    kept_labels = [labels[0]]
+    kept_parents: list = [None]
+    for v in range(1, len(labels)):
+        p = parents[v]
+        np = new[p]
+        if np < 0 or labels[p] == level:
+            new[v] = -1
+            continue
+        new[v] = len(kept_labels)
+        kept_labels.append(labels[v])
+        kept_parents.append(np)
+    return LabelledPlaneTree.unchecked(kept_labels, kept_parents)
 
 
 @dataclass(frozen=True)

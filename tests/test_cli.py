@@ -144,6 +144,54 @@ class TestDecompose:
         assert code == 2
 
 
+class TestRuntimeErrors:
+    """Failures outside the package's own errors: one line, exit 1."""
+
+    def test_missing_input(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "decompose", "--in", str(tmp_path / "missing.txt"), "--level", "1"
+        )
+        assert code == 1
+        assert err.startswith("gwprofile: error: FileNotFoundError:")
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        out = str(tmp_path / "missing-dir" / "out.jsonl")
+        code, _, err = run(
+            capsys, "decompose", "--tree", "0(+())", "--level", "1", "--out", out
+        )
+        assert code == 1
+        assert err.startswith("gwprofile: error: FileNotFoundError:")
+        assert len(err.splitlines()) == 1
+
+    def test_undecodable_input(self, capsys, tmp_path):
+        path = tmp_path / "trees.txt"
+        path.write_bytes(b"0(+())\n\xff\n")
+        code, _, err = run(capsys, "decompose", "--in", str(path), "--level", "1")
+        assert code == 1
+        assert err.startswith("gwprofile: error: UnicodeDecodeError:")
+        assert len(err.splitlines()) == 1
+
+    def test_forest_too_deep_for_json(self, capsys):
+        # Every edge of the zigzag crosses level 1/2, so the forest is a
+        # path of 5,000 excursions: too deep to nest in a JSON record.
+        tree = "0" + "(+(-" * 2500 + "()" + "))" * 2500
+        code, _, err = run(capsys, "decompose", "--tree", tree, "--level", "1")
+        assert code == 1
+        assert err.startswith("gwprofile: error: RecursionError:")
+        assert len(err.splitlines()) == 1
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        import gwprofile.cli as cli
+
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_cmd_decompose", exhausted)
+        code, _, err = run(capsys, "decompose", "--tree", "0()", "--level", "1")
+        assert (code, err) == (1, "gwprofile: error: MemoryError: \n")
+
+
 class TestMaps:
     def test_roundtrip_via_files(self, capsys, tmp_path):
         path = str(tmp_path / "map.csv")

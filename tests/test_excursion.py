@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -76,14 +77,36 @@ class TestDecompose:
 
     def test_admissibility_enforced(self):
         d = decompose(decode("0(+(-()))"), 1)
-        import dataclasses
-
         forged_forest = dataclasses.replace(
             d.forest, children=((),) * len(d.forest.children)
         )
         forged = dataclasses.replace(d, forest=forged_forest)
         with pytest.raises((DomainError, ReconstructionError)):
             reconstruct(forged)
+
+    def test_forest_must_be_a_tree_from_the_roots(self):
+        # 0(+(-(+()))) at level 1: the forest is the path 0 -> 1 -> 2.
+        d = decompose(decode("0(+(-(+())))"), 1)
+        f = d.forest
+        assert (f.roots, f.children) == ((0,), ((1,), (2,), ()))
+        # An extra excursion that nothing attaches.
+        unreached = dataclasses.replace(
+            f,
+            parents=f.parents + (2,),
+            children=f.children + ((),),
+            signs=f.signs + (1,),
+            attachments=f.attachments + (0,),
+            decorations=f.decorations + (f.decorations[2],),
+        )
+        # Vertex 2, given a port leaf, attaches vertex 1 again: a cycle.
+        cycle = dataclasses.replace(
+            f,
+            children=((1,), (2,), (1,)),
+            decorations=f.decorations[:2] + (f.decorations[0],),
+        )
+        for forest in (unreached, cycle):
+            with pytest.raises(ReconstructionError):
+                reconstruct(dataclasses.replace(d, forest=forest))
 
 
 class TestRoundTrip:

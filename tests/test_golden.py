@@ -1,0 +1,110 @@
+"""Golden values: the random stream and the decomposition numbering.
+
+The hashes below were computed before trees were built directly in
+preorder, and pin two contracts: a ``(seed, stream)`` pair determines every
+sampled tree, and ``gwprofile decompose`` numbers forest vertices as
+documented on ``ExcursionForest``.  A deliberate change to either must bump
+the sampler stream version or the output format, and update these values.
+"""
+
+import hashlib
+
+import pytest
+
+from gwprofile import builtin_model, encode
+from gwprofile.cli import main
+from gwprofile.errors import ResourceLimitError
+from gwprofile.model import BUILTIN_IDS
+from gwprofile.sampler import Sampler, SamplerConfig
+
+
+def sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def draw(sample, count):
+    lines = []
+    for i in range(count):
+        try:
+            lines.append(encode(sample(i)))
+        except ResourceLimitError:
+            lines.append("capped")
+    return lines
+
+
+# (SHA-256 of the first 200 trees, SHA-256 of the next 200 excursions of
+# alternating sign), drawn at seed 2026, stream 7, vertex_cap 10^5.
+STREAMS = {
+    "geom-pm1": (
+        "3d80838bfd47f332ee2d335e0e0c9f8117f2e3ef62f7217ab0616cdb69527e0d",
+        "fa31ed252e744c51b3be8b5302bb01ad53e82e0ca14387f8b975e29dead3311d",
+    ),
+    "geom-pm01": (
+        "75351c4abe0e209ac63eee0b91eacff912780ddd32e3e7eb932ba52872362bce",
+        "c2499a7dcd55c8bd81a3a3ef6e4936752719419b768da745a5818610e50b10f4",
+    ),
+    "incomplete-binary": (
+        "855342369fec6119ca678fcb1ee59230116a8b4601383250fa20b1265b374e6a",
+        "3967dad3e7af6c73bd88effb2c835ab60a1e0bf01beba5227959d1705fd41156",
+    ),
+    "complete-binary": (
+        "dd956cfa9ae72ca8b1d5d0dcab9e06c309f81894216b3963731202fb31b46d4f",
+        "041df06160a97e4eb5cf9b50c3d26037ad2806e429ba63f0131370ae856c3f75",
+    ),
+}
+
+
+@pytest.mark.parametrize("model_id", BUILTIN_IDS)
+def test_sampler_stream(model_id):
+    config = SamplerConfig(seed=2026, stream=7, vertex_cap=10**5)
+    s = Sampler(builtin_model(model_id), config)
+    trees = draw(lambda i: s.sample_tree(), 200)
+    excursions = draw(lambda i: s.sample_excursion(1 - 2 * (i % 2)).tree, 200)
+    assert (sha256(trees), sha256(excursions)) == STREAMS[model_id]
+
+
+# The first six geom-pm1 trees with 30 to 300 edges at seed 2026, stream 0,
+# vertex_cap 10^4, and the SHA-256 of `gwprofile decompose` stdout for them
+# at each level.
+DECOMPOSE_TREES = "911124d19ad6c39c6fccb22cd8a7daec3808f16e0ca4440793f403aa42cc65c0"
+DECOMPOSE = {
+    1: "bab120fb638333866cc108e824e4dd23a3bacccb3a7c42cc28e05a8467e05ccb",
+    -1: "ad660118f496558c5b0621553a7a352249137916c175c735828bce4dd180d010",
+    2: "4af39cd1511dbebd632925c13ae8a16d2154d6bb84e9e46c10925b9465695f69",
+    -2: "154235085baa965a0727e18130c14c9550ba9ae6b51460dff6679e6ace87a0ee",
+}
+
+
+@pytest.fixture(scope="module")
+def decompose_trees():
+    config = SamplerConfig(seed=2026, stream=0, vertex_cap=10**4)
+    s = Sampler(builtin_model("geom-pm1"), config)
+    texts = []
+    while len(texts) < 6:
+        try:
+            t = s.sample_tree()
+        except ResourceLimitError:
+            continue
+        if 30 <= t.n_edges <= 300:
+            texts.append(encode(t))
+    assert sha256(texts) == DECOMPOSE_TREES
+    return texts
+
+
+@pytest.mark.parametrize("level", sorted(DECOMPOSE))
+def test_decompose_records(capsys, decompose_trees, level):
+    for text in decompose_trees:
+        assert main(["decompose", "--tree", text, "--level", str(level)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE[level]
+
+
+def test_decompose_record_literal(capsys):
+    # One record spelled out.  Forest vertices 0 and 1 are the root's two
+    # +1 children, cut from the root in plane order; 2 is cut from the first
+    # of them, so it is numbered last although it comes second in preorder.
+    assert main(["decompose", "--tree", "0(+(+()-(0()))+())", "--level", "1"]) == 0
+    assert capsys.readouterr().out == (
+        '{"attachments": [0, 1, 0], "decorations": ["1(+()-())", "1()", "-1(0())"], '
+        '"forest_shape": [[[]], []], "level": 1, "root_component": "0(+()+())"}\n'
+    )

@@ -84,6 +84,15 @@ class TestBijection:
         with pytest.raises(DomainError):
             tree_to_map(decode("0(+())"), 2)
 
+    def test_reads_tree_in_preorder(self):
+        # Breadth-first and preorder numbering differ on this tree: the
+        # vertex labelled 2 comes second in preorder, fourth breadth-first.
+        t = decode("0(+(+())-())")
+        back, bit = map_to_tree(tree_to_map(t, 1))
+        assert bit == 1
+        assert back.labels == (0, 1, 2, -1)
+        assert back.parents == (None, 0, 1, 0)
+
     def test_sampled_roundtrip(self):
         s = Sampler(MODEL, SamplerConfig(seed=11, vertex_cap=2000))
         for _ in range(60):

@@ -10,7 +10,6 @@ from gwprofile import (
     encode,
     truncate,
 )
-from gwprofile.tree import renumber_preorder
 
 
 def nested_trees(max_children=3):
@@ -100,15 +99,24 @@ class TestDeepPath:
         for m in (1, -1):
             assert reconstruct(decompose(t, m)) == t
 
+    def test_zigzag_decompose_reconstruct(self):
+        # 0(+(-(+(-...)))): every edge crosses level 1/2, so the level-1
+        # forest is a path of DEPTH excursions.
+        from gwprofile.excursion import decompose, reconstruct
 
-class TestRenumberPreorder:
-    def test_breadth_first_input(self):
-        # 0 has children 1, 2 (labels 1, -1); 1 has child 3 (label 2).
-        rank, labels, parents, children = renumber_preorder(
-            [0, 1, -1, 2], [None, 0, 0, 1], [[1, 2], [3], [], []]
-        )
-        assert rank == [0, 1, 3, 2]
-        assert LabelledPlaneTree(labels, parents, children) == decode("0(+(+())-())")
+        text = "0" + "(+(-" * (DEPTH // 2) + "()" + "))" * (DEPTH // 2)
+        t = decode(text)
+        d = decompose(t, 1)
+        assert d.forest.n_vertices == DEPTH
+        assert reconstruct(d) == t
+
+    def test_from_nested(self):
+        depth = 10**4
+        nested = ()
+        for _ in range(depth):
+            nested = ((1, nested),)
+        text = "0" + "(+" * depth + "()" + ")" * depth
+        assert LabelledPlaneTree.from_nested(0, nested) == decode(text)
 
 
 class TestTruncate:
