@@ -182,6 +182,27 @@ def _sample_items_worker(task) -> List[str]:
 # -- decompose ---------------------------------------------------------------
 
 
+def _forest_shape(forest) -> str:
+    """The forest as JSON nested lists of children, one list per root.
+
+    Written with an explicit stack, so the depth of the forest is not
+    bounded by the recursion limit.
+    """
+    out = ["["]
+    stack = [(forest.roots, 0)]  # (sibling list, index of the next sibling)
+    while stack:
+        kids, i = stack.pop()
+        if i == len(kids):
+            out.append("]")
+            continue
+        if i:
+            out.append(", ")
+        stack.append((kids, i + 1))
+        out.append("[")
+        stack.append((forest.children[kids[i]], 0))
+    return "".join(out)
+
+
 def _cmd_decompose(args) -> int:
     from .excursion import decompose
 
@@ -196,18 +217,18 @@ def _cmd_decompose(args) -> int:
     try:
         for text in texts:
             d = decompose(decode(text), args.level)
-
-            def nested(v):
-                return [nested(c) for c in d.forest.children[v]]
-
+            # Keys in sorted order, as json.dumps(record, sort_keys=True)
+            # would write them; forest_shape is written without recursion.
             record = {
-                "level": d.level,
-                "root_component": encode(d.root_component),
-                "forest_shape": [nested(r) for r in d.forest.roots],
-                "decorations": [encode(e.tree) for e in d.forest.decorations],
-                "attachments": list(d.forest.attachments),
+                "attachments": json.dumps(list(d.forest.attachments)),
+                "decorations": json.dumps(
+                    [encode(e.tree) for e in d.forest.decorations]
+                ),
+                "forest_shape": _forest_shape(d.forest),
+                "level": json.dumps(d.level),
+                "root_component": json.dumps(encode(d.root_component)),
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write("{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n")
     finally:
         _close_out(fh)
     RunManifest(

@@ -9,13 +9,18 @@ the smallest dart of their sigma-orbit.
 The bijection with labelled trees draws one arc from every contour
 corner of the tree to its successor (the next corner, in contour
 order, whose label is one less); corners of minimal label connect to
-the extra pointed vertex.  The orientation conventions (order of arc
-ends inside a corner, order of corners around a vertex, rotation of
-the pointed vertex, scan direction when reading the tree back) are
-fixed by the module constants below; they were selected by exhaustive
-search as the unique self-consistent choice, and are locked in place
-by the round-trip tests - the tests, not any external authority,
-validate them.
+the extra pointed vertex.  Its orientation conventions are written in
+the code of ``tree_to_map`` and ``map_to_tree``: arc ends inside a
+corner in ascending clockwise distance, the corners of a vertex in
+reverse contour order, the arcs around the pointed vertex in contour
+order, and children read back along the inverse rotation.  They were
+selected by exhaustive search as the unique self-consistent choice and
+are locked in place by the round-trip tests - the tests, not any
+external authority, validate them.
+
+Ball profiles are counted, not built: one breadth-first search from the
+point and Euler's formula give the external faces and perimeters of
+every ball (see ``ball_profile``).
 """
 
 from __future__ import annotations
@@ -23,17 +28,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError
 from .tree import LabelledPlaneTree, edge_profile
-
-# Orientation conventions for the bijection (see module docstring).
-# Each is a boolean "reverse the natural scan order" flag.
-CONV_CORNER_DESCENDING = False  # arc ends inside a corner: ascending clockwise distance
-CONV_VERTEX_REVERSED = True  # corners around a vertex: reverse contour order
-CONV_STAR_REVERSED = False  # arcs around the pointed vertex: contour order
-CONV_READ_INVERSE = True  # read children back along the inverse rotation
 
 
 class PlanarMap:
@@ -151,14 +150,9 @@ class PlanarMap:
             frontier = nxt
         return dist
 
-    def face_canonical(self, face: Sequence[int]) -> Tuple[int, ...]:
-        """Rotation of a dart cycle starting at its smallest dart."""
-        i = min(range(len(face)), key=lambda j: face[j])
-        return tuple(face[i:]) + tuple(face[:i])
-
 
 class Quadrangulation(PlanarMap):
-    """A rooted pointed planar map in which every face has degree 4."""
+    """A rooted pointed map on the sphere in which every face has degree 4."""
 
     def __init__(self, alpha, sigma, root_dart: int, pointed_vertex: int):
         if root_dart is None or pointed_vertex is None:
@@ -167,6 +161,9 @@ class Quadrangulation(PlanarMap):
         for f in self._faces:
             if len(f) != 4:
                 raise IntegrityError(f"face {f} has degree {len(f)}, expected 4")
+        chi = self.euler_characteristic()
+        if chi != 2:
+            raise IntegrityError(f"Euler characteristic {chi}, expected 2: not planar")
 
     def root_endpoints(self) -> Tuple[int, int]:
         """(origin vertex, head vertex) of the root edge."""
@@ -258,7 +255,7 @@ def tree_to_map(t: LabelledPlaneTree, orientation: int) -> Quadrangulation:
         ends = [(2 * p, (succ[p] - p) % n if succ[p] is not None else 0)]
         for j in arrivals[p]:
             ends.append((2 * j + 1, (j - p) % n))
-        ends.sort(key=lambda e: e[1], reverse=CONV_CORNER_DESCENDING)
+        ends.sort(key=lambda e: e[1])
         return [d for d, _ in ends]
 
     corners_of: Dict[int, List[int]] = {}
@@ -266,16 +263,12 @@ def tree_to_map(t: LabelledPlaneTree, orientation: int) -> Quadrangulation:
         corners_of.setdefault(v, []).append(p)
     sigma: Dict[int, int] = {}
     for v, ps in corners_of.items():
-        if CONV_VERTEX_REVERSED:
-            ps = ps[::-1]
         cycle: List[int] = []
-        for p in ps:
+        for p in reversed(ps):  # corners around a vertex: reverse contour order
             cycle.extend(corner_fan(p))
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             sigma[a] = b
     star_cycle = [2 * i + 1 for i in star_sources]
-    if CONV_STAR_REVERSED:
-        star_cycle = star_cycle[::-1]
     for a, b in zip(star_cycle, star_cycle[1:] + star_cycle[:1]):
         sigma[a] = b
     root_dart = 0 if orientation == 0 else 1
@@ -332,9 +325,8 @@ def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
         anchors.setdefault(vb, {})[db] = (va, da)
     if q.pointed_vertex in anchors:
         raise IntegrityError("a selected edge touches the pointed vertex")
-    step = q.sigma
-    if CONV_READ_INVERSE:
-        step = {b: a for a, b in q.sigma.items()}
+    # children are read back along the inverse rotation
+    step = {b: a for a, b in q.sigma.items()}
 
     def scan(v: int, start: int, include_start: bool) -> List[Tuple[int, int]]:
         """Tree edges at v in rotation order from ``start``.
@@ -394,9 +386,9 @@ def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
 class BallSummary:
     """External-face counts and perimeter sums of all balls around the point.
 
-    ``C[k]`` external faces and ``P[k]`` total external perimeter of
+    ``C[k-1]`` external faces and ``P[k-1]`` total external perimeter of
     the radius-k ball, for 1 <= k <= k_max (the eccentricity of the
-    point); by convention C = 1, P = 0 for k <= 0.
+    point).
     """
 
     d_star: int
@@ -404,68 +396,46 @@ class BallSummary:
     P: Tuple[int, ...]
     C: Tuple[int, ...]
 
-    def P_at(self, k: int) -> int:
-        if k <= 0:
-            return 0
-        if k > self.k_max:
-            return 0
-        return self.P[k - 1]
-
-    def C_at(self, k: int) -> int:
-        if k <= 0:
-            return 1
-        if k > self.k_max:
-            return 0
-        return self.C[k - 1]
-
-
-def ball(q: Quadrangulation, k: int):
-    """The radius-k ball around the point, with its external faces.
-
-    Keeps the edges whose two endpoints are at distance <= k from the
-    pointed vertex.  Returns (submap, external_faces, internal_count)
-    where external faces are the faces of the submap whose dart cycle
-    is not a face of ``q``.
-    """
-    if k < 1:
-        raise DomainError("ball radius must be >= 1")
-    dist = q.distances_from(q.pointed_vertex)
-    keep = {
-        d
-        for d in q.darts
-        if dist[q.vertex_of(d)] <= k and dist[q.vertex_of(q.alpha[d])] <= k
-    }
-    alpha = {d: q.alpha[d] for d in keep}
-    sigma = {}
-    for d in keep:
-        e = q.sigma[d]
-        while e not in keep:
-            e = q.sigma[e]
-        sigma[d] = e
-    sub = PlanarMap(alpha, sigma, pointed_vertex=q.pointed_vertex)
-    originals = {q.face_canonical(f) for f in q.faces()}
-    external = []
-    internal = 0
-    for f in sub.faces():
-        if sub.face_canonical(f) in originals:
-            internal += 1
-        else:
-            external.append(f)
-    return sub, external, internal
-
 
 def ball_profile(q: Quadrangulation) -> BallSummary:
-    """(P_k, C_k) for every radius up to the eccentricity of the point."""
+    """(P_k, C_k) for every radius up to the eccentricity of the point.
+
+    The radius-k ball keeps the edges whose two endpoints are within
+    distance k of the point.  Let V_k count the vertices of ``q`` within
+    k, E_k the edges with both endpoints within k, and I_k the faces
+    with all four corners within k.  The ball has
+    C_k = 2 - V_k + E_k - I_k external faces, of total degree
+    P_k = 2 E_k - 4 I_k, because:
+
+    - the ball is connected: each vertex's BFS-parent edge stays inside
+      it, so it holds every vertex within k;
+    - a face of ``q`` is a face of the ball exactly when all its corners
+      are within k, and such a face has 4 darts;
+    - every other face of the ball is external;
+    - the ball is a submap of a planar map, so Euler's formula on the
+      sphere gives V_k - E_k + (faces) = 2.
+    """
     dist = q.distances_from(q.pointed_vertex)
     x0, x1 = q.root_endpoints()
     d_star = max(dist[x0], dist[x1])
     k_max = max(dist.values())
-    P, C = [], []
-    for k in range(1, k_max + 1):
-        _, external, _ = ball(q, k)
-        C.append(len(external))
-        P.append(sum(len(f) for f in external))
-    return BallSummary(d_star, k_max, tuple(P), tuple(C))
+    at = {d: dist[q.vertex_of(d)] for d in q.darts}
+    vertices = [0] * (k_max + 1)
+    edges = [0] * (k_max + 1)
+    inner = [0] * (k_max + 1)
+    for r in dist.values():
+        vertices[r] += 1
+    for d in q.darts:
+        e = q.alpha[d]
+        if d < e:
+            edges[max(at[d], at[e])] += 1
+    for f in q.faces():
+        inner[max(at[d] for d in f)] += 1
+    V, E, I = (list(accumulate(h)) for h in (vertices, edges, inner))
+    radii = range(1, k_max + 1)
+    P = tuple(2 * E[k] - 4 * I[k] for k in radii)
+    C = tuple(2 - V[k] + E[k] - I[k] for k in radii)
+    return BallSummary(d_star, k_max, P, C)
 
 
 @dataclass
@@ -494,7 +464,7 @@ def verify_profile_relations(q: Quadrangulation, d_star_shift: int = 0):
     mism = []
     checked = 0
     for k in range(1, summary.k_max + 1):
-        P_k, C_k = summary.P_at(k), summary.C_at(k)
+        P_k, C_k = summary.P[k - 1], summary.C[k - 1]
         checked += 1
         if P_k % 2:
             mism.append(f"k={k}: odd perimeter {P_k}")

@@ -56,8 +56,7 @@ class OffspringDistribution:
     ``kind`` is one of:
 
     - ``finite-table``: ``table[k]`` = ξ(k), exact, finite support;
-    - ``geometric-half``: ξ(k) = 2^(-k-1);
-    - ``geometric``: ξ(k) = p(1-p)^k with parameter ``p``.
+    - ``geometric-half``: ξ(k) = 2^(-k-1), stored as ``p`` = 1/2.
     """
 
     kind: str
@@ -76,15 +75,8 @@ class OffspringDistribution:
                 raise ConfigurationError(
                     "offspring mean exceeds 1 (supercritical models not supported)"
                 )
-        elif self.kind in ("geometric-half", "geometric"):
-            p = _HALF if self.kind == "geometric-half" else self.p
-            if p is None or not (0 < p <= 1):
-                raise ConfigurationError("geometric offspring needs p in (0, 1]")
-            if p < _HALF:
-                raise ConfigurationError(
-                    "geometric offspring with p < 1/2 is supercritical"
-                )
-            object.__setattr__(self, "p", p)
+        elif self.kind == "geometric-half":
+            object.__setattr__(self, "p", _HALF)
         else:
             raise ConfigurationError(f"unknown offspring kind {self.kind!r}")
 
@@ -411,7 +403,7 @@ def parse_model_config(config: Mapping, name: str = "custom") -> TreeModel:
             "finite-table",
             tuple(parse_rational(x) for x in off_cfg.get("table", ())),
         )
-    elif off_kind in ("geometric-half", "geometric"):
+    elif off_kind == "geometric-half":
         raise ConfigurationError(
             "geometric offspring laws are builtin-only; custom models use "
             "finite tables"
@@ -481,8 +473,6 @@ def model_to_config(model: TreeModel) -> dict:
         }
     else:
         off_cfg = {"kind": off.kind}
-        if off.kind == "geometric":
-            off_cfg["p"] = format_rational(off.p)
     disp = model.displacement
     if disp.kind == "per-arity-table":
         disp_cfg = {

@@ -88,30 +88,17 @@ class Sampler:
         return None
 
     def draw_offspring(self) -> int:
-        off = self.model.offspring
         if self._offspring_cum is not None:
             u = self.rng.random()
             for k, c in enumerate(self._offspring_cum):
                 if u < c:
                     return k
             return len(self._offspring_cum) - 1
-        if off.kind == "geometric-half":
-            # P(k) = 2^{-k-1}: count leading 1-bits.
-            k = 0
-            while self.rng.getrandbits(1):
-                k += 1
-            return k
-        # geometric with parameter p: P(k) = (1-p) p^k
-        p = float(off.p)
-        u, acc, term, k = self.rng.random(), 0.0, 1.0 - p, 0
-        while True:
-            acc += term
-            if u < acc:
-                return k
-            term *= p
+        # geometric-half, P(k) = 2^{-k-1}: count leading 1-bits.
+        k = 0
+        while self.rng.getrandbits(1):
             k += 1
-            if k > 10**6:  # pragma: no cover - float underflow guard
-                return k
+        return k
 
     def draw_displacements(self, d: int) -> Tuple[int, ...]:
         if d == 0:

@@ -341,14 +341,6 @@ class VerticalEdgeProfile:
         """Number of edges with both endpoint labels <= m - 1."""
         return bisect.bisect_right(self._edge_max_labels, m - 1)
 
-    def state(self, m: int) -> tuple:
-        """The pair (x_plus[m], x_minus[m])."""
-        return (self.x_plus.get(m, 0), self.x_minus.get(m, 0))
-
-    def check_state(self, m: int) -> tuple:
-        """The pair (check_plus[m], check_minus[m])."""
-        return (self.check_plus.get(m, 0), self.check_minus.get(m, 0))
-
 
 def edge_profile(t: LabelledPlaneTree) -> VerticalEdgeProfile:
     """Compute the vertical edge profile of a tree rooted at label 0."""

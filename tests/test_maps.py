@@ -7,7 +7,6 @@ from gwprofile.errors import DomainError, IntegrityError
 from gwprofile.maps import (
     PlanarMap,
     Quadrangulation,
-    ball,
     ball_profile,
     boltzmann_mass,
     card_pointed_quadrangulations,
@@ -29,6 +28,10 @@ def all_trees(max_edges):
             yield t
 
 
+# A one-vertex map on the torus whose single face has degree 4.
+TORUS = dict(alpha={0: 1, 1: 0, 2: 3, 3: 2}, sigma={0: 2, 2: 1, 1: 3, 3: 0})
+
+
 class TestPlanarMap:
     def test_single_edge(self):
         m = PlanarMap(alpha={0: 1, 1: 0}, sigma={0: 0, 1: 1})
@@ -45,6 +48,12 @@ class TestPlanarMap:
                 alpha={0: 1, 1: 0, 2: 3, 3: 2},
                 sigma={0: 0, 1: 1, 2: 2, 3: 3},
             )
+
+    def test_quadrangulation_rejects_torus(self):
+        # one vertex, two edges and one degree-4 face: Euler characteristic 0
+        assert PlanarMap(**TORUS).euler_characteristic() == 0
+        with pytest.raises(IntegrityError):
+            Quadrangulation(**TORUS, root_dart=0, pointed_vertex=0)
 
     def test_quadrangulation_rejects_wrong_faces(self):
         # a single edge has one face of degree 2
@@ -123,12 +132,60 @@ def _canonical_key(q):
     )
 
 
+def reference_ball_profile(q):
+    """(P, C) by definition: build each radius-k ball as a submap.
+
+    The ball keeps the edges whose two endpoints are within k of the
+    point; its external faces are its faces whose dart cycle is not a
+    face of ``q``.
+    """
+
+    def rotations(face):
+        i = face.index(min(face))
+        return tuple(face[i:]) + tuple(face[:i])
+
+    dist = q.distances_from(q.pointed_vertex)
+    originals = {rotations(f) for f in q.faces()}
+    P, C = [], []
+    for k in range(1, max(dist.values()) + 1):
+        keep = {
+            d
+            for d in q.darts
+            if dist[q.vertex_of(d)] <= k and dist[q.vertex_of(q.alpha[d])] <= k
+        }
+        sigma = {}
+        for d in keep:
+            e = q.sigma[d]
+            while e not in keep:
+                e = q.sigma[e]
+            sigma[d] = e
+        sub = PlanarMap({d: q.alpha[d] for d in keep}, sigma)
+        external = [f for f in sub.faces() if rotations(f) not in originals]
+        C.append(len(external))
+        P.append(sum(len(f) for f in external))
+    return tuple(P), tuple(C)
+
+
 class TestBalls:
+    def test_counting_matches_submaps_exhaustive(self):
+        for t in all_trees(5):
+            for bit in (0, 1):
+                q = tree_to_map(t, bit)
+                summary = ball_profile(q)
+                assert (summary.P, summary.C) == reference_ball_profile(q)
+
+    def test_counting_matches_submaps_sampled(self):
+        s = Sampler(MODEL, SamplerConfig(seed=2026, vertex_cap=2000))
+        for _ in range(100):
+            q = s.sample_quadrangulation()
+            summary = ball_profile(q)
+            assert (summary.P, summary.C) == reference_ball_profile(q)
+
     def test_radius_covers_map(self):
         q = tree_to_map(decode("0(+(+())-())"), 0)
         summary = ball_profile(q)
-        sub, external, internal = ball(q, summary.k_max)
-        assert not external and internal == q.n_faces
+        assert summary.k_max == len(summary.P) == len(summary.C)
+        assert summary.C[-1] == 0 and summary.P[-1] == 0
 
     def test_profile_relations_hold(self):
         for t in all_trees(3):
@@ -172,6 +229,12 @@ class TestCSV:
         assert q2.alpha == q.alpha and q2.sigma == q.sigma
         assert q2.root_dart == q.root_dart
         assert q2.pointed_vertex == q.pointed_vertex
+
+    def test_rejects_torus(self, tmp_path):
+        path = str(tmp_path / "torus.csv")
+        save_map(PlanarMap(**TORUS, root_dart=0, pointed_vertex=0), path)
+        with pytest.raises(IntegrityError):
+            load_map(path)
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"

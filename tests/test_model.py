@@ -6,6 +6,7 @@ import pytest
 from gwprofile import (
     ConfigurationError,
     DomainError,
+    OffspringDistribution,
     builtin_model,
     decode,
     excursion_weight,
@@ -50,6 +51,11 @@ class TestBuiltins:
         m = builtin_model("geom-pm01")
         for k in range(6):
             assert m.offspring.prob(k) == Fraction(1, 2 ** (k + 1))
+
+    def test_no_general_geometric_kind(self):
+        # geometric-half is the only geometric law; a parameter p is refused.
+        with pytest.raises(ConfigurationError):
+            OffspringDistribution("geometric", p=Fraction(3, 4))
 
 
 class TestResolve:
