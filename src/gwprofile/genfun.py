@@ -7,22 +7,26 @@ excursion recursion over arities; for each built-in model that equation
 forces g_ν onto an explicit quadratic algebraic curve F(x, y) = 0 with a
 closed-form solution by radicals.
 
-This module computes g_ν exactly, by two genuinely independent routes:
+This module computes g_ν exactly by one production route and two check
+routes:
 
-- :func:`closed_form_series` expands the radical closed form with exact
-  series square roots and divisions;
-- :func:`solve_nu_gf` expands the algebraic curve by series Newton
+- :func:`nu_table` (production) computes h = √((a−z)(1−z)³) by the linear
+  recurrence of its differential equation 2R·h′ = R′·h, then g_ν from the
+  radical closed form by a degree-≤2 division recurrence: O(order)
+  operations.  Before returning it runs :func:`_verified_curve` and an
+  exact O(order) certificate (:func:`_certify`) that the result lies on
+  the verified curve;
+- :func:`closed_form_series` (check) expands the radical closed form with
+  generic exact series square roots and divisions;
+- :func:`solve_nu_gf` (check) expands the algebraic curve by series Newton
   iteration, after verifying the curve at runtime, by exact polynomial
   reduction, against the model's functional equation (substituting the
   equation's expression for the composed term G(G(z)) into F must yield 0
   modulo F), together with criticality F(1,1) = 0 and simplicity of the
   series branch at the known constant term.
 
-A floating-point fixed-point iterator :func:`iterate_nu_gf` is provided
-for approximate work (including custom finite-table models): note that the
-fixed point of the *truncated* composition map differs from the true
-series by a bias that vanishes only as the order grows, so it is not exact
-at any finite order.
+The check routes cost O(order²) and more; tests and benchmarks compare
+them with :func:`nu_table`.
 
 Also here: the convolution tables f_p(q) (p-fold convolutions of ν), the
 joint leaf/edge tables f̃_p(q, l), and high-precision evaluation of the
@@ -32,8 +36,9 @@ singular expansion of g_ν near 1.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 
@@ -111,8 +116,7 @@ def _require_builtin(model: TreeModel) -> dict:
     if data is None or builtin_model(model.name).key != model.key:
         raise ConfigurationError(
             "exact generating functions are available for the four built-in "
-            f"models only, not {model.name!r}; use iterate_nu_gf for "
-            "approximate values on custom models"
+            f"models only, not {model.name!r}"
         )
     return data
 
@@ -139,10 +143,6 @@ def _polysub(a: Sequence, b: Sequence) -> list:
     ]
 
 
-def _polyneg(a: Sequence) -> list:
-    return [-Fraction(x) for x in a]
-
-
 def _polyeval(a: Sequence, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(list(a)):
@@ -150,14 +150,16 @@ def _polyeval(a: Sequence, x: Fraction) -> Fraction:
     return acc
 
 
+def _radicand(data: dict) -> List[int]:
+    """R = (a − z)(1 − z)³ as ascending integer coefficients."""
+    return [int(c) for c in _polymul([data["a"], -1], [1, -3, 3, -1])]
+
+
 def _curve_polys(data: dict) -> Tuple[list, list, list]:
     """Coefficient polynomials (A0, A1, A2) of F = A2 y^2 + A1 y + A0."""
     p = [Fraction(c) for c in data["den"]]
-    q = _polyneg(data["num"])
-    coef2 = data["coef"] ** 2
-    a = Fraction(data["a"])
-    s = _polymul([a, -1], _polymul([1, -1], _polymul([1, -1], [1, -1])))
-    s = [coef2 * c for c in s]
+    q = [-Fraction(c) for c in data["num"]]
+    s = [data["coef"] ** 2 * c for c in _radicand(data)]
     a2 = _polymul(p, p)
     a1 = [2 * c for c in _polymul(p, q)]
     a0 = _polysub(_polymul(q, q), s)
@@ -288,124 +290,88 @@ def solve_nu_gf(model: TreeModel, order: int) -> RationalSeries:
     return g.truncate(order)
 
 
-def nu_table(model: TreeModel, order: int) -> Tuple[Fraction, ...]:
-    """ν(0..order) as exact rationals (coefficients of g_ν)."""
-    return solve_nu_gf(model, order).coeffs
+def _radical_series(r: Sequence[int], w: int) -> List[Fraction]:
+    """h_0..h_w of h = √R for a quartic R with a square constant term.
 
+    h satisfies 2R·h′ = R′·h.  Reading off z^n gives, with r_j = 0 past
+    the degree and h_k = 0 for k < 0,
 
-# -- approximate fixed-point route ------------------------------------------
+        2 r_0 (n+1) h_{n+1} = −Σ_{i=1..4} r_i (2n + 2 − 3i) h_{n+1−i},
 
-
-def _float_compose(outer: List[float], inner: List[float], n: int) -> List[float]:
-    """Horner evaluation of outer at inner, truncated to order n."""
-    result = [0.0] * (n + 1)
-    result[0] = outer[-1]
-    for c in reversed(outer[:-1]):
-        # result = result * inner + c
-        out = [0.0] * (n + 1)
-        for i, ri in enumerate(result):
-            if ri:
-                for j in range(n + 1 - i):
-                    if inner[j]:
-                        out[i + j] += ri * inner[j]
-        out[0] += c
-        result = out
-    return result
-
-
-def iterate_nu_gf(
-    model: TreeModel,
-    order: int,
-    tol: float = 1e-13,
-    max_iter: int = 10000,
-) -> List[float]:
-    """Float fixed-point iteration for g_ν on the truncated composition map.
-
-    Works for any model with finite-table offspring and for the geometric
-    built-ins.  The returned coefficients carry a truncation bias of the
-    map itself (the truncated composition's fixed point is not the
-    truncated true series); the bias vanishes as ``order`` grows.
+    so each coefficient costs four multiplications.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    n = order
-    off = model.offspring
-    disp = model.displacement
-    per_child = disp.per_child_support()
-    z_poly = [0.0, 1.0] + [0.0] * (n - 1)
-
-    def step(g: List[float]) -> List[float]:
-        gg = _float_compose(g, g, n)
-        atoms = {-1: z_poly, 0: g, 1: gg}
-        if per_child is not None:
-            child = [0.0] * (n + 1)
-            for inc, w in per_child:
-                fw = float(w)
-                for k in range(n + 1):
-                    child[k] += fw * atoms[inc][k]
-            if off.kind == "finite-table":
-                out = _float_polysum_finite(off, child, n)
-            else:
-                # geometric-half: sum_d 2^{-d-1} child^d = 1 / (2 - child)
-                out = _float_div_one(
-                    [2.0 - child[0]] + [-c for c in child[1:]], n
-                )
-        else:
-            out = [float(off.prob(0))] + [0.0] * n
-            hi = off.max_arity or 0
-            for d in range(1, hi + 1):
-                xi = float(off.prob(d))
-                if xi == 0.0:
-                    continue
-                for vec, wv in disp.vectors(d):
-                    prod = [1.0] + [0.0] * n
-                    for inc in vec:
-                        prod = _float_mul(prod, atoms[inc], n)
-                    fw = xi * float(wv)
-                    for k in range(n + 1):
-                        out[k] += fw * prod[k]
-        return out
-
-    g = [0.0] * (n + 1)
-    for _ in range(max_iter):
-        new_g = step(g)
-        if max(abs(a - b) for a, b in zip(g, new_g)) < tol:
-            return new_g
-        g = new_g
-    raise ResourceLimitError(
-        f"fixed-point iteration did not converge within {max_iter} steps"
-    )
+    h = [Fraction(math.isqrt(r[0]))]  # _certify checks that it squares to r_0
+    inv = 1 / Fraction(2 * r[0])
+    for n in range(w):
+        acc = 0
+        for i in range(1, min(4, n + 1) + 1):
+            acc += r[i] * (2 * n + 2 - 3 * i) * h[n + 1 - i]
+        h.append(-acc * inv / (n + 1))
+    return h
 
 
-def _float_mul(a: List[float], b: List[float], n: int) -> List[float]:
-    out = [0.0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(n + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
+def _certify(
+    data: dict, r: Sequence[int], h: Sequence[Fraction], g: Sequence[Fraction], c0
+) -> None:
+    """Exact O(order) certificate that g lies on the model's curve.
+
+    Checks h_0² = a; that 2R·h′ − R′·h vanishes coefficient by coefficient
+    to the working order, which with h_0² = R(0) gives h² = R there
+    ((h²/R)′ = 0); that den·g = num + coef·h to the working order; and that
+    g_0 = c0.  Then (den·g − num)² = coef²·R, which is F(z, g) = 0, and g
+    is the branch of the verified curve with constant term c0.
+    """
+    w = len(h) - 1
+    if h[0] ** 2 != r[0]:
+        raise IntegrityError("radical constant term does not square to a")
+    for n in range(w):
+        hi = min(4, n + 1)
+        lhs = sum(2 * r[i] * (n + 1 - i) * h[n + 1 - i] for i in range(hi + 1))
+        rhs = sum(i * r[i] * h[n + 1 - i] for i in range(1, hi + 1))
+        if lhs != rhs:
+            raise IntegrityError(f"radical ODE residual is nonzero at z^{n}")
+    num, den, coef = data["num"], data["den"], data["coef"]
+    for n in range(w + 1):
+        lhs = sum(
+            den[j] * g[n - j] for j in range(len(den)) if 0 <= n - j < len(g)
+        )
+        rhs = (num[n] if n < len(num) else 0) + coef * h[n]
+        if lhs != rhs:
+            raise IntegrityError(f"den·g differs from num + coef·h at z^{n}")
+    if g[0] != c0:
+        raise IntegrityError(f"series constant term {g[0]} is not the branch {c0}")
 
 
-def _float_div_one(den: List[float], n: int) -> List[float]:
-    out = [0.0] * (n + 1)
-    out[0] = 1.0 / den[0]
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            if j < len(den) and den[j]:
-                acc -= den[j] * out[k - j]
-        out[k] = acc / den[0]
-    return out
+def nu_table(model: TreeModel, order: int) -> Tuple[Fraction, ...]:
+    """ν(0..order) as exact rationals (coefficients of g_ν).
 
-
-def _float_polysum_finite(off, child: List[float], n: int) -> List[float]:
-    hi = off.max_arity or 0
-    out = [float(off.prob(hi))] + [0.0] * n
-    for d in range(hi - 1, -1, -1):
-        out = _float_mul(out, child, n)
-        out[0] += float(off.prob(d))
-    return out
+    Production route: h = √((a−z)(1−z)³) by its holonomic recurrence,
+    then g = (num + coef·h)/den by the degree-≤2 division recurrence after
+    stripping den's valuation; O(order) operations in all.  The curve is
+    verified by :func:`_verified_curve` and g is certified on it by
+    :func:`_certify` before returning.
+    """
+    data = _require_builtin(model)
+    if order < 0:
+        raise DomainError("order must be >= 0")
+    _, _, _, c0 = _verified_curve(model.name)
+    r = _radicand(data)
+    den = data["den"]
+    v = next(j for j, c in enumerate(den) if c)
+    d = den[v:]
+    w = order + v
+    h = _radical_series(r, w)
+    num, coef = data["num"], data["coef"]
+    numer = [(num[n] if n < len(num) else 0) + coef * h[n] for n in range(w + 1)]
+    g: List[Fraction] = []
+    for k in range(order + 1):
+        acc = numer[k + v]
+        for j in range(1, len(d)):
+            if k >= j:
+                acc -= d[j] * g[k - j]
+        g.append(acc / d[0])
+    _certify(data, r, h, g, c0)
+    return tuple(g)
 
 
 # -- convolution tables ------------------------------------------------------

@@ -147,10 +147,10 @@ def test_criterion_04_marked_forest_joint_law():
 
 
 def test_criterion_05_conditioned_kernel_exact():
-    """For V in 2..8 the exhaustive path law is exactly Markov with the
+    """For V in 2..10 the exhaustive path law is exactly Markov with the
     conditioned closed-form kernel."""
     t0 = time.time()
-    for V in range(2, 9):
+    for V in range(2, 11):
         ftilde = joint_table(BINARY, V + 1, V + 1, V)
         law = exact_chain_law(V)
         rep = verify_markov_exact(
@@ -159,7 +159,7 @@ def test_criterion_05_conditioned_kernel_exact():
         assert rep.ok, (V, rep.discrepancies[:3])
     elapsed = time.time() - t0
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
-    print(f"CRITERION 5 PASS: V=2..8 exact, {elapsed:.1f}s")
+    print(f"CRITERION 5 PASS: V=2..10 exact, {elapsed:.1f}s")
 
 
 def _binary_census(n_trees, seed, vertex_cap):

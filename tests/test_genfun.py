@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from gwprofile import builtin_model
-from gwprofile.errors import DomainError
+from gwprofile import builtin_model, genfun
+from gwprofile.errors import DomainError, IntegrityError
 from gwprofile.genfun import (
     closed_form_series,
     f_table,
-    iterate_nu_gf,
     joint_table,
     linear_coefficient,
     measured_singular_coefficient,
@@ -38,16 +37,41 @@ class TestNu:
         assert sum(float(x) for x in nu) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("model_id", MODELS)
-    def test_iterate_agrees(self, model_id):
+    def test_matches_newton(self, model_id):
         m = builtin_model(model_id)
-        exact = [float(x) for x in nu_table(m, 10)]
-        # the truncated composition map carries a polynomially decaying bias
-        close = iterate_nu_gf(m, 20)[:11]
-        closer = iterate_nu_gf(m, 60)[:11]
-        err_20 = max(abs(a - b) for a, b in zip(exact, close))
-        err_60 = max(abs(a - b) for a, b in zip(exact, closer))
-        assert err_20 < 1e-3
-        assert err_60 < err_20 / 5
+        assert nu_table(m, 80) == solve_nu_gf(m, 80).coeffs
+
+    def test_matches_newton_at_high_order(self):
+        # the order test_kernel's row-sum test takes from nu_table
+        m = builtin_model("incomplete-binary")
+        assert nu_table(m, 210) == solve_nu_gf(m, 210).coeffs
+
+    @pytest.mark.parametrize("model_id", MODELS)
+    def test_certificate_rejects_corrupted_recurrence(self, model_id, monkeypatch):
+        # the recurrence run on R with one coefficient off by one yields the
+        # square root of another quartic, which the ODE residual catches
+        honest = genfun._radical_series
+
+        def corrupted(r, w):
+            return honest([r[0], r[1], r[2] + 1, r[3], r[4]], w)
+
+        monkeypatch.setattr(genfun, "_radical_series", corrupted)
+        with pytest.raises(IntegrityError, match="ODE residual"):
+            nu_table(builtin_model(model_id), 20)
+
+    def test_curve_is_verified_at_runtime(self, monkeypatch):
+        # nu_table runs the curve verification: a wrong functional equation
+        # for the model makes it raise
+        data = dict(genfun._MODEL_DATA["complete-binary"])
+        data["r_num"] = {(0, 1): 2, (0, 0): -2}
+        monkeypatch.setitem(genfun._MODEL_DATA, "complete-binary", data)
+        genfun._verified_curve.cache_clear()
+        try:
+            with pytest.raises(IntegrityError, match="not invariant"):
+                nu_table(builtin_model("complete-binary"), 5)
+        finally:
+            monkeypatch.undo()
+            genfun._verified_curve.cache_clear()
 
     def test_bad_order(self):
         with pytest.raises(DomainError):

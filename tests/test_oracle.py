@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,28 @@ class TestEnumeration:
             total = sum(size_mass(model, e) for e in range(7))
             assert 0 < total < 1
 
+    @pytest.mark.parametrize(
+        "model_id, max_edges",
+        [
+            ("geom-pm1", 7),
+            # 7 edges would be 938,223 trees: 33 s and 1.1 GB
+            ("geom-pm01", 6),
+            ("incomplete-binary", 7),
+            ("complete-binary", 7),
+        ],
+    )
+    def test_size_mass_matches_enumeration(self, model_id, max_edges):
+        model = builtin_model(model_id)
+        for e in range(max_edges + 1):
+            assert size_mass(model, e) == enumerate_trees(model, e).total, e
+
+    def test_size_mass_catalan(self):
+        # every builtin with geometric(1/2) offspring puts Catalan(n)/2^(2n+1)
+        # on n edges
+        n = 200
+        want = Fraction(math.comb(2 * n, n) // (n + 1), 2 ** (2 * n + 1))
+        assert size_mass(builtin_model("geom-pm01"), n) == want
+
     def test_binary_counts_catalan(self):
         # incomplete-binary trees with V edges: Catalan(V+1) many
         for v in range(0, 5):
@@ -60,6 +83,14 @@ class TestChainLaw:
         assert sum(law.values()) == 1
         assert law[((0, 0, 2),)] == Fraction(2, 5)
         assert len(law) == 4
+
+    @pytest.mark.parametrize("V", range(9))
+    def test_matches_tree_by_tree_law(self, V):
+        ens = enumerate_trees(BINARY, V)
+        want = defaultdict(Fraction)
+        for t, w in ens.items:
+            want[chain_path(t, V)] += w / ens.total
+        assert exact_chain_law(V) == dict(want)
 
     def test_chain_path_reads_profile(self):
         t = decode("0(+(+()))")

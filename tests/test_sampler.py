@@ -97,6 +97,11 @@ class TestConditionedSampler:
         for _ in range(30):
             assert s.sample_conditioned(3).n_edges == 3
 
+    def test_geometric_past_twenty_edges(self):
+        # the zero-mass guard must cost far less than the sampling it guards
+        s = Sampler(builtin_model("geom-pm1"), SamplerConfig(seed=9))
+        assert s.sample_conditioned(30).n_edges == 30
+
     def test_zero_mass(self):
         # complete-binary trees always have an even number of edges
         s = Sampler(builtin_model("complete-binary"), SamplerConfig(seed=9))
