@@ -4,7 +4,9 @@ Subcommands: sample, decompose, genfun, kernel, verify, maps, stats.
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage
 error.  Every run emits a RunManifest (JSON) alongside its results:
 next to the output file when --out is given, on standard error
-otherwise.  `--workers N` only partitions work; outputs are
+otherwise.  Each ``_cmd_*`` returns its exit code and the manifest
+fields it knows; :func:`main` adds the subcommand, outputs and argv and
+emits the manifest once.  `--workers N` only partitions work; outputs are
 deterministic and independent of N because every sampled item gets its
 own seed stream (the item index).
 """
@@ -21,14 +23,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    GWProfileError,
-    TreeParseError,
-)
+from .errors import ConfigurationError, GWProfileError, TreeParseError
 from .model import builtin_model, resolve_model
-from .tree import LabelledPlaneTree, decode, edge_profile, encode
+from .tree import decode, edge_profile, encode
 from .sampler import Sampler, SamplerConfig
 
 _BINARY = "builtin:incomplete-binary"
@@ -40,8 +37,8 @@ class RunManifest:
     """Self-description of a run, sufficient to regenerate its outputs."""
 
     subcommand: str
-    model: Optional[str]
-    seed: Optional[int]
+    model: Optional[str] = None
+    seed: Optional[int] = None
     caps: Dict[str, int] = field(default_factory=dict)
     outputs: List[str] = field(default_factory=list)
     tool_version: str = __version__
@@ -87,11 +84,14 @@ def _chunks(count: int, workers: int) -> List[Tuple[int, int]]:
 # -- sample -----------------------------------------------------------------
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> Tuple[int, dict]:
     model = resolve_model(args.model)
-    defaults = SamplerConfig()
-    vertex_cap = args.vertex_cap or defaults.vertex_cap
-    rejection_cap = args.rejection_cap or defaults.rejection_cap
+    vertex_cap, rejection_cap = args.vertex_cap, args.rejection_cap
+    fields = {
+        "model": args.model,
+        "seed": args.seed,
+        "caps": {"vertex_cap": vertex_cap, "rejection_cap": rejection_cap},
+    }
     if args.kind == "conditioned" and args.edges is None:
         raise ConfigurationError("--edges is required for --kind conditioned")
     sign = {"+": 1, "-": -1}.get(args.sign, 1)
@@ -103,7 +103,6 @@ def _cmd_sample(args) -> int:
             raise ConfigurationError(
                 "--out prefix is required for --kind quadrangulation"
             )
-        outputs = []
         for i in range(args.count):
             cfg = SamplerConfig(
                 seed=args.seed,
@@ -111,20 +110,8 @@ def _cmd_sample(args) -> int:
                 vertex_cap=vertex_cap,
                 rejection_cap=rejection_cap,
             )
-            q = Sampler(model, cfg).sample_quadrangulation()
-            path = f"{args.out}.{i}.csv"
-            save_map(q, path)
-            outputs.append(path)
-        manifest = RunManifest(
-            "sample",
-            args.model,
-            args.seed,
-            {"vertex_cap": vertex_cap, "rejection_cap": rejection_cap},
-            [args.out],
-            argv=sys.argv[1:],
-        )
-        manifest.emit()
-        return 0
+            save_map(Sampler(model, cfg).sample_quadrangulation(), f"{args.out}.{i}.csv")
+        return 0, fields
 
     task_base = (
         args.model,
@@ -150,15 +137,7 @@ def _cmd_sample(args) -> int:
             fh.write(line + "\n")
     finally:
         _close_out(fh)
-    RunManifest(
-        "sample",
-        args.model,
-        args.seed,
-        {"vertex_cap": vertex_cap, "rejection_cap": rejection_cap},
-        [args.out] if args.out else [],
-        argv=sys.argv[1:],
-    ).emit()
-    return 0
+    return 0, fields
 
 
 def _sample_items_worker(task) -> List[str]:
@@ -203,7 +182,7 @@ def _forest_shape(forest) -> str:
     return "".join(out)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> Tuple[int, dict]:
     from .excursion import decompose
 
     if (args.tree is None) == (args.infile is None):
@@ -231,16 +210,13 @@ def _cmd_decompose(args) -> int:
             fh.write("{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n")
     finally:
         _close_out(fh)
-    RunManifest(
-        "decompose", None, None, {}, [args.out] if args.out else [], argv=sys.argv[1:]
-    ).emit()
-    return 0
+    return 0, {}
 
 
 # -- genfun -------------------------------------------------------------------
 
 
-def _cmd_genfun(args) -> int:
+def _cmd_genfun(args) -> Tuple[int, dict]:
     from .genfun import f_table, nu_table
 
     model = resolve_model(args.model)
@@ -261,10 +237,7 @@ def _cmd_genfun(args) -> int:
                     w.writerow([p, q, str(table[p][q])])
     finally:
         _close_out(fh)
-    RunManifest(
-        "genfun", args.model, None, {}, [args.out] if args.out else [], argv=sys.argv[1:]
-    ).emit()
-    return 0
+    return 0, {"model": args.model}
 
 
 # -- kernel -------------------------------------------------------------------
@@ -280,7 +253,7 @@ def _parse_state(text: str, parts: int) -> Tuple[int, ...]:
     return vals
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args) -> Tuple[int, dict]:
     from . import kernel as K
     from .genfun import f_table, joint_table, nu_table
 
@@ -313,10 +286,7 @@ def _cmd_kernel(args) -> int:
                         w.writerow([*state, str(prob)])
     finally:
         _close_out(fh)
-    RunManifest(
-        "kernel", _BINARY, None, {}, [args.out] if args.out else [], argv=sys.argv[1:]
-    ).emit()
-    return 0
+    return 0, {"model": _BINARY}
 
 
 # -- verify -------------------------------------------------------------------
@@ -423,7 +393,7 @@ def _verify_profile_count(args, report) -> bool:
             )
             groups[(plus, check)] = groups.get((plus, check), 0) + 1
         for (plus, check), want in sorted(groups.items()):
-            got = count_profile(plus, check).card
+            got = count_profile(plus, check)
             profiles += 1
             if got != want:
                 ok = False
@@ -515,22 +485,19 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Tuple[int, dict]:
     fh = _open_out(args.out)
     try:
         ok = _SUITES[args.suite](args, lambda line: fh.write(line + "\n"))
     finally:
         _close_out(fh)
-    RunManifest(
-        "verify", None, None, {}, [args.out] if args.out else [], argv=sys.argv[1:]
-    ).emit()
-    return 0 if ok else 1
+    return (0 if ok else 1), {}
 
 
 # -- maps ---------------------------------------------------------------------
 
 
-def _cmd_maps(args) -> int:
+def _cmd_maps(args) -> Tuple[int, dict]:
     from .maps import (
         ball_profile,
         load_map,
@@ -543,12 +510,10 @@ def _cmd_maps(args) -> int:
     if (args.from_tree is None) == (args.infile is None):
         raise ConfigurationError("provide exactly one of --from-tree or --in")
     exit_code = 0
-    outputs = []
     if args.from_tree is not None:
         q = tree_to_map(decode(args.from_tree), args.orientation)
         if args.out:
             save_map(q, args.out)
-            outputs.append(args.out)
         else:
             buf = [
                 f"root_dart,{q.root_dart}",
@@ -583,12 +548,7 @@ def _cmd_maps(args) -> int:
                     exit_code = 1
         finally:
             _close_out(fh)
-        if args.out:
-            outputs.append(args.out)
-    RunManifest(
-        "maps", _MAP_MODEL, None, {}, outputs, argv=sys.argv[1:]
-    ).emit()
-    return exit_code
+    return exit_code, {"model": _MAP_MODEL}
 
 
 # -- stats --------------------------------------------------------------------
@@ -629,13 +589,16 @@ def _census_worker(task):
     return census.counts, capped
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> Tuple[int, dict]:
     from .stats import TransitionCensus, bonferroni, chi_square
 
-    defaults = SamplerConfig()
-    vertex_cap = args.vertex_cap or defaults.vertex_cap
+    binary = builtin_model("incomplete-binary").key
+    if args.test_kernel and resolve_model(args.model).key != binary:
+        raise ConfigurationError(
+            "--test-kernel requires --model builtin:incomplete-binary"
+        )
     tasks = [
-        (args.model, args.seed, vertex_cap, args.max_level, lo, hi)
+        (args.model, args.seed, args.vertex_cap, args.max_level, lo, hi)
         for lo, hi in _chunks(args.count, args.workers)
     ]
     if args.workers > 1:
@@ -660,10 +623,6 @@ def _cmd_stats(args) -> int:
             for to_state, n in sorted(census.row(from_state).items()):
                 w.writerow(["census", *from_state, *to_state, n])
         if args.test_kernel:
-            if resolve_model(args.model).key != builtin_model("incomplete-binary").key:
-                raise ConfigurationError(
-                    "--test-kernel requires --model builtin:incomplete-binary"
-                )
             from . import kernel as K
             from .genfun import f_table, nu_table
 
@@ -701,15 +660,11 @@ def _cmd_stats(args) -> int:
             w.writerow(["capped", "", "", "", "", capped])
     finally:
         _close_out(fh)
-    RunManifest(
-        "stats",
-        args.model,
-        args.seed,
-        {"vertex_cap": vertex_cap},
-        [args.out] if args.out else [],
-        argv=sys.argv[1:],
-    ).emit()
-    return exit_code
+    return exit_code, {
+        "model": args.model,
+        "seed": args.seed,
+        "caps": {"vertex_cap": args.vertex_cap},
+    }
 
 
 # -- parser -------------------------------------------------------------------
@@ -722,6 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         "quadrangulation ball profiles.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    defaults = SamplerConfig()
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("sample", help="sample trees, excursions, quadrangulations")
@@ -733,8 +689,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--count", type=_int_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertex-cap", type=int, dest="vertex_cap")
-    p.add_argument("--rejection-cap", type=int, dest="rejection_cap")
+    p.add_argument(
+        "--vertex-cap",
+        type=_int_at_least(1),
+        dest="vertex_cap",
+        default=defaults.vertex_cap,
+    )
+    p.add_argument(
+        "--rejection-cap",
+        type=_int_at_least(1),
+        dest="rejection_cap",
+        default=defaults.rejection_cap,
+    )
     p.add_argument("--edges", type=int, help="edge count for --kind conditioned")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--workers", type=_int_at_least(1), default=1)
@@ -751,9 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genfun", help="first-hit offspring law and f tables")
     p.add_argument("--model", required=True)
     p.add_argument("--what", choices=["nu", "f"], default="nu")
-    p.add_argument("--order", type=int, default=40)
-    p.add_argument("--pmax", type=int, default=5)
-    p.add_argument("--qmax", type=int, default=10)
+    p.add_argument("--order", type=_int_at_least(0), default=40)
+    p.add_argument("--pmax", type=_int_at_least(0), default=5)
+    p.add_argument("--qmax", type=_int_at_least(0), default=10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_genfun)
 
@@ -795,7 +761,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--count", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertex-cap", type=int, dest="vertex_cap")
+    p.add_argument(
+        "--vertex-cap",
+        type=_int_at_least(1),
+        dest="vertex_cap",
+        default=defaults.vertex_cap,
+    )
     p.add_argument("--max-level", type=int, dest="max_level", default=10**9)
     p.add_argument("--min-visits", type=int, dest="min_visits", default=500)
     p.add_argument(
@@ -813,10 +784,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, fields = args.func(args)
+        outputs = [args.out] if args.out else []
+        RunManifest(args.subcommand, outputs=outputs, argv=argv, **fields).emit()
+        return code
     except (ConfigurationError, TreeParseError) as exc:
         print(f"gwprofile: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -24,14 +24,13 @@ negative excursions).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import DomainError, ReconstructionError
 from .model import TreeModel, is_excursion
-from .tree import LabelledPlaneTree, encode
+from .tree import LabelledPlaneTree
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,6 @@ class Excursion:
     def from_tree(cls, tree: LabelledPlaneTree) -> "Excursion":
         sign = is_excursion(tree)
         return cls(tree, sign, tree.labels.count(0))
-
-    def key(self) -> str:
-        return encode(self.tree)
 
 
 @dataclass(frozen=True)
@@ -318,43 +314,7 @@ def _reconstruct_positive(d: ExcursionDecomposition) -> LabelledPlaneTree:
     return LabelledPlaneTree.unchecked(out_labels, out_parents)
 
 
-# -- counts and weights -------------------------------------------------------
-
-
-def excursion_counts(d: ExcursionDecomposition) -> Tuple[Counter, Counter]:
-    """Multiset counts of positive / negative excursions, by canonical key."""
-    pos: Counter = Counter()
-    neg: Counter = Counter()
-    for e in d.forest.decorations:
-        (pos if e.sign == 1 else neg)[e.key()] += 1
-    return pos, neg
-
-
-def first_hit_counts(t: LabelledPlaneTree) -> Dict[int, int]:
-    """N_k for k >= 1 and the mirrored counts for k <= -1.
-
-    N_k is the number of vertices labelled k having no strict ancestor
-    labelled k, i.e. the root count of decompose(t, k)'s forest.
-    """
-    if t.root_label != 0:
-        raise DomainError("first-hit counts require a tree rooted at label 0")
-    counts: Dict[int, int] = {}
-    on_path: Counter = Counter()
-    # Iterative DFS with explicit enter/leave events.
-    stack = [(0, False)]
-    while stack:
-        v, leaving = stack.pop()
-        lv = t.labels[v]
-        if leaving:
-            on_path[lv] -= 1
-            continue
-        if lv != 0 and on_path[lv] == 0:
-            counts[lv] = counts.get(lv, 0) + 1
-        on_path[lv] += 1
-        stack.append((v, True))
-        for c in reversed(t.children[v]):
-            stack.append((c, False))
-    return counts
+# -- weights -----------------------------------------------------------------
 
 
 def root_component_weight(

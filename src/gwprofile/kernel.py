@@ -21,12 +21,11 @@ nested sequences or nested mappings both work.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 
 
 class State(NamedTuple):
@@ -150,71 +149,6 @@ def harmonic_H(f, ftilde, V: int, state) -> Fraction:
     return _ftilde_at(ftilde, p, q, V - v - p) / denom
 
 
-_TAIL = 1e-15
-_SMAX = 10**4
-
-
-def simulate_chain(
-    f, start, steps: int, rng: random.Random
-) -> List[State]:
-    """Kernel-driven path of the free chain, inverse-CDF per row.
-
-    Each row is enumerated s = 0, 1, 2, ... (then r in 0..p+s) until the
-    unexplored tail is below 1e-15; the path includes the start state
-    and ``steps`` further states; absorption at (0,0) is permanent.
-    """
-    state = check_state(*start)
-    path = [state]
-    for _ in range(steps):
-        p, q = state
-        if p == 0:
-            path.append(state)
-            continue
-        denom = float(_lookup(f, p, q))
-        if denom == 0.0:
-            raise DomainError(f"state ({p},{q}) is unreachable: f_{p}({q}) = 0")
-        u = rng.random()
-        acc = 0.0
-        chosen = None
-        last_positive = None
-        s = 0
-        while True:
-            if s > _SMAX:
-                raise ResourceLimitError(
-                    f"row ({p},{q}) not resolved within s <= {_SMAX}"
-                )
-            for r in range(p + s + 1):
-                fr = (
-                    float(_lookup(f, r, s))
-                    if r > 0
-                    else (1.0 if s == 0 else 0.0)
-                )
-                pr = float(_weight(p, q, r, s)) * fr / denom
-                if pr > 0.0:
-                    last_positive = (r, s)
-                acc += pr
-                if chosen is None and u < acc:
-                    chosen = (r, s)
-            if chosen is not None:
-                break
-            if 1.0 - acc < _TAIL:
-                # u landed in the unresolved tail of mass < 1e-15; clamp
-                # to the last explored cell with positive mass.
-                chosen = last_positive
-                break
-            s += 1
-        r, s = chosen
-        state = State(r, s) if r > 0 else State(0, 0)
-        path.append(state)
-    return path
-
-
-class ProfileCount(NamedTuple):
-    card: int
-    event_prob: Fraction
-    u_initial: Optional[Fraction]
-
-
 def _validate_half_profile(states: Sequence[Tuple[int, int]], side: str):
     """First components must be positive exactly on a prefix {1..m}."""
     m = len(states)
@@ -227,15 +161,12 @@ def _validate_half_profile(states: Sequence[Tuple[int, int]], side: str):
     return support[-1] + 1 if support else 0
 
 
-def count_profile(plus, check, f=None) -> ProfileCount:
+def count_profile(plus, check) -> int:
     """Number of binary trees with the given vertical edge profile.
 
     ``plus`` lists (p_k, q_k) = (up, down) edge counts between labels
     k-1 and k for k = 1..; ``check`` lists (pcheck_k, qcheck_k) = (up,
-    down) counts between labels -k and -k+1.  Returns the exact count,
-    the probability of the profile event under the free law, and - when
-    an f table is supplied - the closed-form probability U of the level-1
-    marginal (p_1, q_1, pcheck_1, qcheck_1).
+    down) counts between labels -k and -k+1.
 
     A profile violating the state-space constraint (a downward count
     without the matching upward count) has count 0.
@@ -247,10 +178,10 @@ def count_profile(plus, check, f=None) -> ProfileCount:
     # state-space constraint: q_k = 0 whenever p_k = 0 (and mirrored).
     for p_k, q_k in plus:
         if p_k == 0 and q_k != 0:
-            return ProfileCount(0, Fraction(0), None)
+            return 0
     for pc_k, qc_k in check:
         if qc_k == 0 and pc_k != 0:
-            return ProfileCount(0, Fraction(0), None)
+            return 0
 
     def at(seq, k):  # 1-based, zero beyond range
         return seq[k - 1] if 1 <= k <= len(seq) else (0, 0)
@@ -271,15 +202,4 @@ def count_profile(plus, check, f=None) -> ProfileCount:
         card *= Fraction(p_j, mj) * binomial(mj, p_n) * binomial(mj, q_j)
     if card.denominator != 1:
         raise DomainError("profile count formula produced a non-integer")
-    total = sum(a + b for a, b in plus) + sum(a + b for a, b in check)
-    event_prob = card * Fraction(1, 4 ** (1 + total))
-    u = None
-    if f is not None:
-        fp = _lookup(f, p1, q1) if p1 > 0 else (Fraction(1) if q1 == 0 else Fraction(0))
-        fc = (
-            _lookup(f, qc1, pc1)
-            if qc1 > 0
-            else (Fraction(1) if pc1 == 0 else Fraction(0))
-        )
-        u = _weight(1, qc1, p1, pc1 + q1) * fp * fc
-    return ProfileCount(int(card), event_prob, u)
+    return int(card)

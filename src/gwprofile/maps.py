@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -487,7 +486,7 @@ def verify_profile_relations(q: Quadrangulation, d_star_shift: int = 0):
     return ProfileReport(checked, tuple(mism))
 
 
-# -- Boltzmann mass ---------------------------------------------------------
+# -- counting ---------------------------------------------------------------
 
 
 def card_pointed_quadrangulations(n: int) -> int:
@@ -503,14 +502,6 @@ def card_pointed_quadrangulations(n: int) -> int:
         raise DomainError("n must be >= 1")
     catalan = math.comb(2 * n, n) // (n + 1)
     return 2 * 3**n * catalan
-
-
-def boltzmann_mass(n_max: int) -> Fraction:
-    """Partial sum of Card(n) / 12^n for n <= n_max (exact)."""
-    return sum(
-        (Fraction(card_pointed_quadrangulations(n), 12**n) for n in range(1, n_max + 1)),
-        Fraction(0),
-    )
 
 
 # -- serialization ----------------------------------------------------------

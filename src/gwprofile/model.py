@@ -45,10 +45,6 @@ def parse_rational(value) -> Fraction:
     )
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class OffspringDistribution:
     """Offspring law ξ on {0, 1, 2, ...}.
@@ -91,16 +87,6 @@ class OffspringDistribution:
         if self.kind == "finite-table":
             return sum((k * x for k, x in enumerate(self.table)), Fraction(0))
         return (1 - self.p) / self.p
-
-    def variance(self) -> Fraction:
-        if self.kind == "finite-table":
-            m = self.mean()
-            return sum(
-                (x * (Fraction(k) - m) ** 2 for k, x in enumerate(self.table)),
-                Fraction(0),
-            )
-        q = 1 - self.p
-        return q / self.p**2
 
     @property
     def max_arity(self) -> Optional[int]:
@@ -461,27 +447,3 @@ def load_model(path: str) -> TreeModel:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON in {path!r}: {exc}") from exc
     return parse_model_config(config, name=path)
-
-
-def model_to_config(model: TreeModel) -> dict:
-    """Serialize a model to the JSON config structure."""
-    off = model.offspring
-    if off.kind == "finite-table":
-        off_cfg = {
-            "kind": "finite-table",
-            "table": [format_rational(x) for x in off.table],
-        }
-    else:
-        off_cfg = {"kind": off.kind}
-    disp = model.displacement
-    if disp.kind == "per-arity-table":
-        disp_cfg = {
-            "kind": disp.kind,
-            "tables": {
-                str(d): [[list(v), format_rational(w)] for v, w in entries]
-                for d, entries in sorted(disp.tables.items())
-            },
-        }
-    else:
-        disp_cfg = {"kind": disp.kind}
-    return {"name": model.name, "offspring": off_cfg, "displacement": disp_cfg}

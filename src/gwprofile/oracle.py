@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
 from .excursion import Excursion
-from .model import TreeModel, tree_weight
+from .model import TreeModel
 from .tree import LabelledPlaneTree, edge_profile
 
 ITEM_CAP = 10**7
@@ -45,14 +45,12 @@ class MarkedTree:
     """A plane tree with two vertex marks sigma and iota.
 
     ``R`` = vertices with sigma = 1, ``L`` = vertices with iota = 1.
-    A vertex with sigma = 0 has no children.  ``tail_mass`` records the
-    truncation of the offspring table when the tree was sampled.
+    A vertex with sigma = 0 has no children.
     """
 
     children: Tuple[Tuple[int, ...], ...]
     sigma: Tuple[int, ...]
     iota: Tuple[int, ...]
-    tail_mass: Optional[float] = None
 
     def __post_init__(self):
         n = len(self.children)

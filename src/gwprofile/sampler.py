@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .excursion import Excursion
@@ -216,68 +215,6 @@ class Sampler:
         raise ResourceLimitError(
             f"no tree with {n_edges} edges in"
             f" rejection_cap={self.config.rejection_cap} attempts"
-        )
-
-    def sample_marked_tree(self, nu: Sequence[Fraction], tail_tol: float = 1e-2):
-        """One marked tree whose offspring law is the truncated table ``nu``.
-
-        ``nu`` lists offspring probabilities nu(0..K); the missing tail
-        mass (which decays only polynomially in K for the first-hit
-        laws) must be < ``tail_tol`` and is renormalized away.  The tail
-        mass is recorded on the returned tree (``tail_mass``) so callers
-        can account for the truncation bias.
-        """
-        from .oracle import MarkedTree
-
-        total = sum(Fraction(x) if not isinstance(x, float) else Fraction(x) for x in nu)
-        tail = 1 - Fraction(total)
-        if tail < 0 or float(tail) >= tail_tol:
-            raise ConfigurationError(
-                f"nu table tail mass {float(tail):.3e} not in [0, {tail_tol:g})"
-            )
-        scale = float(total)
-        cum, acc = [], 0.0
-        for x in nu:
-            acc += float(x) / scale
-            cum.append(acc)
-        cum[-1] = 1.0
-
-        def draw_nu() -> int:
-            u = self.rng.random()
-            for k, c in enumerate(cum):
-                if u < c:
-                    return k
-            return len(cum) - 1
-
-        children: List[List[int]] = []
-        sigma: List[int] = []
-        iota: List[int] = []
-        stack = [-1]  # parent indices; -1 = create root
-        order: List[int] = []
-        while stack:
-            parent = stack.pop()
-            v = len(children)
-            if v >= self.config.vertex_cap:
-                raise ResourceLimitError(
-                    f"marked tree exceeded vertex_cap={self.config.vertex_cap}"
-                )
-            children.append([])
-            sigma.append(self.rng.getrandbits(1))
-            iota.append(self.rng.getrandbits(1))
-            if parent >= 0:
-                children[parent].append(v)
-            order.append(v)
-            if sigma[v]:
-                d = draw_nu()
-                stack.extend([v] * d)
-        # children were appended in reverse plane order (LIFO); restore.
-        for c in children:
-            c.reverse()
-        return MarkedTree(
-            children=tuple(tuple(c) for c in children),
-            sigma=tuple(sigma),
-            iota=tuple(iota),
-            tail_mass=float(tail),
         )
 
     def sample_quadrangulation(self):

@@ -41,13 +41,6 @@ class RationalSeries:
         return cls((_frac(value),) + (Fraction(0),) * order)
 
     @classmethod
-    def identity(cls, order: int) -> "RationalSeries":
-        """The series z (truncated)."""
-        if order < 1:
-            raise DomainError("identity series needs order >= 1")
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
-
-    @classmethod
     def from_polynomial(cls, coeffs: Sequence, order: int) -> "RationalSeries":
         cs = [_frac(c) for c in coeffs[: order + 1]]
         if any(_frac(c) != 0 for c in coeffs[order + 1 :]):
@@ -186,35 +179,6 @@ class RationalSeries:
                 acc -= out[j] * out[k - j]
             out.append(acc / (2 * r0))
         return RationalSeries(out)
-
-    def compose(self, inner: "RationalSeries") -> "RationalSeries":
-        """Substitute ``inner`` for the variable (polynomial evaluation).
-
-        Exact truncation requires inner to have zero constant term unless
-        self is a polynomial of degree <= its order; callers in this
-        package compose with series of positive valuation or evaluate
-        genuine polynomials, both of which are exact.
-        """
-        n = min(self.order, inner.order)
-        result = RationalSeries.constant(self.coeffs[-1], n)
-        for c in reversed(self.coeffs[:-1]):
-            result = result * inner + c
-        return result
-
-    def evaluate(self, x) -> Fraction:
-        """Evaluate the truncated polynomial at a rational point."""
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RationalSeries":
-        if self.order == 0:
-            return RationalSeries((Fraction(0),))
-        return RationalSeries(
-            [k * self.coeffs[k] for k in range(1, self.order + 1)]
-        )
 
 
 def _rational_sqrt(x: Fraction) -> Fraction:

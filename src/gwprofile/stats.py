@@ -1,10 +1,10 @@
 """Statistical machinery for Monte Carlo verification of distributional claims.
 
-Provides Pearson chi-square goodness-of-fit (with standard small-cell
-pooling) and homogeneity tests, transition censuses of the vertical
-edge-profile chain pooled across levels, and a Bonferroni helper for
-multi-row sweeps.  All p-values come from the regularized upper
-incomplete gamma function.
+Provides the Pearson chi-square goodness-of-fit test (with standard
+small-cell pooling), transition censuses of the vertical edge-profile
+chain pooled across levels, and a Bonferroni helper for multi-row
+sweeps.  All p-values come from the regularized upper incomplete gamma
+function.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional
 import mpmath
 
 from .errors import DomainError
-from .tree import edge_profile
 
 POOL_THRESHOLD = 5.0
 
@@ -97,47 +96,6 @@ def chi_square(
     return ChiSquareResult(stat, dof, _gamma_p_value(stat, dof), len(pairs), False)
 
 
-def chi_square_homogeneity(
-    counts_a: Mapping[Hashable, int], counts_b: Mapping[Hashable, int]
-) -> ChiSquareResult:
-    """Two-sample test that two count tables draw from the same law.
-
-    Standard 2 x k contingency chi-square with the same pooling rule
-    applied to the column totals; dof = pooled columns - 1.
-    """
-    na, nb = sum(counts_a.values()), sum(counts_b.values())
-    if na <= 0 or nb <= 0:
-        raise DomainError("chi_square_homogeneity requires non-empty samples")
-    keys = sorted(set(counts_a) | set(counts_b), key=repr)
-    n = na + nb
-    # pool columns by total expected mass, keeping the two rows aligned
-    cols = [(counts_a.get(k, 0), counts_b.get(k, 0)) for k in keys]
-    cols.sort(key=lambda ab: ab[0] + ab[1])
-    pooled = [0, 0]
-    kept: List[Tuple[int, int]] = []
-    for a, b in cols:
-        if min(na, nb) / n * (a + b) < POOL_THRESHOLD:
-            pooled[0] += a
-            pooled[1] += b
-        else:
-            kept.append((a, b))
-    if sum(pooled) > 0:
-        if kept and min(na, nb) / n * sum(pooled) < POOL_THRESHOLD:
-            a0, b0 = kept[0]
-            kept[0] = (a0 + pooled[0], b0 + pooled[1])
-        else:
-            kept.insert(0, (pooled[0], pooled[1]))
-    if len(kept) <= 1:
-        return ChiSquareResult(0.0, 0, None, len(kept), True)
-    stat = 0.0
-    for a, b in kept:
-        tot = a + b
-        ea, eb = na * tot / n, nb * tot / n
-        stat += (a - ea) ** 2 / ea + (b - eb) ** 2 / eb
-    dof = len(kept) - 1
-    return ChiSquareResult(stat, dof, _gamma_p_value(stat, dof), len(kept), False)
-
-
 def fold_tail(
     observed: Mapping[int, int], expected: Mapping[int, float], tail_key: Hashable = "tail"
 ) -> Tuple[Dict[Hashable, int], Dict[Hashable, float]]:
@@ -210,14 +168,11 @@ def add_profile_transitions(
     x_plus: Mapping[int, int],
     x_minus: Mapping[int, int],
     level_range: Iterable[int],
-    history: Optional[TransitionCensus] = None,
 ) -> None:
     """Record the level-m -> level-(m+1) transitions of one profile.
 
     States are (up-edge count, down-edge count) between labels m-1 and
-    m.  When ``history`` is given it additionally records transitions
-    keyed by ((previous state, from state) -> to state) for
-    history-dependence tests.
+    m.
     """
 
     def state(m: int) -> Tuple[int, int]:
@@ -227,54 +182,3 @@ def add_profile_transitions(
         if m < 1:
             raise DomainError("profile levels start at 1")
         census.add(state(m), state(m + 1))
-        if history is not None and m >= 2:
-            history.add((state(m - 1), state(m)), state(m + 1))
-
-
-def markov_census(
-    trees: Iterable,
-    level_range: Iterable[int],
-    history: Optional[TransitionCensus] = None,
-) -> TransitionCensus:
-    """Pool edge-profile chain transitions over a stream of trees.
-
-    ``level_range`` lists the levels m (>= 1) whose transition
-    (X_m, X_{m+1}) is counted for every tree; time homogeneity of the
-    chain licenses pooling across levels.
-    """
-    levels = list(level_range)
-    census = TransitionCensus()
-    for t in trees:
-        prof = edge_profile(t)
-        add_profile_transitions(census, prof.x_plus, prof.x_minus, levels, history)
-    return census
-
-
-class HomogeneityReport(NamedTuple):
-    tests: int
-    p_values: Tuple[Optional[float], ...]
-    ok: bool
-
-
-def history_homogeneity(
-    history: TransitionCensus, min_visits: int, alpha: float
-) -> HomogeneityReport:
-    """Pairwise two-sample tests that rows sharing a from-state agree.
-
-    ``history`` must be keyed by (previous state, from state).  For each
-    from-state with at least two history groups of ``min_visits``
-    observations, adjacent group pairs are compared; the verdict applies
-    a Bonferroni correction at level ``alpha``.
-    """
-    groups: Dict[Hashable, List[Dict[Hashable, int]]] = {}
-    for (prev, from_state), row in sorted(history.counts.items(), key=repr):
-        if sum(row.values()) >= min_visits:
-            groups.setdefault(from_state, []).append(row)
-    p_values: List[Optional[float]] = []
-    for from_state in sorted(groups, key=repr):
-        rows = groups[from_state]
-        for a, b in zip(rows, rows[1:]):
-            p_values.append(chi_square_homogeneity(a, b).p_value)
-    return HomogeneityReport(
-        len(p_values), tuple(p_values), bonferroni(p_values, alpha)
-    )

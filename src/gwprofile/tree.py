@@ -163,10 +163,6 @@ class LabelledPlaneTree:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def single(cls, label: int) -> "LabelledPlaneTree":
-        return cls((label,), (None,), ((),))
-
-    @classmethod
     def from_nested(cls, root_label: int, nested: Nested) -> "LabelledPlaneTree":
         """Build from the nested-tuple shorthand (see module docstring)."""
         labels, parents, children = _preorder_from_nested(root_label, nested)

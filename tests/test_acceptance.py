@@ -356,7 +356,7 @@ def test_criterion_10_profile_enumeration():
             )
             groups[key] = groups.get(key, 0) + 1
         for (plus, check), want in groups.items():
-            assert count_profile(plus, check).card == want, (plus, check)
+            assert count_profile(plus, check) == want, (plus, check)
             profiles += 1
     elapsed = time.time() - t0
     print(f"CRITERION 10 PASS: {profiles} profiles, {elapsed:.1f}s")

@@ -61,6 +61,18 @@ class TestCountFlags:
              "argument --smax: must be >= 0, got -2"),
             (["kernel", "--from", "1,0", "--smax", "x"],
              "argument --smax: invalid int value: 'x'"),
+            (["sample", "--model", "builtin:geom-pm1", "--vertex-cap", "0"],
+             "argument --vertex-cap: must be >= 1, got 0"),
+            (["sample", "--model", "builtin:geom-pm1", "--rejection-cap", "0"],
+             "argument --rejection-cap: must be >= 1, got 0"),
+            (["stats", "--model", "builtin:incomplete-binary", "--vertex-cap", "0"],
+             "argument --vertex-cap: must be >= 1, got 0"),
+            (["genfun", "--model", "builtin:geom-pm1", "--order", "-1"],
+             "argument --order: must be >= 0, got -1"),
+            (["genfun", "--model", "builtin:geom-pm1", "--what", "f", "--pmax", "-1"],
+             "argument --pmax: must be >= 0, got -1"),
+            (["genfun", "--model", "builtin:geom-pm1", "--what", "f", "--qmax", "-1"],
+             "argument --qmax: must be >= 0, got -1"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
@@ -75,6 +87,20 @@ class TestCountFlags:
         code, out, _ = run(capsys, "kernel", "--from", "1,0", "--smax", "0")
         assert code == 0
         assert out.splitlines() == ["r,s,probability", "0,0,5/8", "1,0,1/4"]
+        code, out, _ = run(
+            capsys, "genfun", "--model", "builtin:incomplete-binary", "--what", "f",
+            "--order", "0", "--pmax", "0", "--qmax", "0",
+        )
+        assert code == 0
+        assert out.splitlines() == ["p,q,f_p_q", "0,0,1"]
+        # seed 1 draws a single vertex first
+        code, out, err = run(
+            capsys, "sample", "--model", "builtin:geom-pm1", "--seed", "1",
+            "--vertex-cap", "1", "--rejection-cap", "1",
+        )
+        assert (code, out) == (0, "0()\n")
+        caps = json.loads(err.split("manifest: ", 1)[1])["caps"]
+        assert caps == {"vertex_cap": 1, "rejection_cap": 1}
 
 
 class TestSample:
@@ -95,6 +121,12 @@ class TestSample:
         assert manifest["subcommand"] == "sample"
         assert manifest["model"] == "builtin:geom-pm1"
         assert manifest["seed"] == 0
+
+    def test_manifest_records_the_argv_main_was_given(self, capsys, tmp_path):
+        argv = ["sample", "--model", "builtin:geom-pm1", "--out", str(tmp_path / "t.txt")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "t.txt.manifest.json").read_text())
+        assert manifest["argv"] == argv
 
 
 class TestKernel:
@@ -239,3 +271,13 @@ class TestStats:
         assert code == 0
         code, _, _ = run(capsys, *args, "--alpha", repr(p_min * n * 2))
         assert code == 1
+
+    def test_kernel_test_rejects_other_models_before_sampling(self, capsys, tmp_path):
+        out = tmp_path / "census.csv"
+        code, _, err = run(
+            capsys, "stats", "--model", "builtin:geom-pm1", "--count", "300",
+            "--vertex-cap", "2000", "--test-kernel", "--out", str(out),
+        )
+        assert code == 2
+        assert "--test-kernel requires --model builtin:incomplete-binary" in err
+        assert not out.exists()

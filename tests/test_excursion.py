@@ -13,8 +13,6 @@ from gwprofile.excursion import (
     _mirror,
     decompose,
     decomposition_weight,
-    excursion_counts,
-    first_hit_counts,
     reconstruct,
     root_component_weight,
 )
@@ -132,17 +130,6 @@ class TestRoundTrip:
             t = s.sample_tree()
             for m in (1, -1, 2):
                 assert reconstruct(decompose(t, m)) == t
-
-
-class TestCounts:
-    def test_first_hit_counts(self):
-        counts = first_hit_counts(decode("0(+(+())+())"))
-        assert counts[1] == 2 and counts[2] == 1
-
-    def test_excursion_counts(self):
-        d = decompose(decode("0(+()-())"), 1)
-        pos, neg = excursion_counts(d)
-        assert sum(pos.values()) + sum(neg.values()) == len(d.forest.decorations)
 
 
 class TestWeights:

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from gwprofile.kernel import (
     count_profile,
     harmonic_H,
     kernel_row,
-    simulate_chain,
     transition_prob,
 )
 from gwprofile.oracle import exact_chain_law
@@ -139,43 +137,19 @@ class TestKernelRow:
                         assert ((r, s) if r else (0, 0)) in row
 
 
-class TestSimulate:
-    def test_deterministic(self):
-        f = tables(20, 18)
-        a = simulate_chain(f, (1, 0), 12, random.Random(4))
-        b = simulate_chain(f, (1, 0), 12, random.Random(4))
-        assert a == b
-        assert len(a) == 13 and a[0] == (1, 0)
-
-    def test_absorption_permanent(self):
-        f = tables(20, 18)
-        path = simulate_chain(f, (1, 0), 40, random.Random(7))
-        hit = [i for i, s in enumerate(path) if s == (0, 0)]
-        if hit:
-            assert all(s == (0, 0) for s in path[hit[0]:])
-
-
 class TestCountProfile:
     def test_one_edge_up(self):
-        res = count_profile([(1, 0)], [])
-        assert res.card == 1
-        assert res.event_prob == Fraction(1, 16)
-
-    def test_u_initial(self):
-        f = tables()
-        res = count_profile([(1, 0)], [], f=f)
-        assert res.u_initial == Fraction(1, 10)
+        assert count_profile([(1, 0)], []) == 1
 
     def test_state_constraint(self):
-        res = count_profile([(0, 1)], [])
-        assert res.card == 0 and res.event_prob == 0
+        assert count_profile([(0, 1)], []) == 0
 
     def test_non_prefix_support(self):
         with pytest.raises(DomainError):
             count_profile([(0, 0), (1, 0)], [])
 
     def test_total_mass_over_trees(self):
-        # summing event probabilities over all profiles of <=3-edge trees
+        # summing card * 4^{-(1+edges)} over all profiles of <=3-edge trees
         # recovers the total 4^{-V-1} masses
         from gwprofile.oracle import enumerate_trees
         from gwprofile.tree import edge_profile
@@ -203,5 +177,6 @@ class TestCountProfile:
                 by_profile[key] = True
         acc = Fraction(0)
         for plus, check in by_profile:
-            acc += count_profile(plus, check).event_prob
+            edges = sum(a + b for a, b in plus) + sum(a + b for a, b in check)
+            acc += count_profile(plus, check) * Fraction(1, 4 ** (1 + edges))
         assert acc == total

@@ -8,7 +8,6 @@ from gwprofile.maps import (
     PlanarMap,
     Quadrangulation,
     ball_profile,
-    boltzmann_mass,
     card_pointed_quadrangulations,
     load_map,
     map_to_tree,
@@ -214,11 +213,6 @@ class TestCounting:
         for n in range(1, 6):
             cat = math.comb(2 * n, n) // (n + 1)
             assert card_pointed_quadrangulations(n) == 2 * 3**n * cat
-
-    def test_boltzmann_mass_monotone(self):
-        a, b = boltzmann_mass(20), boltzmann_mass(80)
-        assert 0 < a < b < 2
-
 
 class TestCSV:
     def test_roundtrip(self, tmp_path):

@@ -15,7 +15,22 @@ from gwprofile import (
     resolve_model,
     tree_weight,
 )
-from gwprofile.model import BUILTIN_IDS, model_to_config
+from gwprofile.model import BUILTIN_IDS
+
+# The builtin finite models, written as JSON model configs.
+FINITE_CONFIGS = {
+    "incomplete-binary": {
+        "offspring": {"kind": "finite-table", "table": ["1/4", "1/2", "1/4"]},
+        "displacement": {
+            "kind": "per-arity-table",
+            "tables": {"1": [[[-1], "1/2"], [[1], "1/2"]], "2": [[[-1, 1], "1"]]},
+        },
+    },
+    "complete-binary": {
+        "offspring": {"kind": "finite-table", "table": ["1/2", "0", "1/2"]},
+        "displacement": {"kind": "per-arity-table", "tables": {"2": [[[-1, 1], "1"]]}},
+    },
+}
 
 
 class TestBuiltins:
@@ -110,15 +125,15 @@ class TestExcursionWeight:
 
 class TestConfig:
     def test_roundtrip_finite_models(self):
-        for model_id in ("incomplete-binary", "complete-binary"):
+        for model_id, cfg in FINITE_CONFIGS.items():
             m = builtin_model(model_id)
-            cfg = model_to_config(m)
             m2 = parse_model_config(cfg)
+            assert m2.key == m.key
             t = decode("0(-(+()))")
             assert tree_weight(m2, t) == tree_weight(m, t)
 
     def test_load_model(self, tmp_path):
-        cfg = model_to_config(builtin_model("incomplete-binary"))
+        cfg = FINITE_CONFIGS["incomplete-binary"]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(cfg))
         m = load_model(str(path))

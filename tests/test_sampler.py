@@ -1,11 +1,9 @@
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from gwprofile import builtin_model, edge_profile
 from gwprofile.errors import ConfigurationError, DomainError, ResourceLimitError
-from gwprofile.genfun import nu_table
 from gwprofile.sampler import (
     Sampler,
     SamplerConfig,
@@ -107,30 +105,6 @@ class TestConditionedSampler:
         s = Sampler(builtin_model("complete-binary"), SamplerConfig(seed=9))
         with pytest.raises(DomainError):
             s.sample_conditioned(3)
-
-
-class TestMarkedTreeSampler:
-    def test_sigma_zero_no_children(self):
-        nu = nu_table(builtin_model("incomplete-binary"), 25)
-        s = Sampler(builtin_model("incomplete-binary"), SamplerConfig(seed=21))
-        for _ in range(300):
-            mt = s.sample_marked_tree(nu)
-            for v in range(mt.n_vertices):
-                if not mt.sigma[v]:
-                    assert not mt.children[v]
-
-    def test_leaf_no_marks_frequency(self):
-        # P(single vertex, root not right-marked) = 1/2
-        nu = nu_table(builtin_model("incomplete-binary"), 25)
-        s = Sampler(builtin_model("incomplete-binary"), SamplerConfig(seed=22))
-        n = 4000
-        hits = sum(
-            1
-            for _ in range(n)
-            for mt in [s.sample_marked_tree(nu)]
-            if mt.n_vertices == 1 and not mt.sigma[0]
-        )
-        assert abs(hits / n - 0.5) < 0.03
 
 
 class TestFastProfile:

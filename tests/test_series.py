@@ -57,41 +57,13 @@ class TestSqrt:
 
     @given(series())
     def test_square_root_roundtrip(self, a):
-        u = RationalSeries.constant(1, ORDER) + a * RationalSeries.identity(ORDER)
+        z = RationalSeries.from_polynomial([0, 1], ORDER)
+        u = RationalSeries.constant(1, ORDER) + a * z
         assert u.sqrt() * u.sqrt() == u
 
     def test_non_square_constant(self):
         with pytest.raises(DomainError):
             RationalSeries([2, 1]).sqrt()
-
-
-class TestCompose:
-    def test_identity(self):
-        a = RationalSeries([3, 1, 4, 1, 5])
-        assert a.compose(RationalSeries.identity(4)) == a
-
-    @given(series())
-    def test_zero_inner(self, a):
-        z = RationalSeries.zero(ORDER)
-        assert a.compose(z) == RationalSeries.constant(a[0], ORDER)
-
-    def test_constant_inner_is_horner(self):
-        # composing with a constant-term series evaluates by Horner
-        got = RationalSeries([1, 1]).compose(RationalSeries([1, 1]))
-        assert got[0] == 2 and got[1] == 1
-
-
-class TestCalculus:
-    @given(series())
-    def test_derivative_linear(self, a):
-        b = RationalSeries([Fraction(1, 2)] * (ORDER + 1))
-        lhs = (a + b).derivative()
-        rhs = a.derivative() + b.derivative()
-        assert lhs == rhs
-
-    def test_evaluate(self):
-        s = RationalSeries([1, 2, 3])
-        assert s.evaluate(Fraction(1, 2)) == 1 + 1 + Fraction(3, 4)
 
 
 class TestBivariate:

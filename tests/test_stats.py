@@ -1,16 +1,13 @@
 import pytest
 
-from gwprofile import builtin_model, decode
+from gwprofile import builtin_model, decode, edge_profile
 from gwprofile.errors import DomainError
 from gwprofile.stats import (
     TransitionCensus,
     add_profile_transitions,
     bonferroni,
     chi_square,
-    chi_square_homogeneity,
     fold_tail,
-    history_homogeneity,
-    markov_census,
 )
 
 
@@ -62,27 +59,6 @@ class TestChiSquare:
         assert res.cells == 2 and res.dof == 1
 
 
-class TestHomogeneity:
-    def test_pools_every_light_column(self):
-        # ten columns of expected count 1 per row form one pooled column
-        counts = {i: 1 for i in range(10)} | {"big": 90}
-        res = chi_square_homogeneity(counts, dict(counts))
-        assert res.cells == 2 and res.dof == 1
-
-    def test_identical_samples(self):
-        a = {"x": 50, "y": 50}
-        res = chi_square_homogeneity(a, dict(a))
-        assert res.statistic == 0.0 and res.p_value == 1.0
-
-    def test_detects_difference(self):
-        res = chi_square_homogeneity({"x": 900, "y": 100}, {"x": 100, "y": 900})
-        assert res.p_value < 1e-10
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            chi_square_homogeneity({}, {"x": 1})
-
-
 class TestFoldTail:
     def test_folds_beyond_cutoff(self):
         obs, exp = fold_tail({0: 5, 1: 3, 7: 2}, {0: 0.5, 1: 0.4})
@@ -124,27 +100,9 @@ class TestCensus:
         assert census.row((1, 1)) == {(0, 0): 1}
 
     def test_absorption_rows(self):
-        trees = [decode("0()"), decode("0(+())")]
-        census = markov_census(trees, range(1, 3))
+        census = TransitionCensus()
+        for text in ("0()", "0(+())"):
+            prof = edge_profile(decode(text))
+            add_profile_transitions(census, prof.x_plus, prof.x_minus, range(1, 3))
         assert census.row((0, 0)) == {(0, 0): 3}
         assert census.row((1, 0)) == {(0, 0): 1}
-
-
-class TestHistory:
-    def test_homogeneous_history(self):
-        hist = TransitionCensus()
-        for prev in [(1, 0), (2, 0)]:
-            for _ in range(600):
-                hist.add((prev, (1, 0)), (0, 0), 1)
-                hist.add((prev, (1, 0)), (1, 1), 1)
-        rep = history_homogeneity(hist, min_visits=500, alpha=0.05)
-        assert rep.tests == 1 and rep.ok
-
-    def test_detects_dependence(self):
-        hist = TransitionCensus()
-        hist.add(((1, 0), (1, 0)), (0, 0), 900)
-        hist.add(((1, 0), (1, 0)), (1, 1), 100)
-        hist.add(((2, 0), (1, 0)), (0, 0), 100)
-        hist.add(((2, 0), (1, 0)), (1, 1), 900)
-        rep = history_homogeneity(hist, min_visits=500, alpha=0.05)
-        assert rep.tests == 1 and not rep.ok

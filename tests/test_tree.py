@@ -32,7 +32,7 @@ def random_trees(draw, root_label=None):
 
 class TestConstruction:
     def test_single(self):
-        t = LabelledPlaneTree.single(5)
+        t = LabelledPlaneTree((5,), (None,), ((),))
         assert t.n_vertices == 1 and t.n_edges == 0 and t.root_label == 5
 
     def test_from_nested(self):
