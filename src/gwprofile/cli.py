@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 verification failure or runtime error, 2 usage
 error.  Every run emits a RunManifest (JSON) alongside its results:
 next to the output file when --out is given, on standard error
 otherwise.  Each ``_cmd_*`` returns its exit code and the manifest
-fields it knows; :func:`main` adds the subcommand, outputs and argv and
-emits the manifest once.  `--workers N` only partitions work; outputs are
+fields it knows (``outputs`` too, when they are not just ``--out``);
+:func:`main` adds the subcommand, outputs and argv and emits the
+manifest once.  `--workers N` only partitions work; outputs are
 deterministic and independent of N because every sampled item gets its
 own seed stream (the item index).
 """
@@ -44,11 +45,11 @@ class RunManifest:
     tool_version: str = __version__
     argv: List[str] = field(default_factory=list)
 
-    def emit(self) -> None:
+    def emit(self, out: Optional[str]) -> None:
+        """Write ``<out>.manifest.json``, or to standard error without --out."""
         text = json.dumps(asdict(self), sort_keys=True)
-        if self.outputs:
-            path = self.outputs[0] + ".manifest.json"
-            with open(path, "w") as fh:
+        if out:
+            with open(out + ".manifest.json", "w") as fh:
                 fh.write(text + "\n")
         else:
             print("gwprofile: manifest: " + text, file=sys.stderr)
@@ -103,14 +104,15 @@ def _cmd_sample(args) -> Tuple[int, dict]:
             raise ConfigurationError(
                 "--out prefix is required for --kind quadrangulation"
             )
-        for i in range(args.count):
+        fields["outputs"] = [f"{args.out}.{i}.csv" for i in range(args.count)]
+        for i, path in enumerate(fields["outputs"]):
             cfg = SamplerConfig(
                 seed=args.seed,
                 stream=i,
                 vertex_cap=vertex_cap,
                 rejection_cap=rejection_cap,
             )
-            save_map(Sampler(model, cfg).sample_quadrangulation(), f"{args.out}.{i}.csv")
+            save_map(Sampler(model, cfg).sample_quadrangulation(), path)
         return 0, fields
 
     task_base = (
@@ -491,7 +493,7 @@ def _cmd_verify(args) -> Tuple[int, dict]:
         ok = _SUITES[args.suite](args, lambda line: fh.write(line + "\n"))
     finally:
         _close_out(fh)
-    return (0 if ok else 1), {}
+    return (0 if ok else 1), {"model": args.model}
 
 
 # -- maps ---------------------------------------------------------------------
@@ -701,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="rejection_cap",
         default=defaults.rejection_cap,
     )
-    p.add_argument("--edges", type=int, help="edge count for --kind conditioned")
+    p.add_argument("--edges", type=_int_at_least(0), help="for --kind conditioned")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out")
@@ -730,20 +732,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--from", dest="from_state", required=True, help="p,q (or p,q,v with --edges)"
     )
     p.add_argument("--smax", type=_int_at_least(0), default=10)
-    p.add_argument("--edges", type=int, help="condition on total edge count V")
+    p.add_argument("--edges", type=_int_at_least(0), help="condition on V edges")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("verify", help="named exact verification suites")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--max-pq", type=int, dest="max_pq", default=7)
-    p.add_argument("--max-p", type=int, dest="max_p", default=3)
-    p.add_argument("--max-s", type=int, dest="max_s", default=4)
-    p.add_argument("--edges", type=int, default=5)
-    p.add_argument("--max-edges", type=int, dest="max_edges", default=4)
+    # each suite counts up to its bound from 0 or 1: no minimum checks nothing
+    p.add_argument("--max-pq", type=_int_at_least(1), default=7)
+    p.add_argument("--max-p", type=_int_at_least(1), default=3)
+    p.add_argument("--max-s", type=_int_at_least(0), default=4)
+    p.add_argument("--edges", type=_int_at_least(1), default=5)
+    p.add_argument("--max-edges", type=_int_at_least(1), default=4)
     p.add_argument("--model")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--s", type=int, default=3)
+    p.add_argument("--p", type=_int_at_least(1), default=2)
+    p.add_argument("--s", type=_int_at_least(0), default=3)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -767,8 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="vertex_cap",
         default=defaults.vertex_cap,
     )
-    p.add_argument("--max-level", type=int, dest="max_level", default=10**9)
-    p.add_argument("--min-visits", type=int, dest="min_visits", default=500)
+    p.add_argument("--max-level", type=_int_at_least(1), default=10**9)
+    p.add_argument("--min-visits", type=_int_at_least(0), default=500)
     p.add_argument(
         "--alpha",
         type=float,
@@ -788,8 +791,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, fields = args.func(args)
-        outputs = [args.out] if args.out else []
-        RunManifest(args.subcommand, outputs=outputs, argv=argv, **fields).emit()
+        fields.setdefault("outputs", [args.out] if args.out else [])
+        RunManifest(args.subcommand, argv=argv, **fields).emit(args.out)
         return code
     except (ConfigurationError, TreeParseError) as exc:
         print(f"gwprofile: error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -19,32 +19,32 @@ routes:
 - :func:`closed_form_series` (check) expands the radical closed form with
   generic exact series square roots and divisions;
 - :func:`solve_nu_gf` (check) expands the algebraic curve by series Newton
-  iteration, after verifying the curve at runtime, by exact polynomial
-  reduction, against the model's functional equation (substituting the
-  equation's expression for the composed term G(G(z)) into F must yield 0
-  modulo F), together with criticality F(1,1) = 0 and simplicity of the
-  series branch at the known constant term.
+  iteration.
 
-The check routes cost O(order²) and more; tests and benchmarks compare
-them with :func:`nu_table`.
+The curve is verified at runtime by :func:`_verified_curve`, in exact
+arithmetic on the module's own polynomials.  The check routes cost
+O(order²) and more; tests and benchmarks compare them with
+:func:`nu_table`.
 
 Also here: the convolution tables f_p(q) (p-fold convolutions of ν), the
-joint leaf/edge tables f̃_p(q, l), and high-precision evaluation of the
-singular expansion of g_ν near 1.
+joint leaf/edge tables f̃_p(q, l), convolved on integers and, for
+incomplete-binary, certified by one step of the bivariate fixed-point map
+that :func:`bivariate_fixed_point` iterates as the reference route, and
+high-precision evaluation of the singular expansion of g_ν near 1.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 
 from .errors import ConfigurationError, DomainError, IntegrityError, ResourceLimitError
 from .model import TreeModel, builtin_model
-from .series import BivariateSeries, RationalSeries
+from .series import BivariateSeries, RationalSeries, _integer_scale
 
 # ---------------------------------------------------------------------------
 # Per-model algebraic data.
@@ -143,6 +143,34 @@ def _polysub(a: Sequence, b: Sequence) -> list:
     ]
 
 
+# Bivariate polynomials are dicts {(i, j): c} for c·x^i·y^j, zeros dropped.
+
+
+def _bisum(*products) -> dict:
+    """Σ a·b over the given (a, b) pairs of bivariate polynomials."""
+    out: dict = {}
+    for a, b in products:
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
+                out[i1 + i2, j1 + j2] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _pseudo_remainder(n: dict, f: dict) -> dict:
+    """r with lc(f)^k·n = s·f + r and deg_y r < deg_y f, over Q[x].
+
+    Each step multiplies n by f's leading coefficient in y and subtracts
+    the multiple of f that cancels n's leading term: no division in Q(x).
+    """
+    d = max(j for _, j in f)
+    lead = {(i, 0): c for (i, j), c in f.items() if j == d}
+    while n and max(j for _, j in n) >= d:
+        top = max(j for _, j in n)
+        cancel = {(i, j - d): -c for (i, j), c in n.items() if j == top}
+        n = _bisum((lead, n), (cancel, f))
+    return n
+
+
 def _polyeval(a: Sequence, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(list(a)):
@@ -166,15 +194,19 @@ def _curve_polys(data: dict) -> Tuple[list, list, list]:
     return a0, a1, a2
 
 
-@functools.lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def _verified_curve(name: str) -> Tuple[tuple, tuple, tuple, Fraction]:
     """Return the x-stripped curve of a builtin, after runtime verification.
 
-    Checks, all in exact arithmetic via sympy polynomial reduction:
+    Checks, all in exact rational arithmetic:
 
     1. invariance: F(y, R(x, y)) ≡ 0 modulo F(x, y) over Q(x)[y], where
        G∘G = R(x, G) is the model's reduced functional equation solved for
-       the composed term — i.e. the curve is consistent with the equation;
+       the composed term — i.e. the curve is consistent with the equation.
+       With R = Rn/Rd, the polynomial
+       N = A2(y)·Rn² + A1(y)·Rn·Rd + A0(y)·Rd² is F(y, R)·Rd², and its
+       pseudo-remainder by F in y over Q[x] must vanish.  F's leading
+       coefficient A2 is a unit of Q(x), so this is division over Q(x)[y];
     2. criticality: F(1, 1) = 0 (g_ν(1) = 1);
     3. branch: after stripping the common power of x, the constant term c0
        is a simple root of F̃(0, y), so the curve has a unique power-series
@@ -182,41 +214,23 @@ def _verified_curve(name: str) -> Tuple[tuple, tuple, tuple, Fraction]:
 
     Returns the stripped coefficient polynomials (B0, B1, B2) and c0.
     """
-    import sympy as sp
-
     data = _MODEL_DATA[name]
     a0, a1, a2 = _curve_polys(data)
 
-    x, y = sp.symbols("x y")
-
-    def poly_expr(coeffs, var):
-        return sp.Add(*(sp.Rational(c) * var**i for i, c in enumerate(coeffs)))
-
-    F = poly_expr(a2, x) * y**2 + poly_expr(a1, x) * y + poly_expr(a0, x)
-    r_num = sp.Add(
-        *(sp.Rational(c) * x**i * y**j for (i, j), c in data["r_num"].items())
-    )
-    r_den = sp.Add(
-        *(sp.Rational(c) * x**i * y**j for (i, j), c in data["r_den"].items())
-    )
-
     # (1) invariance under (x, y) -> (y, G∘G).
-    substituted = F.subs({x: y, y: r_num / r_den}, simultaneous=True)
-    numerator, _ = sp.fraction(sp.together(substituted * r_den**2))
-    field = sp.QQ.frac_field(x)
-    _, remainder = sp.div(
-        sp.Poly(sp.expand(numerator), y, domain=field),
-        sp.Poly(sp.expand(F), y, domain=field),
+    rn, rd = data["r_num"], data["r_den"]
+    a2y, a1y, a0y = ({(0, j): c for j, c in enumerate(a)} for a in (a2, a1, a0))
+    numerator = _bisum(
+        (a2y, _bisum((rn, rn))), (a1y, _bisum((rn, rd))), (a0y, _bisum((rd, rd)))
     )
-    if not remainder.is_zero:
+    curve = {(i, j): c for j, p in enumerate((a0, a1, a2)) for i, c in enumerate(p)}
+    if _pseudo_remainder(numerator, curve):
         raise IntegrityError(
             f"curve for {name!r} is not invariant under its functional equation"
         )
 
     # (2) criticality.
-    if _polyeval(a2, Fraction(1)) + _polyeval(a1, Fraction(1)) + _polyeval(
-        a0, Fraction(1)
-    ) != 0:
+    if sum(_polyeval(a, Fraction(1)) for a in (a0, a1, a2)) != 0:
         raise IntegrityError(f"curve for {name!r} fails F(1,1) = 0")
 
     # (3) strip the common power of x and check the branch point.
@@ -411,28 +425,23 @@ def _excursion_joint_gf(model: TreeModel, l_max: int) -> List[Dict[int, Fraction
 
     Returns ``table[l][q]`` = Π⁺-mass of excursions with l edges and q
     label-0 leaves, by dynamic programming over subtrees rooted at positive
-    labels (finite because every child consumes one edge).
+    labels (finite because every child consumes one edge).  Each helper
+    returns a dict q -> mass, for an exact edge budget.
     """
     off = model.offspring
     disp = model.displacement
     per_child = disp.per_child_support()
+    memo = lru_cache(maxsize=None)
 
-    # subtree[(j, l)] = dict q -> mass of subtrees rooted at label j >= 1
-    # with l edges, labels >= 0 and label-0 vertices leaves.
-    subtree_memo: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-
+    @memo
     def subtree(j: int, budget: int) -> Dict[int, Fraction]:
+        """Subtrees rooted at label j >= 1 with ``budget`` edges, labels
+        >= 0 and label-0 vertices leaves; a label-0 root is such a leaf."""
         if j == 0:
             return {1: Fraction(1)} if budget == 0 else {}
-        key = (j, budget)
-        hit = subtree_memo.get(key)
-        if hit is not None:
-            return hit
         out: Dict[int, Fraction] = {}
         for d in off.arities_up_to(budget):
             xi = off.prob(d)
-            if xi == 0:
-                continue
             if d == 0:
                 if budget == 0:
                     out[0] = out.get(0, Fraction(0)) + xi
@@ -444,144 +453,149 @@ def _excursion_joint_gf(model: TreeModel, l_max: int) -> List[Dict[int, Fraction
                 for vec, wv in disp.vectors(d):
                     if any(j + inc < 0 for inc in vec):
                         continue
-                    for q, w in vector_forest(j, vec, budget - d).items():
+                    for q, w in vec_forest(j, vec, budget - d).items():
                         out[q] = out.get(q, Fraction(0)) + xi * wv * w
-        subtree_memo[key] = out
         return out
 
-    # forest_gf(j, d, b): d iid children of a label-j vertex, total subtree
-    # edges b (excluding the d connecting edges), as dict q -> mass; only
-    # used for iid displacement kinds.  The result here is summed over the
-    # edge split, so key is q only; we need (q per total budget), hence the
-    # memo below is keyed by exact budget.
-    child_memo: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    def split(first, rest, budget: int) -> Dict[int, Fraction]:
+        """Σ_b first(b)·rest(budget − b)."""
+        out: Dict[int, Fraction] = {}
+        for b1 in range(budget + 1):
+            head = first(b1)
+            if not head:
+                continue
+            tail = rest(budget - b1)
+            for q1, w1 in head.items():
+                for q2, w2 in tail.items():
+                    out[q1 + q2] = out.get(q1 + q2, Fraction(0)) + w1 * w2
+        return out
 
+    @memo
     def child_gf(j: int, budget: int) -> Dict[int, Fraction]:
-        key = (j, budget)
-        hit = child_memo.get(key)
-        if hit is not None:
-            return hit
+        """One iid child of a label-j vertex, ``budget`` edges below its edge."""
         out: Dict[int, Fraction] = {}
         for inc, w in per_child:
-            if j + inc < 0:
-                continue
-            for q, mass in subtree(j + inc, budget).items():
-                out[q] = out.get(q, Fraction(0)) + w * mass
-        child_memo[key] = out
+            if j + inc >= 0:
+                for q, mass in subtree(j + inc, budget).items():
+                    out[q] = out.get(q, Fraction(0)) + w * mass
         return out
 
-    forest_memo: Dict[Tuple[int, int, int], Dict[int, Fraction]] = {}
-
+    @memo
     def forest_gf(j: int, d: int, budget: int) -> Dict[int, Fraction]:
+        """d iid children of a label-j vertex, ``budget`` edges below theirs."""
         if d == 0:
             return {0: Fraction(1)} if budget == 0 else {}
-        key = (j, d, budget)
-        hit = forest_memo.get(key)
-        if hit is not None:
-            return hit
-        out: Dict[int, Fraction] = {}
-        for b1 in range(budget + 1):
-            first = child_gf(j, b1)
-            if not first:
-                continue
-            rest = forest_gf(j, d - 1, budget - b1)
-            for q1, w1 in first.items():
-                for q2, w2 in rest.items():
-                    q = q1 + q2
-                    out[q] = out.get(q, Fraction(0)) + w1 * w2
-        forest_memo[key] = out
-        return out
+        return split(partial(child_gf, j), partial(forest_gf, j, d - 1), budget)
 
-    vec_memo: Dict[Tuple[int, tuple, int], Dict[int, Fraction]] = {}
-
-    def vector_forest(j: int, vec: tuple, budget: int) -> Dict[int, Fraction]:
+    @memo
+    def vec_forest(j: int, vec: tuple, budget: int) -> Dict[int, Fraction]:
+        """Children of a label-j vertex with increments ``vec``, likewise."""
         if not vec:
             return {0: Fraction(1)} if budget == 0 else {}
-        key = (j, vec, budget)
-        hit = vec_memo.get(key)
-        if hit is not None:
-            return hit
-        out: Dict[int, Fraction] = {}
-        for b1 in range(budget + 1):
-            first = subtree(j + vec[0], b1)
-            if not first:
-                continue
-            rest = vector_forest(j, vec[1:], budget - b1)
-            for q1, w1 in first.items():
-                for q2, w2 in rest.items():
-                    q = q1 + q2
-                    out[q] = out.get(q, Fraction(0)) + w1 * w2
-        vec_memo[key] = out
-        return out
+        head, tail = vec[0], vec[1:]
+        return split(partial(subtree, j + head), partial(vec_forest, j, tail), budget)
 
     return [dict(subtree(1, l)) for l in range(l_max + 1)]
 
 
+def _convolve(a: List[List[int]], b: List[List[int]], q_max: int, l_max: int) -> list:
+    """The product of two integer tables ``[q][l]``, truncated at (q_max, l_max)."""
+    b_cells = [[(l, n) for l, n in enumerate(row) if n] for row in b[: q_max + 1]]
+    out = [[0] * (l_max + 1) for _ in range(q_max + 1)]
+    for q1, row in enumerate(a):
+        for l1, w in enumerate(row):
+            if w:
+                for q2, cells in enumerate(b_cells[: q_max + 1 - q1]):
+                    dst = out[q1 + q2]
+                    for l2, n in cells:
+                        if l1 + l2 > l_max:
+                            break
+                        dst[l1 + l2] += w * n
+    return out
+
+
 def joint_table(
-    model: TreeModel,
-    p_max: int,
-    q_max: int,
-    l_max: int,
-    cross_check: bool = True,
+    model: TreeModel, p_max: int, q_max: int, l_max: int
 ) -> List[List[List[Fraction]]]:
     """f̃_p(q, l) = P(total label-0 leaves = q, total edges = l) over p
-    independent positive excursions; exact rationals.
+    independent positive excursions; exact rationals, ``table[p][q][l]``.
 
-    Returns ``table[p][q][l]``.  For the incomplete-binary model (and
-    unless disabled) the single-excursion table is cross-checked against an
-    independent bivariate fixed-point solution of
-    B(z, u) = ¼(1 + z u)(1 + u B(B(z, u), u)).
+    The single-excursion table is rescaled once, f̃₁(q, l) = φ₀·N[q][l]/c^l
+    with N integral and φ₀ = f̃₁(0, 0) (the scale search checks the
+    division is exact); the p-fold powers of N are convolved on ints.
+    Every nonzero cell has q <= l, since each label-0 leaf is a non-root
+    vertex (checked); the incomplete-binary table is also certified by
+    :func:`_certify_fixed_point`.
     """
     if p_max < 0 or q_max < 0 or l_max < 0:
         raise DomainError("table bounds must be >= 0")
     if (q_max + 1) * (l_max + 1) * (p_max + 1) > 4_000_000:
         raise ResourceLimitError("joint table exceeds the memory budget")
     single = _excursion_joint_gf(model, l_max)
+    cells = [(q, l, w) for l, row in enumerate(single) for q, w in row.items() if w]
+    for q, l, _ in cells:
+        if q > l:
+            raise IntegrityError(f"single-excursion cell (q={q}, l={l}) has q > l")
+    phi0 = single[0].get(0) or Fraction(1)  # ξ(0), or 1 for a model without leaves
+    c, scaled = _integer_scale((l, w / phi0) for _, l, w in cells)
+    base = [[0] * (l_max + 1) for _ in range(max(q_max, l_max) + 1)]
+    for (q, l, _), n in zip(cells, scaled):
+        base[q][l] = n
+    if model.key == builtin_model("incomplete-binary").key:
+        _certify_fixed_point(base[: l_max + 1], phi0, c)
 
     zero = Fraction(0)
-    base = [[zero] * (l_max + 1) for _ in range(q_max + 1)]
-    for l, row in enumerate(single):
-        for q, w in row.items():
-            if q <= q_max:
-                base[q][l] = w
-
-    if cross_check and model.name == "incomplete-binary":
-        check = bivariate_fixed_point(q_max, l_max)
-        for q in range(q_max + 1):
-            for l in range(l_max + 1):
-                if check[q, l] != base[q][l]:
-                    raise IntegrityError(
-                        "joint table disagrees with the bivariate fixed "
-                        f"point at (q={q}, l={l})"
-                    )
-
-    delta = [[zero] * (l_max + 1) for _ in range(q_max + 1)]
-    delta[0][0] = Fraction(1)
-    tables = [delta]
-    for _ in range(p_max):
-        prev = tables[-1]
-        nxt = [[zero] * (l_max + 1) for _ in range(q_max + 1)]
-        for q1 in range(q_max + 1):
-            for l1 in range(l_max + 1):
-                w1 = prev[q1][l1]
-                if w1 == 0:
-                    continue
-                for q2 in range(q_max + 1 - q1):
-                    row = base[q2]
-                    for l2 in range(l_max + 1 - l1):
-                        if row[l2] != 0:
-                            nxt[q1 + q2][l1 + l2] += w1 * row[l2]
-        tables.append(nxt)
+    power = [[1] + [0] * l_max] + [[0] * (l_max + 1) for _ in range(q_max)]
+    tables = []
+    for p in range(p_max + 1):
+        if p:
+            power = _convolve(power, base, q_max, l_max)
+        num = phi0.numerator**p
+        dens = [phi0.denominator**p * c**l for l in range(l_max + 1)]
+        rows = [zip(row, dens) for row in power]
+        table = [[Fraction(num * n, d) if n else zero for n, d in r] for r in rows]
+        tables.append(table)
     return tables
 
 
+def _certify_fixed_point(n: List[List[int]], phi0: Fraction, c: int) -> None:
+    """Check B = T(B), T(B) = ¼(1 + zu)(1 + u·B(B(z, u), u)), once.
+
+    B = Σ φ₀·n[q][l]·c^−l z^q u^l is the incomplete-binary single-excursion
+    table on q, l <= L.  Tables that agree mod u^k have compositions
+    B(B, u) that agree mod u^k, and T multiplies their difference by u, so
+    T has one fixed point mod u^(L+1): the one that iterating T from 0
+    reaches (:func:`bivariate_fixed_point`), which a passing table equals.
+    Every q <= l, so the terms b_i(u)·B^i of B(B, u) with i > L vanish there.
+
+    On integers, with v = u/c, Ñ = Σ n[q][l] z^q v^l, row polynomials
+    n_i(v) and φ₀ = a/d: B(B, u) = φ₀·Σ_i φ₀^i·n_i·Ñ^i = φ₀·G_0/d^L by the
+    Horner scheme G_L = n_L, G_k = d^(L−k)·n_k + a·Ñ·G_(k+1), and B = T(B)
+    reads 4a·d^L·Ñ = (1 + c·zv)(d^(L+1) + c·a·v·G_0).
+    """
+    a, d, L = phi0.numerator, phi0.denominator, len(n) - 1
+    g = [list(n[L])] + [[0] * (L + 1) for _ in range(L)]
+    for k in range(L - 1, -1, -1):
+        g = [[a * x for x in row] for row in _convolve(n, g, L, L)]
+        g[0] = [x + d ** (L - k) * y for x, y in zip(g[0], n[k])]
+    e = [[0] + [c * a * x for x in row[:L]] for row in g]  # d^(L+1) + c·a·v·G_0
+    e[0][0] += d ** (L + 1)
+    for q in range(L + 1):
+        for l in range(L + 1):
+            rhs = e[q][l] + (c * e[q - 1][l - 1] if q and l else 0)
+            if rhs != 4 * a * d**L * n[q][l]:
+                raise IntegrityError(f"fixed-point certificate fails at (q={q}, l={l})")
+
+
 def bivariate_fixed_point(z_order: int, u_order: int) -> BivariateSeries:
-    """Solve B(z,u) = ¼(1 + z u)(1 + u B(B(z,u), u)) exactly.
+    """Solve B(z,u) = ¼(1 + z u)(1 + u B(B(z,u), u)) exactly, by iteration.
 
     B is the joint generating function of (label-0 leaves, edges) of one
     positive incomplete-binary excursion.  Because the coefficient of z^k
     in B has u-valuation >= k, the truncated iteration stabilizes exactly
-    after at most u_order + 2 steps (checked).
+    after at most u_order + 2 steps (checked).  This is the independent
+    reference route for :func:`joint_table`, which certifies its table by
+    one application of the same map instead; the tests compare the two.
     """
     nz = max(z_order, u_order)
     nu = u_order

@@ -11,7 +11,6 @@ the tests compare it with tree enumeration.
 from __future__ import annotations
 
 import bisect
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import DomainError, IntegrityError, ResourceLimitError
 from .excursion import Excursion
 from .model import TreeModel
+from .series import _integer_scale
 from .tree import LabelledPlaneTree, edge_profile
 
 ITEM_CAP = 10**7
@@ -167,12 +167,7 @@ def size_mass(model: TreeModel, edges: int) -> Fraction:
     m = edges + 1
     total = Fraction(0)
     if phi[0]:
-        psi = [x / phi[0] for x in phi]
-        c = 1
-        for j, x in enumerate(psi):
-            if pow(c, j, x.denominator):
-                c = math.lcm(c, x.denominator)
-        b = [int(x * c**j) for j, x in enumerate(psi)]
+        c, b = _integer_scale(enumerate(x / phi[0] for x in phi))
         power = [1]
         for k in range(1, edges + 1):
             acc = 0

@@ -12,11 +12,30 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, IntegrityError
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _integer_scale(terms) -> tuple:
+    """(c, [c^j·x for each (j, x) in terms]), every c^j·x an integer.
+
+    c takes the lcm with x's denominator whenever c^j is not yet a
+    multiple of it; raises IntegrityError if some c^j·x is still not an
+    integer (a non-integral x at j = 0).
+    """
+    terms = list(terms)
+    c = 1
+    for j, x in terms:
+        if pow(c, j, x.denominator):
+            c = math.lcm(c, x.denominator)
+    scaled = [x * c**j for j, x in terms]
+    for (j, x), n in zip(terms, scaled):
+        if n.denominator != 1:
+            raise IntegrityError(f"rescaling {x} by {c}^{j} is not integral")
+    return c, [n.numerator for n in scaled]
 
 
 class RationalSeries:
@@ -210,12 +229,6 @@ class BivariateSeries:
     @classmethod
     def zero(cls, z_order: int, u_order: int) -> "BivariateSeries":
         return cls([[Fraction(0)] * (u_order + 1) for _ in range(z_order + 1)])
-
-    @classmethod
-    def constant(cls, value, z_order: int, u_order: int) -> "BivariateSeries":
-        out = [[Fraction(0)] * (u_order + 1) for _ in range(z_order + 1)]
-        out[0][0] = _frac(value)
-        return cls(out)
 
     @property
     def z_order(self) -> int:

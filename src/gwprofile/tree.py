@@ -237,11 +237,14 @@ def decode(text: str) -> LabelledPlaneTree:
     if j < n and text[j] in "+-":
         j += 1
     k = j
-    while k < n and text[k].isdigit():
+    while k < n and text[k] in "0123456789":  # str.isdigit admits '²', '٣'
         k += 1
     if k == j:
         raise TreeParseError("expected integer root label", i)
-    root_label = int(text[i:k])
+    try:
+        root_label = int(text[i:k])
+    except ValueError:  # more digits than int() converts
+        raise TreeParseError("root label too long", i) from None
     i = k
 
     labels = [root_label]

@@ -73,6 +73,29 @@ class TestCountFlags:
              "argument --pmax: must be >= 0, got -1"),
             (["genfun", "--model", "builtin:geom-pm1", "--what", "f", "--qmax", "-1"],
              "argument --qmax: must be >= 0, got -1"),
+            (["verify", "--suite", "counting-lemma", "--max-pq", "-3"],
+             "argument --max-pq: must be >= 1, got -3"),
+            (["verify", "--suite", "joint-law", "--max-p", "0"],
+             "argument --max-p: must be >= 1, got 0"),
+            (["verify", "--suite", "joint-law", "--max-s", "-1"],
+             "argument --max-s: must be >= 0, got -1"),
+            (["verify", "--suite", "chain-law", "--edges", "-1"],
+             "argument --edges: must be >= 1, got -1"),
+            (["verify", "--suite", "profile-count", "--max-edges", "0"],
+             "argument --max-edges: must be >= 1, got 0"),
+            (["verify", "--suite", "kemperman", "--p", "0"],
+             "argument --p: must be >= 1, got 0"),
+            (["verify", "--suite", "kemperman", "--s", "-1"],
+             "argument --s: must be >= 0, got -1"),
+            (["kernel", "--from", "1,0,0", "--edges", "-1"],
+             "argument --edges: must be >= 0, got -1"),
+            (["sample", "--model", "builtin:geom-pm1", "--kind", "conditioned",
+              "--edges", "-1"],
+             "argument --edges: must be >= 0, got -1"),
+            (["stats", "--model", "builtin:incomplete-binary", "--max-level", "0"],
+             "argument --max-level: must be >= 1, got 0"),
+            (["stats", "--model", "builtin:incomplete-binary", "--min-visits", "-1"],
+             "argument --min-visits: must be >= 0, got -1"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
@@ -101,6 +124,33 @@ class TestCountFlags:
         assert (code, out) == (0, "0()\n")
         caps = json.loads(err.split("manifest: ", 1)[1])["caps"]
         assert caps == {"vertex_cap": 1, "rejection_cap": 1}
+        code, out, _ = run(
+            capsys, "sample", "--model", "builtin:geom-pm1", "--kind", "conditioned",
+            "--edges", "0",
+        )
+        assert (code, out) == (0, "0()\n")
+        code, out, _ = run(capsys, "kernel", "--from", "0,0,0", "--edges", "0")
+        assert code == 0
+        assert out.splitlines() == ["r,s,w,probability", "0,0,0,1"]
+        for argv, line in [
+            (("counting-lemma", "--max-pq", "1"), "PASS counting-lemma: 1 tuples checked"),
+            (("joint-law", "--max-p", "1", "--max-s", "0"), "PASS joint-law: 4 cells checked"),
+            (("chain-law", "--edges", "1"),
+             "PASS chain-law V=1: 2 histories, 2 transitions, 0 discrepancies"),
+            (("profile-count", "--max-edges", "1"), "PASS profile-count: 3 profiles checked"),
+            (("kemperman", "--p", "1", "--s", "0"), "PASS kemperman: 4 cells checked"),
+        ]:
+            code, out, _ = run(capsys, "verify", "--suite", *argv)
+            assert (code, out) == (0, line + "\n")
+        code, out, _ = run(
+            capsys, "stats", "--model", "builtin:incomplete-binary", "--count", "20",
+            "--vertex-cap", "20", "--max-level", "1", "--min-visits", "0",
+            "--test-kernel",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()]
+        assert {int(r[3]) for r in rows if r[0] == "census"} <= {0, 1}  # level 1 only
+        assert ["test", "3", "1", "0", "0", ""] in rows  # a row visited once is tested
 
 
 class TestSample:
@@ -127,6 +177,18 @@ class TestSample:
         assert main(argv) == 0
         manifest = json.loads((tmp_path / "t.txt.manifest.json").read_text())
         assert manifest["argv"] == argv
+
+
+    def test_quadrangulation_manifest_lists_the_files_written(self, capsys, tmp_path):
+        prefix = str(tmp_path / "q")
+        code, _, _ = run(
+            capsys, "sample", "--model", "builtin:geom-pm01", "--kind", "quadrangulation",
+            "--count", "2", "--vertex-cap", "50", "--out", prefix,
+        )
+        assert code == 0
+        manifest = json.loads(open(prefix + ".manifest.json").read())
+        assert manifest["outputs"] == [prefix + ".0.csv", prefix + ".1.csv"]
+        assert all((tmp_path / name).is_file() for name in ("q.0.csv", "q.1.csv"))
 
 
 class TestKernel:
@@ -161,6 +223,14 @@ class TestVerify:
     def test_chain_law(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "chain-law", "--edges", "3")
         assert code == 0 and "0 discrepancies" in out
+
+    def test_manifest_records_the_model(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "decomposition-roundtrip",
+            "--model", "builtin:geom-pm1", "--max-edges", "1",
+        )
+        assert code == 0 and out.startswith("PASS decomposition-roundtrip")
+        assert json.loads(err.split("manifest: ", 1)[1])["model"] == "builtin:geom-pm1"
 
 
 class TestDecompose:

@@ -1,3 +1,6 @@
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from gwprofile import builtin_model, genfun
 from gwprofile.errors import DomainError, IntegrityError
 from gwprofile.genfun import (
+    bivariate_fixed_point,
     closed_form_series,
     f_table,
     joint_table,
@@ -73,6 +77,18 @@ class TestNu:
             monkeypatch.undo()
             genfun._verified_curve.cache_clear()
 
+    def test_branch_is_verified_at_runtime(self, monkeypatch):
+        data = dict(genfun._MODEL_DATA["geom-pm1"])
+        data["c0"] = Fraction(1, 2)
+        monkeypatch.setitem(genfun._MODEL_DATA, "geom-pm1", data)
+        genfun._verified_curve.cache_clear()
+        try:
+            with pytest.raises(IntegrityError, match="not a simple root"):
+                nu_table(builtin_model("geom-pm1"), 5)
+        finally:
+            monkeypatch.undo()
+            genfun._verified_curve.cache_clear()
+
     def test_bad_order(self):
         with pytest.raises(DomainError):
             nu_table(builtin_model("geom-pm1"), -1)
@@ -117,8 +133,8 @@ class TestJointTable:
         m = builtin_model("incomplete-binary")
         nu = nu_table(m, 10)
         f = f_table(nu, 2, 3)
-        short = joint_table(m, 2, 3, 10, cross_check=False)
-        long = joint_table(m, 2, 3, 24, cross_check=False)
+        short = joint_table(m, 2, 3, 10)
+        long = joint_table(m, 2, 3, 24)
         for p in range(3):
             for q in range(4):
                 gap_short = f[p][q] - sum(short[p][q])
@@ -136,6 +152,96 @@ class TestJointTable:
                     for l1 in range(l + 1):
                         acc += ft[1][q1][l1] * ft[1][q - q1][l - l1]
                 assert ft[2][q][l] == acc
+
+
+    @pytest.mark.parametrize("V", list(range(2, 11)) + [20])
+    def test_matches_bivariate_fixed_point(self, V):
+        # the (V + 1, V) orders of criterion 5, and the benchmark's V = 20
+        single = joint_table(builtin_model("incomplete-binary"), 1, V + 1, V)[1]
+        check = bivariate_fixed_point(V + 1, V)
+        assert [list(row) for row in check.coeffs] == single
+
+    def test_certificate_rejects_a_perturbed_cell(self, monkeypatch):
+        honest = genfun._excursion_joint_gf
+
+        def perturbed(model, l_max):
+            table = honest(model, l_max)
+            table[4][1] *= 2
+            return table
+
+        monkeypatch.setattr(genfun, "_excursion_joint_gf", perturbed)
+        with pytest.raises(IntegrityError, match="fixed-point certificate"):
+            joint_table(builtin_model("incomplete-binary"), 2, 6, 6)
+
+    def test_certificate_rejects_a_leaf_count_above_the_edge_count(self, monkeypatch):
+        honest = genfun._excursion_joint_gf
+
+        def perturbed(model, l_max):
+            table = honest(model, l_max)
+            table[3][4] = Fraction(1, 4**5)
+            return table
+
+        monkeypatch.setattr(genfun, "_excursion_joint_gf", perturbed)
+        with pytest.raises(IntegrityError, match="q > l"):
+            joint_table(builtin_model("incomplete-binary"), 2, 6, 6)
+
+    # sha256 of repr(joint_table(model, p_max, q_max, l_max)), recorded from
+    # the Fraction-by-Fraction convolution this module used before it
+    # convolved on integers
+    PINNED = {
+        ("geom-pm1", (8, 8, 12)): "167344608103f3c55ed0cf7f74e69e5472b8467cd903192fa1063c46b6c78d58",
+        ("geom-pm1", (3, 8, 5)): "db59a699a5a316d3e0088dc48a5144b2aa88a8c210425fd42fecb844c74f60ab",
+        ("geom-pm1", (8, 2, 12)): "a2dff77b7f661535fac3d81172003cc4f13de128cf015ee7a43c0e3fa4e6f290",
+        ("geom-pm1", (2, 12, 4)): "3d22e4ab74f42c90b79b42305c9834e2fb7785f0fe48e6932088e0cb63027232",
+        ("geom-pm01", (8, 8, 12)): "308276ed70c0ea2583d5cd2801ead3e88ab60d47ecbd77b4b3845ac6a007df9a",
+        ("geom-pm01", (3, 8, 5)): "3450931b16ed414e251d403f7a87c04c7655355107e0d7e21022e4be1a38516b",
+        ("geom-pm01", (8, 2, 12)): "a40179c62ab97b99a3af4ad79475bd32d49ee641c6feefc53cb923f9c801f16d",
+        ("geom-pm01", (2, 12, 4)): "f46fd5c55dd0e3d795cb69006c24e6f7dc3463ef2b47b2c2348dac0dc901552c",
+        ("incomplete-binary", (8, 8, 12)): "639f2956089f975b8e428029231bae861355cd1e04f5c59984c14241b97d5af9",
+        ("incomplete-binary", (3, 8, 5)): "f32b520ed822d6a52a3c1ae26f6655ee7de9786de9fa3e1527932abfc0232862",
+        ("incomplete-binary", (8, 2, 12)): "c9a3fb8d92f5af6790bc69c7649fe9504e961d21d3fac79567ea8f8743f3fa10",
+        ("incomplete-binary", (2, 12, 4)): "a73500ef8d16bdbe7fe86a7380eb93b374503831b2ccf99d47dd3f6b1a817c7e",
+        ("complete-binary", (8, 8, 12)): "edfab227efe226e4f983d9951ff3be951b65b6a8863fc32a53a56b9bfb9b74f7",
+        ("complete-binary", (3, 8, 5)): "68adf9e929440c4384e948dae483c0c200330b9ae0fd69723d777f7235a6276d",
+        ("complete-binary", (8, 2, 12)): "81e89b76381be499686938d9f577f58b0434caceb48a33ec56978b890d1cca40",
+        ("complete-binary", (2, 12, 4)): "71b4fe71436e92a2675d8f5b2851b9d2e4219c36708eb268e58081a40dd25a76",
+    }
+
+    @pytest.mark.parametrize("model_id, shape", sorted(PINNED))
+    def test_pinned_values(self, model_id, shape):
+        table = joint_table(builtin_model(model_id), *shape)
+        digest = hashlib.sha256(repr(table).encode()).hexdigest()
+        assert digest == self.PINNED[model_id, shape]
+
+    def test_model_without_leaves(self):
+        # ξ = δ₁: f̃₁(0, 0) = ξ(0) = 0, and one excursion is a ±1 walk from 1
+        # to its first visit to 0
+        from gwprofile.model import parse_model_config
+
+        m = parse_model_config(
+            {"offspring": {"kind": "finite-table", "table": [0, 1]},
+             "displacement": {"kind": "iid-uniform-pm1"}}
+        )
+        ft = joint_table(m, 2, 2, 5)
+        assert ft[1][1] == [0, Fraction(1, 2), 0, Fraction(1, 8), 0, Fraction(1, 16)]
+        assert ft[2][2] == [0, 0, Fraction(1, 4), 0, Fraction(1, 8), 0]
+        assert ft[1][0] == ft[1][2] == [0] * 6
+
+    def test_empty_bounds(self):
+        assert joint_table(builtin_model("geom-pm1"), 0, 0, 0) == [[[1]]]
+
+
+def test_exact_layer_does_not_load_sympy():
+    code = (
+        "import sys\n"
+        "import gwprofile\n"
+        "from gwprofile.genfun import joint_table, nu_table\n"
+        "m = gwprofile.builtin_model('incomplete-binary')\n"
+        "nu_table(m, 10)\n"
+        "joint_table(m, 3, 3, 3)\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestSingular:

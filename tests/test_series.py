@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gwprofile.errors import DomainError
-from gwprofile.series import BivariateSeries, RationalSeries
+from gwprofile.errors import DomainError, IntegrityError
+from gwprofile.series import BivariateSeries, RationalSeries, _integer_scale
 
 ORDER = 8
 
@@ -77,3 +77,16 @@ class TestBivariate:
         a = BivariateSeries([[1, 2], [3, 4]])
         s = a.shift_u()
         assert s[0, 1] == 1 and s[1, 1] == 3 and s[0, 0] == 0
+
+
+class TestIntegerScale:
+    def test_scales_to_integers(self):
+        terms = [(0, Fraction(1)), (1, Fraction(1, 6)), (2, Fraction(1, 16)), (3, Fraction(2, 27))]
+        c, scaled = _integer_scale(terms)
+        assert scaled == [x * c**j for j, x in terms]
+        assert all(isinstance(n, int) for n in scaled)
+
+    def test_inexact_rescale_raises(self):
+        # no scale turns a non-integral constant term into an integer
+        with pytest.raises(IntegrityError, match="not integral"):
+            _integer_scale([(0, Fraction(1, 2)), (1, Fraction(1, 4))])

@@ -20,6 +20,7 @@ PACKAGE = ROOT / "src" / "gwprofile"
 # Public names kept without a caller in src/ or perfbench/, each with its reason.
 ALLOWED = {
     "solve_nu_gf": "reference route: Newton solve that tests compare nu_table against",
+    "bivariate_fixed_point": "reference route: iterated fixed point that tests compare joint_table against",
     "chain_path": "reference route: a tree's profile path, for the tree-by-tree law",
     "card_pointed_quadrangulations": "reference count of the exhaustive maps test",
     "harmonic_H": "checks that the conditioned kernel is the free kernel's h-transform",

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gwprofile import (
     DomainError,
@@ -73,6 +73,87 @@ class TestGrammar:
             with pytest.raises(TreeParseError) as exc:
                 decode(bad)
             assert exc.value.offset == offset, bad
+
+
+def decodes_or_rejects(text):
+    """decode parses ``text`` into a tree that encode gives back, up to the
+    spelling of the root label, or raises TreeParseError at an offset
+    inside the text or at its end.  Anything else escapes and fails."""
+    try:
+        t = decode(text)
+    except TreeParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+        return None
+    head, rest = text.split("(", 1)
+    assert encode(t) == f"{int(head)}({rest}"
+    assert decode(encode(t)) == t
+    return t
+
+
+@st.composite
+def mutated(draw, source):
+    """A text from ``source`` with a few bytes replaced, inserted or deleted."""
+    data = bytearray(draw(source).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if op == "replace":
+                data[at] = byte
+            else:
+                del data[at]
+    return data.decode("latin-1")
+
+
+class TestAdversarialGrammar:
+    """Hostile input either round-trips or is a TreeParseError."""
+
+    @given(st.text(alphabet="()+-0123456789", max_size=40))
+    def test_bracket_soup(self, text):
+        decodes_or_rejects(text)
+
+    @given(mutated(random_trees().map(encode)))
+    def test_byte_mutations(self, text):
+        decodes_or_rejects(text)
+
+    @given(st.integers(-(10**18), 10**18), nested_trees())
+    def test_huge_labels(self, root, nested):
+        t = LabelledPlaneTree.from_nested(root, nested)
+        text = encode(t)
+        assert decodes_or_rejects(text) == t
+        assert decodes_or_rejects(text + ")") is None
+        assert decodes_or_rejects(text[:-1]) is None
+
+    def test_overlong_label(self):
+        with pytest.raises(TreeParseError) as exc:
+            decode("9" * 10**4 + "()")
+        assert exc.value.offset == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.sampled_from("+-0"), min_size=1, max_size=8),
+        st.integers(0, 2 * 10**4 + 2),
+    )
+    def test_deep_nesting(self, pattern, cut):
+        depth = 10**4
+        incs = (pattern * depth)[:depth]
+        text = "0" + "".join(f"({c}" for c in incs) + "()" + ")" * depth
+        assert decodes_or_rejects(text).n_edges == depth
+        # cut short, or with one bracket too many: a TreeParseError
+        assert decodes_or_rejects(text[: len(text) - 1 - cut % depth]) is None
+        assert decodes_or_rejects(text[:cut] + "(" + text[cut:]) is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(mutated(st.just("0" + "(+" * 10**4 + "()" + ")" * 10**4)))
+    def test_deep_mutations(self, text):
+        decodes_or_rejects(text)
+
+    @pytest.mark.parametrize("text", ["\xb2()", "\u0663()", "1\xb9()", "+\u00b2(+())"])
+    def test_non_ascii_digits_are_rejected(self, text):
+        assert decodes_or_rejects(text) is None
 
 
 DEPTH = 10**5
