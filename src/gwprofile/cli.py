@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ConfigurationError, GWProfileError, TreeParseError
+from .errors import ConfigurationError, DomainError, GWProfileError, TreeParseError
 from .model import builtin_model, resolve_model
 from .tree import decode, edge_profile, encode
 from .sampler import Sampler, SamplerConfig
@@ -488,6 +488,10 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> Tuple[int, dict]:
+    if args.model is not None and args.suite != "decomposition-roundtrip":
+        raise ConfigurationError(
+            "--model applies only to --suite decomposition-roundtrip"
+        )
     fh = _open_out(args.out)
     try:
         ok = _SUITES[args.suite](args, lambda line: fh.write(line + "\n"))
@@ -628,16 +632,27 @@ def _cmd_stats(args) -> Tuple[int, dict]:
             from . import kernel as K
             from .genfun import f_table, nu_table
 
-            nu = [float(x) for x in nu_table(builtin_model("incomplete-binary"), 40)]
-            smax = 30
-            f = f_table(nu, smax + 10, smax + 5)
+            smax = 30  # kernel rows stop at s = smax
+            tested = [
+                state
+                for state in census.rows()
+                if state != (0, 0) and census.row_total(state) >= args.min_visits
+            ]
+            for p, q in tested:
+                far = [to for to in census.row((p, q)) if to[1] > smax]
+                if far:
+                    raise DomainError(
+                        f"row {p},{q} stepped to {far[0][0]},{far[0][1]}, beyond "
+                        f"the kernel rows' s <= {smax}"
+                    )
+            # Row (p, q) reads f_p(q) and f_r(s) for r <= p + smax, s <= smax.
+            p_top = max((p for p, _ in tested), default=0)
+            q_top = max([smax] + [q for _, q in tested])
+            nu = [float(x) for x in nu_table(builtin_model("incomplete-binary"), q_top)]
+            f = f_table(nu, p_top + smax, q_top)
             w.writerow(["kind", "from_p", "from_q", "statistic", "dof", "p_value"])
             p_values = []
-            for from_state in census.rows():
-                if from_state == (0, 0):
-                    continue
-                if census.row_total(from_state) < args.min_visits:
-                    continue
+            for from_state in tested:
                 p, q = from_state
                 expected = {}
                 for state in K.kernel_row(p, smax):

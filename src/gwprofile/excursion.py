@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import DomainError, ReconstructionError
-from .model import TreeModel, is_excursion
+from .model import TreeModel, _vertex_factors, excursion_weight, is_excursion
 from .tree import LabelledPlaneTree
 
 
@@ -74,17 +74,15 @@ class ExcursionForest:
     labelled m in the root component, and those labelled 0 in an excursion.
     """
 
-    parents: Tuple[Optional[int], ...]
     children: Tuple[Tuple[int, ...], ...]
     roots: Tuple[int, ...]
-    signs: Tuple[int, ...]
     attachments: Tuple[int, ...]
     decorations: Tuple[Excursion, ...]
     root_sign: int
 
     @property
     def n_vertices(self) -> int:
-        return len(self.parents)
+        return len(self.children)
 
     def validate(self) -> None:
         """Check signs, child counts and attachment slots in one pass from the roots."""
@@ -139,7 +137,6 @@ def _mirror(d: ExcursionDecomposition) -> ExcursionDecomposition:
     f = d.forest
     forest = replace(
         f,
-        signs=tuple(-s for s in f.signs),
         decorations=tuple(
             Excursion(e.tree.relabel(reflect=True), -e.sign, e.n) for e in f.decorations
         ),
@@ -212,13 +209,8 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
     for i, c in enumerate(order):
         number[c] = i
     forest = ExcursionForest(
-        parents=tuple(
-            None if comp[cut_from[c]] == 0 else number[comp[cut_from[c]] - 1]
-            for c in order
-        ),
         children=tuple(tuple(number[x] for x in ports[c + 1]) for c in order),
         roots=tuple(number[x] for x in ports[0]),
-        signs=tuple(signs[c] for c in order),
         attachments=tuple(attachments[c] for c in order),
         decorations=tuple(
             Excursion(
@@ -325,18 +317,7 @@ def root_component_weight(
     Product of ξ·η factors over all vertices except the duplicated
     level-m leaves (their factors belong to the excursions below them).
     """
-    w = Fraction(1)
-    t = root_component
-    for v in t.vertices():
-        if t.labels[v] == m:
-            continue
-        k = t.arity(v)
-        w *= model.offspring.prob(k)
-        if k:
-            w *= model.displacement.prob(k, t.increments(v))
-        if w == 0:
-            return w
-    return w
+    return _vertex_factors(model, root_component, skip=m)
 
 
 def decomposition_weight(model: TreeModel, d: ExcursionDecomposition) -> Fraction:
@@ -344,8 +325,6 @@ def decomposition_weight(model: TreeModel, d: ExcursionDecomposition) -> Fractio
 
     Equals tree_weight(reconstruct(d)) exactly.
     """
-    from .model import excursion_weight
-
     w = root_component_weight(model, d.root_component, d.level)
     for e in d.forest.decorations:
         if w == 0:

@@ -1,10 +1,10 @@
 """Rooted pointed quadrangulations, the tree bijection, and ball profiles.
 
-A planar map is stored as a rotation system: darts (half-edges) with an
-involution ``alpha`` pairing the two darts of each edge and a
-permutation ``sigma`` giving the rotation of darts around each vertex.
-Faces are the orbits of sigma o alpha.  Vertices are identified with
-the smallest dart of their sigma-orbit.
+A planar map is stored as a rotation system on darts (half-edges)
+numbered 0..n-1: lists ``alpha`` and ``sigma``, indexed by dart, give
+the involution pairing the two darts of each edge and the rotation of
+darts around each vertex.  Faces are the orbits of sigma o alpha.
+Vertices are identified with the smallest dart of their sigma-orbit.
 
 The bijection with labelled trees draws one arc from every contour
 corner of the tree to its successor (the next corner, in contour
@@ -16,7 +16,11 @@ reverse contour order, the arcs around the pointed vertex in contour
 order, and children read back along the inverse rotation.  They were
 selected by exhaustive search as the unique self-consistent choice and
 are locked in place by the round-trip tests - the tests, not any
-external authority, validate them.
+external authority, validate them.  Ascending clockwise distance takes
+no sort: at a corner the arc that leaves it comes first, then the arcs
+arriving from the corners after it in cyclic contour order, because
+labels change by at most 1 between consecutive corners (see
+``tree_to_map``).
 
 Ball profiles are counted, not built: one breadth-first search from the
 point and Euler's formula give the external faces and perimeters of
@@ -28,80 +32,82 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError
 from .tree import LabelledPlaneTree, edge_profile
 
 
+def _orbits(perm: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Cycles of a permutation of 0..n-1, each from its smallest element."""
+    seen = bytearray(len(perm))
+    orbits = []
+    d = seen.find(0)
+    while d >= 0:
+        orbit = [d]
+        seen[d] = 1
+        e = perm[d]
+        while e != d:
+            orbit.append(e)
+            seen[e] = 1
+            e = perm[e]
+        orbits.append(tuple(orbit))
+        d = seen.find(0, d + 1)
+    return tuple(orbits)
+
+
 class PlanarMap:
-    """Immutable connected planar map given by its rotation system."""
+    """Immutable connected planar map given by its rotation system.
+
+    ``alpha`` and ``sigma`` are lists on darts 0..n-1; ``vertex_of[d]``
+    is the vertex (smallest dart of the sigma-orbit) of dart d.
+    """
 
     def __init__(
         self,
-        alpha: Dict[int, int],
-        sigma: Dict[int, int],
+        alpha: Sequence[int],
+        sigma: Sequence[int],
         root_dart: Optional[int] = None,
         pointed_vertex: Optional[int] = None,
     ):
-        self.darts = tuple(sorted(alpha))
-        self.alpha = dict(alpha)
-        self.sigma = dict(sigma)
-        self.root_dart = root_dart
-        self.pointed_vertex = pointed_vertex
-        self._validate()
-        self._vertex_of = {}
-        self._vertices = self._orbits(self.sigma)
-        for orbit in self._vertices:
-            rep = orbit[0]
-            for d in orbit:
-                self._vertex_of[d] = rep
-        phi = {d: self.sigma[self.alpha[d]] for d in self.darts}
-        self._faces = self._orbits(phi)
-        if pointed_vertex is not None and self._vertex_of.get(
-            pointed_vertex
-        ) != pointed_vertex:
-            self.pointed_vertex = self._vertex_of[pointed_vertex]
-
-    def _validate(self) -> None:
-        dartset = set(self.darts)
-        if len(dartset) != len(self.darts) or not dartset:
-            raise IntegrityError("empty or duplicated dart set")
-        if set(self.sigma) != dartset or set(self.sigma.values()) != dartset:
+        self.alpha = alpha = list(alpha)
+        self.sigma = sigma = list(sigma)
+        self.darts = darts = range(len(alpha))
+        if not darts:
+            raise IntegrityError("empty dart set")
+        dartset = set(darts)
+        if len(sigma) != len(darts) or set(sigma) != dartset:
             raise IntegrityError("sigma is not a permutation of the darts")
-        for d in self.darts:
-            a = self.alpha.get(d)
-            if a is None or a == d or self.alpha.get(a) != d:
-                raise IntegrityError("alpha is not a fixed-point-free involution")
+        if set(alpha) != dartset or any(
+            a == d or alpha[a] != d for d, a in enumerate(alpha)
+        ):
+            raise IntegrityError("alpha is not a fixed-point-free involution")
         # connectivity under <alpha, sigma>
-        seen = {self.darts[0]}
-        stack = [self.darts[0]]
+        seen = bytearray(len(darts))
+        seen[0] = 1
+        stack = [0]
         while stack:
             d = stack.pop()
-            for e in (self.alpha[d], self.sigma[d]):
-                if e not in seen:
-                    seen.add(e)
+            for e in (alpha[d], sigma[d]):
+                if not seen[e]:
+                    seen[e] = 1
                     stack.append(e)
-        if len(seen) != len(self.darts):
+        if 0 in seen:
             raise IntegrityError("map is not connected")
-        if self.root_dart is not None and self.root_dart not in dartset:
+        if root_dart is not None and root_dart not in darts:
             raise IntegrityError("root dart is not a dart")
-
-    def _orbits(self, perm: Dict[int, int]) -> Tuple[Tuple[int, ...], ...]:
-        seen = set()
-        orbits = []
-        for d in self.darts:
-            if d in seen:
-                continue
-            orbit = [d]
-            seen.add(d)
-            e = perm[d]
-            while e != d:
-                orbit.append(e)
-                seen.add(e)
-                e = perm[e]
-            orbits.append(tuple(orbit))
-        return tuple(orbits)
+        if pointed_vertex is not None and pointed_vertex not in darts:
+            raise IntegrityError("pointed vertex is not a dart")
+        self._vertices = _orbits(sigma)
+        self.vertex_of = vertex_of = [0] * len(darts)
+        for orbit in self._vertices:
+            for d in orbit:
+                vertex_of[d] = orbit[0]
+        self._faces = _orbits([sigma[a] for a in alpha])
+        self.root_dart = root_dart
+        self.pointed_vertex = (
+            None if pointed_vertex is None else vertex_of[pointed_vertex]
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -123,31 +129,28 @@ class PlanarMap:
     def n_faces(self) -> int:
         return len(self._faces)
 
-    def vertex_of(self, dart: int) -> int:
-        return self._vertex_of[dart]
-
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
 
-    def distances_from(self, vertex: int) -> Dict[int, int]:
-        """Graph distance from a vertex (representative dart) by BFS."""
-        dist = {vertex: 0}
-        frontier = [vertex]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                d0 = v
-                d = d0
-                while True:
-                    u = self._vertex_of[self.alpha[d]]
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-                    d = self.sigma[d]
-                    if d == d0:
-                        break
-            frontier = nxt
-        return dist
+    def distances_from(self, vertex: int) -> List[int]:
+        """For each dart, the graph distance from ``vertex`` to its vertex (BFS)."""
+        alpha, sigma, vertex_of = self.alpha, self.sigma, self.vertex_of
+        dist = [-1] * len(alpha)  # per vertex, at its representative dart
+        v = vertex_of[vertex]
+        dist[v] = 0
+        queue = [v]
+        for v in queue:
+            r = dist[v] + 1
+            d = v
+            while True:
+                u = vertex_of[alpha[d]]
+                if dist[u] < 0:
+                    dist[u] = r
+                    queue.append(u)
+                d = sigma[d]
+                if d == v:
+                    break
+        return [dist[v] for v in vertex_of]
 
 
 class Quadrangulation(PlanarMap):
@@ -167,8 +170,8 @@ class Quadrangulation(PlanarMap):
     def root_endpoints(self) -> Tuple[int, int]:
         """(origin vertex, head vertex) of the root edge."""
         return (
-            self.vertex_of(self.root_dart),
-            self.vertex_of(self.alpha[self.root_dart]),
+            self.vertex_of[self.root_dart],
+            self.vertex_of[self.alpha[self.root_dart]],
         )
 
 
@@ -232,44 +235,36 @@ def tree_to_map(t: LabelledPlaneTree, orientation: int) -> Quadrangulation:
     labels = [t.labels[v] for v in corners]
     n = len(corners)
     succ = _successors(labels)
-    star = -1  # symbolic target for minimal-label corners
     # darts: 2i leaves corner i, 2i+1 arrives at succ[i] (or the point)
-    alpha = {}
-    for i in range(n):
-        alpha[2 * i] = 2 * i + 1
-        alpha[2 * i + 1] = 2 * i
-    arrivals: Dict[int, List[int]] = {i: [] for i in range(n)}
-    star_sources: List[int] = []
-    for i in range(n):
-        if succ[i] is None:
-            star_sources.append(i)
-        else:
-            arrivals[succ[i]].append(i)
-
-    def corner_fan(p: int) -> List[int]:
-        """Arc ends at corner p, ordered by clockwise distance of the far end."""
-        # The pointed vertex sits in the unique face adjacent to the
-        # forward side of every minimal corner, so its arc comes before
-        # all arriving arcs (distance 0).
-        ends = [(2 * p, (succ[p] - p) % n if succ[p] is not None else 0)]
-        for j in arrivals[p]:
-            ends.append((2 * j + 1, (j - p) % n))
-        ends.sort(key=lambda e: e[1])
-        return [d for d, _ in ends]
-
-    corners_of: Dict[int, List[int]] = {}
+    alpha = [d ^ 1 for d in range(2 * n)]
+    # Arc ends at corner p in ascending clockwise distance of the far end:
+    # the arc leaving p, then the arcs arriving from corners j in cyclic
+    # order starting after p.  The leaving arc comes first because labels
+    # change by at most 1 between consecutive corners: from an arriving j
+    # (label l_p + 1) on to p no corner has label l_p, so none has l_p - 1,
+    # and succ[p], when it exists, lies between p and every such j.  The
+    # point's arc (succ[p] is None) comes first too: the pointed vertex sits
+    # in the face on the forward side of every minimal corner.
+    fans = [[2 * p] for p in range(n)]
+    for i, s in enumerate(succ):  # j > p first: arcs that wrap around
+        if s is not None and s < i:
+            fans[s].append(2 * i + 1)
+    star_cycle = []
+    for i, s in enumerate(succ):  # then j < p
+        if s is None:
+            star_cycle.append(2 * i + 1)
+        elif s > i:
+            fans[s].append(2 * i + 1)
+    corners_of: List[List[int]] = [[] for _ in range(t.n_vertices)]
     for p, v in enumerate(corners):
-        corners_of.setdefault(v, []).append(p)
-    sigma: Dict[int, int] = {}
-    for v, ps in corners_of.items():
-        cycle: List[int] = []
-        for p in reversed(ps):  # corners around a vertex: reverse contour order
-            cycle.extend(corner_fan(p))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            sigma[a] = b
-    star_cycle = [2 * i + 1 for i in star_sources]
-    for a, b in zip(star_cycle, star_cycle[1:] + star_cycle[:1]):
-        sigma[a] = b
+        corners_of[v].append(p)
+    sigma = [0] * (2 * n)
+    # corners around a vertex: reverse contour order; around the point:
+    # contour order
+    cycles = [[d for p in reversed(ps) for d in fans[p]] for ps in corners_of]
+    for cycle in cycles + [star_cycle]:
+        for i, d in enumerate(cycle):
+            sigma[cycle[i - 1]] = d
     root_dart = 0 if orientation == 0 else 1
     return Quadrangulation(alpha, sigma, root_dart, star_cycle[0])
 
@@ -277,14 +272,14 @@ def tree_to_map(t: LabelledPlaneTree, orientation: int) -> Quadrangulation:
 # -- inverse bijection ------------------------------------------------------
 
 
-def _face_edge(q: Quadrangulation, face, lab) -> Tuple[int, int]:
+def _face_edge(face, lab) -> Tuple[int, int]:
     """The selected tree edge of a face, as its two anchor darts.
 
     With vertex labels (m, m-1, m, m-1) around the face the selected
     edge joins the two label-m corners; with (m+1, m, m-1, m) it joins
     the first two.  Anchors are the face darts at the edge's endpoints.
     """
-    ls = [lab[q.vertex_of(d)] for d in face]
+    ls = [lab[d] for d in face]
     top = max(ls)
     idx = [i for i in range(4) if ls[i] == top]
     for i in range(4):
@@ -309,69 +304,60 @@ def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
     farther from the point, and the bit records whether the root dart
     is based there.
     """
+    vertex_of = q.vertex_of
     dist = q.distances_from(q.pointed_vertex)
     x0, x1 = q.root_endpoints()
     d_star = max(dist[x0], dist[x1])
-    lab = {v: d - d_star for v, d in dist.items()}
-    # anchors[v] = {dart at v: (neighbour, neighbour anchor dart)}
-    anchors: Dict[int, Dict[int, Tuple[int, int]]] = {}
+    lab = [d - d_star for d in dist]  # per dart: the label of its vertex
+    # partner[d]: for an anchor dart d of a selected edge, the anchor dart
+    # at the edge's other end; -1 for every other dart
+    partner = [-1] * len(dist)
     for face in q.faces():
-        da, db = _face_edge(q, face, lab)
-        va, vb = q.vertex_of(da), q.vertex_of(db)
-        if va == vb:
+        da, db = _face_edge(face, lab)
+        if vertex_of[da] == vertex_of[db]:
             raise IntegrityError("face selected a loop edge")
-        anchors.setdefault(va, {})[da] = (vb, db)
-        anchors.setdefault(vb, {})[db] = (va, da)
-    if q.pointed_vertex in anchors:
-        raise IntegrityError("a selected edge touches the pointed vertex")
+        if not (dist[da] and dist[db]):
+            raise IntegrityError("a selected edge touches the pointed vertex")
+        partner[da] = db
+        partner[db] = da
     # children are read back along the inverse rotation
-    step = {b: a for a, b in q.sigma.items()}
-
-    def scan(v: int, start: int, include_start: bool) -> List[Tuple[int, int]]:
-        """Tree edges at v in rotation order from ``start``.
-
-        ``start`` is the anchor of the parent edge (excluded) or, at
-        the root, the root dart (included if it is an anchor).
-        """
-        at = anchors.get(v, {})
-        found = []
-        d = start
-        first = True
-        while True:
-            if (include_start or not first) and d in at:
-                found.append(at[d])
-            d = step[d]
-            first = False
-            if d == start:
-                return found
+    step = [0] * len(dist)
+    for a, b in enumerate(q.sigma):
+        step[b] = a
 
     root = x0 if dist[x0] == d_star else x1
-    bit = 0 if q.vertex_of(q.root_dart) == root else 1
+    bit = 0 if x0 == root else 1
     if lab[root] != 0:
         raise IntegrityError("root vertex is not labelled 0")
     # Build the plane tree by DFS; a vertex gets its preorder index when
     # it is popped.
     labels: List[int] = []
     parents: List[Optional[int]] = []
-    root_based = (
-        q.root_dart
-        if q.vertex_of(q.root_dart) == root
-        else q.alpha[q.root_dart]
-    )
-    # stack entries: (parent tree index, map vertex, first rotation dart, inclusive)
-    stack: List[Tuple[Optional[int], int, int, bool]] = [(None, root, root_based, True)]
-    seen = {root}
+    root_based = q.root_dart if bit == 0 else q.alpha[q.root_dart]
+    # stack entries: (parent tree index, first rotation dart, inclusive).
+    # The first dart is the anchor of the parent edge (excluded) or, at the
+    # root, the root dart (included if it is an anchor).
+    stack: List[Tuple[Optional[int], int, bool]] = [(None, root_based, True)]
+    seen = bytearray(len(dist))
+    seen[root] = 1
     while stack:
-        parent, v, start, include_start = stack.pop()
+        parent, start, include_start = stack.pop()
         iv = len(labels)
-        labels.append(lab[v])
+        labels.append(lab[start])
         parents.append(parent)
         entries = []
-        for w, w_anchor in scan(v, start, include_start):
-            if w in seen:
-                raise IntegrityError("selected edges contain a cycle")
-            seen.add(w)
-            entries.append((iv, w, w_anchor, False))
+        d = start
+        while True:  # tree edges at this vertex in rotation order
+            e = partner[d]
+            if e >= 0 and (include_start or d != start):
+                w = vertex_of[e]
+                if seen[w]:
+                    raise IntegrityError("selected edges contain a cycle")
+                seen[w] = 1
+                entries.append((iv, e, False))
+            d = step[d]
+            if d == start:
+                break
         stack.extend(reversed(entries))
     if len(labels) != q.n_vertices - 1:
         raise IntegrityError("selected edges do not span the vertices")
@@ -417,19 +403,17 @@ def ball_profile(q: Quadrangulation) -> BallSummary:
     dist = q.distances_from(q.pointed_vertex)
     x0, x1 = q.root_endpoints()
     d_star = max(dist[x0], dist[x1])
-    k_max = max(dist.values())
-    at = {d: dist[q.vertex_of(d)] for d in q.darts}
+    k_max = max(dist)
     vertices = [0] * (k_max + 1)
     edges = [0] * (k_max + 1)
     inner = [0] * (k_max + 1)
-    for r in dist.values():
-        vertices[r] += 1
-    for d in q.darts:
-        e = q.alpha[d]
+    for orbit in q.vertices():
+        vertices[dist[orbit[0]]] += 1
+    for d, e in enumerate(q.alpha):
         if d < e:
-            edges[max(at[d], at[e])] += 1
+            edges[max(dist[d], dist[e])] += 1
     for f in q.faces():
-        inner[max(at[d] for d in f)] += 1
+        inner[max([dist[d] for d in f])] += 1
     V, E, I = (list(accumulate(h)) for h in (vertices, edges, inner))
     radii = range(1, k_max + 1)
     P = tuple(2 * E[k] - 4 * I[k] for k in radii)
@@ -521,6 +505,7 @@ def save_map(q: PlanarMap, path: str) -> None:
 
 
 def load_map(path: str) -> Quadrangulation:
+    """Read a ``save_map`` CSV; dart ids are renumbered 0..n-1 in sorted order."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     try:
@@ -528,11 +513,22 @@ def load_map(path: str) -> Quadrangulation:
         pointed = int(rows[1][1])
         if rows[2] != ["dart", "alpha", "sigma"]:
             raise ValueError("bad column header")
-        alpha, sigma = {}, {}
+        table = []
         for row in rows[3:]:
             d, a, s = (int(x) for x in row)
-            alpha[d] = a
-            sigma[d] = s
+            table.append((d, a, s))
+        ids = sorted(d for d, _, _ in table)
+        for d, e in zip(ids, ids[1:]):
+            if d == e:
+                raise ValueError(f"dart {d} is listed twice")
     except (IndexError, ValueError) as exc:
         raise DomainError(f"malformed map CSV {path}: {exc}") from exc
-    return Quadrangulation(alpha, sigma, root_dart, pointed)
+    # An id that is not a listed dart becomes n, which validation rejects.
+    n = len(ids)
+    index = {d: i for i, d in enumerate(ids)}
+    alpha = [0] * n
+    sigma = [0] * n
+    for d, a, s in table:
+        alpha[index[d]] = index.get(a, n)
+        sigma[index[d]] = index.get(s, n)
+    return Quadrangulation(alpha, sigma, index.get(root_dart, n), index.get(pointed, n))

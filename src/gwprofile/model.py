@@ -208,15 +208,8 @@ class TreeModel:
     name: str
     offspring: OffspringDistribution
     displacement: DisplacementFamily
-    symmetric_displacements: bool
-    increments_pm1_only: bool
 
     def __post_init__(self):
-        flags = (self.symmetric_displacements, self.increments_pm1_only)
-        if _infer_flags(self.offspring, self.displacement) != flags:
-            raise ConfigurationError(
-                "model flags inconsistent with displacement family"
-            )
         disp = self.displacement
         # Every arity with positive offspring probability must have a
         # displacement law (iid kinds cover all arities).
@@ -254,16 +247,12 @@ def builtin_model(model_id: str) -> TreeModel:
             name=model_id,
             offspring=OffspringDistribution("geometric-half"),
             displacement=DisplacementFamily("iid-uniform-pm1"),
-            symmetric_displacements=True,
-            increments_pm1_only=True,
         )
     if model_id == "geom-pm01":
         return TreeModel(
             name=model_id,
             offspring=OffspringDistribution("geometric-half"),
             displacement=DisplacementFamily("iid-uniform-pm01"),
-            symmetric_displacements=True,
-            increments_pm1_only=False,
         )
     if model_id == "incomplete-binary":
         quarter = Fraction(1, 4)
@@ -279,8 +268,6 @@ def builtin_model(model_id: str) -> TreeModel:
                     2: (((-1, 1), Fraction(1)),),
                 },
             ),
-            symmetric_displacements=False,
-            increments_pm1_only=True,
         )
     if model_id == "complete-binary":
         return TreeModel(
@@ -291,8 +278,6 @@ def builtin_model(model_id: str) -> TreeModel:
             displacement=DisplacementFamily(
                 "per-arity-table", {2: (((-1, 1), Fraction(1)),)}
             ),
-            symmetric_displacements=False,
-            increments_pm1_only=True,
         )
     raise ConfigurationError(
         f"unknown builtin model {model_id!r}; expected one of {BUILTIN_IDS}"
@@ -315,10 +300,14 @@ def resolve_model(spec: str) -> TreeModel:
 # -- weights ---------------------------------------------------------------
 
 
-def tree_weight(model: TreeModel, t: LabelledPlaneTree) -> Fraction:
-    """Exact weight Π(t): product of ξ·η factors over every vertex."""
+def _vertex_factors(
+    model: TreeModel, t: LabelledPlaneTree, skip: Optional[int] = None
+) -> Fraction:
+    """Product of ξ·η factors over the vertices of t not labelled ``skip``."""
     w = Fraction(1)
     for v in t.vertices():
+        if t.labels[v] == skip:
+            continue
         d = t.arity(v)
         w *= model.offspring.prob(d)
         if w == 0:
@@ -328,6 +317,11 @@ def tree_weight(model: TreeModel, t: LabelledPlaneTree) -> Fraction:
             if w == 0:
                 return w
     return w
+
+
+def tree_weight(model: TreeModel, t: LabelledPlaneTree) -> Fraction:
+    """Exact weight Π(t): product of ξ·η factors over every vertex."""
+    return _vertex_factors(model, t)
 
 
 def is_excursion(t: LabelledPlaneTree) -> int:
@@ -355,19 +349,7 @@ def excursion_weight(model: TreeModel, tau) -> Fraction:
     """
     t = getattr(tau, "tree", tau)
     is_excursion(t)
-    w = Fraction(1)
-    for v in t.vertices():
-        if t.labels[v] == 0:
-            continue
-        d = t.arity(v)
-        w *= model.offspring.prob(d)
-        if w == 0:
-            return w
-        if d:
-            w *= model.displacement.prob(d, t.increments(v))
-            if w == 0:
-                return w
-    return w
+    return _vertex_factors(model, t, skip=0)
 
 
 # -- config files -----------------------------------------------------------
@@ -411,31 +393,11 @@ def parse_model_config(config: Mapping, name: str = "custom") -> TreeModel:
     else:
         raise ConfigurationError(f"unknown displacement kind {disp_kind!r}")
 
-    sym, pm1 = _infer_flags(offspring, displacement)
     return TreeModel(
         name=str(config.get("name", name)),
         offspring=offspring,
         displacement=displacement,
-        symmetric_displacements=sym,
-        increments_pm1_only=pm1,
     )
-
-
-def _infer_flags(offspring, displacement) -> Tuple[bool, bool]:
-    if displacement.kind == "iid-uniform-pm1":
-        return True, True
-    if displacement.kind == "iid-uniform-pm01":
-        return True, False
-    arities = [
-        d for d in displacement.tables if offspring.prob(d) > 0
-    ]
-    sym = all(
-        displacement.prob(d, tuple(-e for e in v)) == w
-        for d in arities
-        for v, w in displacement.vectors(d)
-    )
-    pm1 = all(0 not in v for d in arities for v, _ in displacement.vectors(d))
-    return sym, pm1
 
 
 def load_model(path: str) -> TreeModel:

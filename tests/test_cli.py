@@ -232,6 +232,22 @@ class TestVerify:
         assert code == 0 and out.startswith("PASS decomposition-roundtrip")
         assert json.loads(err.split("manifest: ", 1)[1])["model"] == "builtin:geom-pm1"
 
+    @pytest.mark.parametrize(
+        "suite",
+        ["chain-law", "counting-lemma", "joint-law", "kemperman", "profile-count",
+         "schaeffer-roundtrip"],
+    )
+    def test_model_is_a_usage_error_where_ignored(self, capsys, suite):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--edges", "2",
+            "--model", "builtin:geom-pm1",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "gwprofile: error: ConfigurationError: "
+            "--model applies only to --suite decomposition-roundtrip\n"
+        )
+
 
 class TestDecompose:
     def test_json_record(self, capsys):
@@ -308,6 +324,26 @@ class TestMaps:
         assert out.splitlines()[0] == "0(-(0()))\t1"
         assert "PASS profile-relations" in out
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: ["pointed_vertex,99" if r.startswith("pointed_vertex,") else r
+                           for r in rows],
+             "IntegrityError: pointed vertex is not a dart"),
+            (lambda rows: rows + [rows[-1].split(",")[0] + ",0,0"],
+             "DomainError: malformed map CSV"),
+        ],
+        ids=["point-not-a-dart", "dart-listed-twice"],
+    )
+    def test_bad_map_is_one_line(self, capsys, tmp_path, edit, message):
+        path = tmp_path / "map.csv"
+        run(capsys, "maps", "--from-tree", "0(-(0()))", "--out", str(path))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code, out, err = run(capsys, "maps", "--in", str(path), "--to-tree")
+        assert (code, out) == (1, "")
+        assert err.startswith("gwprofile: error: " + message)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
 
 class TestStats:
     def test_census_and_kernel_test(self, capsys):
@@ -351,3 +387,24 @@ class TestStats:
         assert code == 2
         assert "--test-kernel requires --model builtin:incomplete-binary" in err
         assert not out.exists()
+
+    def test_kernel_table_covers_the_tested_rows(self, capsys):
+        # Row (56, 44) lies beyond a fixed 40 x 35 table of f_p(q).
+        code, out, _ = run(
+            capsys, "stats", "--model", "builtin:incomplete-binary", "--count", "20",
+            "--max-level", "1", "--min-visits", "0", "--test-kernel",
+        )
+        assert code == 0
+        assert any(line.startswith("test,56,44,") for line in out.splitlines())
+
+    def test_step_beyond_the_kernel_rows_is_one_line(self, capsys):
+        # Row (113, 103) saw a step to s = 66; kernel rows stop at s = 30.
+        code, _, err = run(
+            capsys, "stats", "--model", "builtin:incomplete-binary", "--count", "50",
+            "--max-level", "1", "--min-visits", "0", "--test-kernel",
+        )
+        assert code == 1
+        assert err == (
+            "gwprofile: error: DomainError: row 113,103 stepped to 86,66, "
+            "beyond the kernel rows' s <= 30\n"
+        )

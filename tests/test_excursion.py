@@ -90,9 +90,7 @@ class TestDecompose:
         # An extra excursion that nothing attaches.
         unreached = dataclasses.replace(
             f,
-            parents=f.parents + (2,),
             children=f.children + ((),),
-            signs=f.signs + (1,),
             attachments=f.attachments + (0,),
             decorations=f.decorations + (f.decorations[2],),
         )

@@ -108,3 +108,48 @@ def test_decompose_record_literal(capsys):
         '{"attachments": [0, 1, 0], "decorations": ["1(+()-())", "1()", "-1(0())"], '
         '"forest_shape": [[[]], []], "level": 1, "root_component": "0(+()+())"}\n'
     )
+
+
+# Map outputs, pinned before maps were stored as dart-indexed lists: the
+# SHA-256 of every `save_map` CSV, in order, for all geom-pm01 trees with
+# <= 3 edges and for the first 20 sampled quadrangulations at seed 2026,
+# stream 0, vertex_cap 2000, each tree in both orientations; and of the
+# stdout of `gwprofile maps --in ... --to-tree --profile --check` on the
+# first 6 of those sampled maps.
+MAP_CSVS = "0bdfa53dd02f5b5a2b41fb297a36c0c0101d9928e40d20b9f004f7c2cff2fb0d"
+MAP_TO_TREE_STDOUT = "44e8ae0b4b7fb454bbda298e3cf8367b8b22e57e8a78e7872082dfab2e704e6d"
+
+
+@pytest.fixture(scope="module")
+def golden_maps():
+    from gwprofile.maps import map_to_tree, tree_to_map
+    from gwprofile.oracle import enumerate_trees
+
+    model = builtin_model("geom-pm01")
+    trees = [t for e in range(1, 4) for t, _ in enumerate_trees(model, e).items]
+    s = Sampler(model, SamplerConfig(seed=2026, stream=0, vertex_cap=2000))
+    trees += [map_to_tree(s.sample_quadrangulation())[0] for _ in range(20)]
+    return [tree_to_map(t, bit) for t in trees for bit in (0, 1)]
+
+
+def test_map_csvs(tmp_path, golden_maps):
+    from gwprofile.maps import save_map
+
+    h = hashlib.sha256()
+    path = tmp_path / "map.csv"
+    for q in golden_maps:
+        save_map(q, str(path))
+        h.update(path.read_bytes())
+    assert h.hexdigest() == MAP_CSVS
+
+
+def test_map_to_tree_stdout(capsys, tmp_path, golden_maps):
+    from gwprofile.maps import save_map
+
+    sampled = golden_maps[-40::2][:6]
+    for i, q in enumerate(sampled):
+        path = str(tmp_path / f"map{i}.csv")
+        save_map(q, path)
+        assert main(["maps", "--in", path, "--to-tree", "--profile", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MAP_TO_TREE_STDOUT

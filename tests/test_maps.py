@@ -28,25 +28,26 @@ def all_trees(max_edges):
 
 
 # A one-vertex map on the torus whose single face has degree 4.
-TORUS = dict(alpha={0: 1, 1: 0, 2: 3, 3: 2}, sigma={0: 2, 2: 1, 1: 3, 3: 0})
+TORUS = dict(alpha=[1, 0, 3, 2], sigma=[2, 3, 1, 0])
 
 
 class TestPlanarMap:
     def test_single_edge(self):
-        m = PlanarMap(alpha={0: 1, 1: 0}, sigma={0: 0, 1: 1})
+        m = PlanarMap(alpha=[1, 0], sigma=[0, 1])
         assert m.n_edges == 1 and m.n_vertices == 2 and m.n_faces == 1
         assert m.euler_characteristic() == 2
 
     def test_alpha_must_be_involution(self):
         with pytest.raises(IntegrityError):
-            PlanarMap(alpha={0: 0, 1: 1}, sigma={0: 1, 1: 0})
+            PlanarMap(alpha=[0, 1], sigma=[1, 0])
 
     def test_connectivity_required(self):
         with pytest.raises(IntegrityError):
-            PlanarMap(
-                alpha={0: 1, 1: 0, 2: 3, 3: 2},
-                sigma={0: 0, 1: 1, 2: 2, 3: 3},
-            )
+            PlanarMap(alpha=[1, 0, 3, 2], sigma=[0, 1, 2, 3])
+
+    def test_point_must_be_a_dart(self):
+        with pytest.raises(IntegrityError, match="pointed vertex is not a dart"):
+            Quadrangulation(**TORUS, root_dart=0, pointed_vertex=99)
 
     def test_quadrangulation_rejects_torus(self):
         # one vertex, two edges and one degree-4 face: Euler characteristic 0
@@ -58,8 +59,8 @@ class TestPlanarMap:
         # a single edge has one face of degree 2
         with pytest.raises(IntegrityError):
             Quadrangulation(
-                alpha={0: 1, 1: 0},
-                sigma={0: 0, 1: 1},
+                alpha=[1, 0],
+                sigma=[0, 1],
                 root_dart=0,
                 pointed_vertex=1,
             )
@@ -123,7 +124,7 @@ def _canonical_key(q):
         queue.append(q.alpha[d])
         queue.append(q.sigma[d])
     darts = sorted(order, key=order.get)
-    point = min(order[d] for d in q.darts if q.vertex_of(d) == q.pointed_vertex)
+    point = min(order[d] for d in q.darts if q.vertex_of[d] == q.pointed_vertex)
     return (
         tuple(order[q.alpha[d]] for d in darts),
         tuple(order[q.sigma[d]] for d in darts),
@@ -136,7 +137,8 @@ def reference_ball_profile(q):
 
     The ball keeps the edges whose two endpoints are within k of the
     point; its external faces are its faces whose dart cycle is not a
-    face of ``q``.
+    face of ``q``.  The submap's darts are renumbered 0..k-1 in the
+    order of ``q``'s, and its faces are mapped back to ``q``'s darts.
     """
 
     def rotations(face):
@@ -146,20 +148,18 @@ def reference_ball_profile(q):
     dist = q.distances_from(q.pointed_vertex)
     originals = {rotations(f) for f in q.faces()}
     P, C = [], []
-    for k in range(1, max(dist.values()) + 1):
-        keep = {
-            d
-            for d in q.darts
-            if dist[q.vertex_of(d)] <= k and dist[q.vertex_of(q.alpha[d])] <= k
-        }
-        sigma = {}
+    for k in range(1, max(dist) + 1):
+        keep = [d for d in q.darts if dist[d] <= k and dist[q.alpha[d]] <= k]
+        index = {d: i for i, d in enumerate(keep)}
+        sigma = []
         for d in keep:
             e = q.sigma[d]
-            while e not in keep:
+            while e not in index:
                 e = q.sigma[e]
-            sigma[d] = e
-        sub = PlanarMap({d: q.alpha[d] for d in keep}, sigma)
-        external = [f for f in sub.faces() if rotations(f) not in originals]
+            sigma.append(index[e])
+        sub = PlanarMap([index[q.alpha[d]] for d in keep], sigma)
+        faces = [tuple(keep[i] for i in f) for f in sub.faces()]
+        external = [f for f in faces if rotations(f) not in originals]
         C.append(len(external))
         P.append(sum(len(f) for f in external))
     return tuple(P), tuple(C)
@@ -235,3 +235,26 @@ class TestCSV:
         path.write_text("nonsense\n")
         with pytest.raises(DomainError):
             load_map(str(path))
+
+    def test_repeated_dart(self, tmp_path):
+        # Dart 3 listed twice, with different sigma: no row silently wins.
+        q = tree_to_map(decode("0(-(0()+()))"), 1)
+        path = tmp_path / "map.csv"
+        save_map(q, str(path))
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows + [f"3,{q.alpha[3]},{q.sigma[2]}"]) + "\n")
+        with pytest.raises(DomainError, match="dart 3 is listed twice"):
+            load_map(str(path))
+
+    def test_ids_are_renumbered_in_sorted_order(self, tmp_path):
+        # Dart ids 10, 20, ... read as 0, 1, ...: the same map.
+        q = tree_to_map(decode("0(-(0()+()))"), 1)
+        path = tmp_path / "map.csv"
+        rows = [f"root_dart,{10 * q.root_dart + 10}",
+                f"pointed_vertex,{10 * q.pointed_vertex + 10}", "dart,alpha,sigma"]
+        rows += [f"{10 * d + 10},{10 * q.alpha[d] + 10},{10 * q.sigma[d] + 10}"
+                 for d in reversed(q.darts)]
+        path.write_text("\n".join(rows) + "\n")
+        q2 = load_map(str(path))
+        assert (q2.alpha, q2.sigma) == (q.alpha, q.sigma)
+        assert (q2.root_dart, q2.pointed_vertex) == (q.root_dart, q.pointed_vertex)
