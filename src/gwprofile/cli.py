@@ -64,17 +64,21 @@ def _close_out(fh) -> None:
         fh.close()
 
 
-def _int_at_least(lo: int):
-    """An argparse type: an integer >= lo, else a usage error."""
+def _checked(kind, ok, bound: str):
+    """An argparse type: a ``kind`` value satisfying ``ok``, else a usage error."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
+
+
+def _int_at_least(lo: int):
+    return _checked(int, lambda value: value >= lo, f">= {lo}")
 
 
 def _chunks(count: int, workers: int) -> List[Tuple[int, int]]:
@@ -198,10 +202,15 @@ def _cmd_decompose(args) -> Tuple[int, dict]:
     try:
         for text in texts:
             d = decompose(decode(text), args.level)
+            # A forest vertex's attachment slot is its rank among its siblings.
+            slot = [0] * d.forest.n_vertices
+            for kids in (d.forest.roots, *d.forest.children):
+                for i, c in enumerate(kids):
+                    slot[c] = i
             # Keys in sorted order, as json.dumps(record, sort_keys=True)
             # would write them; forest_shape is written without recursion.
             record = {
-                "attachments": json.dumps(list(d.forest.attachments)),
+                "attachments": json.dumps(slot),
                 "decorations": json.dumps(
                     [encode(e.tree) for e in d.forest.decorations]
                 ),
@@ -245,14 +254,21 @@ def _cmd_genfun(args) -> Tuple[int, dict]:
 # -- kernel -------------------------------------------------------------------
 
 
-def _parse_state(text: str, parts: int) -> Tuple[int, ...]:
+def _parse_state(text: str, V: Optional[int]) -> Tuple[int, ...]:
+    """A --from state, p,q (or p,q,v under --edges V); a bad one is a usage error."""
+    from . import kernel as K
+
     try:
         vals = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ConfigurationError(f"state {text!r} must be comma-separated integers")
+    parts = 2 if V is None else 3
     if len(vals) != parts:
         raise ConfigurationError(f"state {text!r} must have {parts} components")
-    return vals
+    try:
+        return K.check_state(*vals) if V is None else K.check_cond_state(*vals, V)
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 def _cmd_kernel(args) -> Tuple[int, dict]:
@@ -260,32 +276,31 @@ def _cmd_kernel(args) -> Tuple[int, dict]:
     from .genfun import f_table, joint_table, nu_table
 
     model = builtin_model("incomplete-binary")
-    smax = args.smax
+    smax, V = args.smax, args.edges
+    state = _parse_state(args.from_state, V)
     fh = _open_out(args.out)
     try:
         w = csv.writer(fh)
-        if args.edges is None:
-            p, q = _parse_state(args.from_state, 2)
-            nu = nu_table(model, smax + 2)
-            f = f_table(nu, p + smax + 1, smax + 1)
+        if V is None:
+            p, q = state
+            # The row reads f_p(q), and f_r(s) for r <= p + smax, s <= smax.
+            q_top = max(q, smax + 1)
+            f = f_table(nu_table(model, q_top), p + smax + 1, q_top)
             w.writerow(["r", "s", "probability"])
             for r, s in K.kernel_row(p, smax):
-                prob = K.transition_prob(f, (p, q), (r, s))
+                prob = K.transition_prob(f, state, (r, s))
                 if prob != 0:
                     w.writerow([r, s, str(prob)])
         else:
-            p, q, v = _parse_state(args.from_state, 3)
-            V = args.edges
+            p, q, v = state
             ftilde = joint_table(model, V + 1, V + 1, V)
             w.writerow(["r", "s", "w", "probability"])
-            if p == 0:
-                w.writerow([0, 0, V, "1"])
-            else:
-                for r, s in K.kernel_row(p, min(smax, V)):
-                    state = (r, s, v + p + q) if r > 0 else (0, 0, V)
-                    prob = K.cond_transition_prob(ftilde, V, (p, q, v), state)
-                    if prob != 0:
-                        w.writerow([*state, str(prob)])
+            # From p = 0 the row is the absorbing state (0, 0, V) alone.
+            for r, s in K.kernel_row(p, min(smax, V)):
+                to = (r, s, v + p + q) if r > 0 else (0, 0, V)
+                prob = K.cond_transition_prob(ftilde, V, state, to)
+                if prob != 0:
+                    w.writerow([*to, str(prob)])
     finally:
         _close_out(fh)
     return 0, {"model": _BINARY}
@@ -788,8 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=_int_at_least(1), default=10**9)
     p.add_argument("--min-visits", type=_int_at_least(0), default=500)
     p.add_argument(
-        "--alpha",
-        type=float,
+        "--alpha",  # 0 < nan < 1 is false, so nan is refused too
+        type=_checked(float, lambda a: 0 < a < 1, "in (0, 1)"),
         default=0.001,
         help="family-wise level of --test-kernel: Bonferroni over the rows tested",
     )

@@ -15,7 +15,10 @@ m - 1/2) and duplicating the child endpoint of each cut edge splits t into:
 The forest genealogy sets τ' as a child of τ when the root of τ' was cut
 from a vertex of τ; each excursion then has exactly as many forest
 children as it has label-0 (shifted) leaves, and the children attach to
-those leaves in plane order.  :func:`reconstruct` inverts the map exactly.
+those leaves in plane order.  So the forest stores no attachment slots (a
+child's slot is its rank among its siblings) and an excursion stores only
+its tree (its sign and leaf count are read off it).  :func:`reconstruct`
+inverts the map exactly.
 
 Negative levels use the mirrored construction: reflect all labels,
 decompose at -m, and reflect the pieces back (signs flip; forest roots are
@@ -35,28 +38,25 @@ from .tree import LabelledPlaneTree
 
 @dataclass(frozen=True)
 class Excursion:
-    """A positive or negative label excursion.
+    """A positive or negative label excursion, held as its tree.
 
-    ``tree`` carries the shifted labels (root +1 or -1); ``n`` is the
-    number of label-0 vertices, all of which must be leaves.
+    ``tree`` carries the shifted labels: the root is labelled ``sign``
+    (+1 or -1), every label has the root's (weak) sign, and the ``n``
+    label-0 vertices are all leaves.
     """
 
     tree: LabelledPlaneTree
-    sign: int
-    n: int
 
     def __post_init__(self):
-        sign = is_excursion(self.tree)
-        if sign != self.sign:
-            raise DomainError(f"excursion sign {self.sign} does not match tree")
-        n = self.tree.labels.count(0)
-        if n != self.n:
-            raise DomainError(f"excursion n={self.n} does not match tree ({n})")
+        is_excursion(self.tree)
 
-    @classmethod
-    def from_tree(cls, tree: LabelledPlaneTree) -> "Excursion":
-        sign = is_excursion(tree)
-        return cls(tree, sign, tree.labels.count(0))
+    @property
+    def sign(self) -> int:
+        return self.tree.labels[0]
+
+    @property
+    def n(self) -> int:
+        return self.tree.labels.count(0)
 
 
 @dataclass(frozen=True)
@@ -67,32 +67,26 @@ class ExcursionForest:
     decomposed tree t: by the preorder index in t of the cut edge's parent
     endpoint (the vertex the excursion root was cut from), and among cut
     edges from the same vertex in plane order.  ``roots`` lists the forest
-    roots and ``children[v]`` the forest children of v, each in plane order,
-    that is in the order of their attachment leaves.  ``attachments[v]`` is
-    the rank of v's attachment leaf, in preorder, among the port leaves of
-    the parent component (the root component for forest roots): the leaves
-    labelled m in the root component, and those labelled 0 in an excursion.
+    roots and ``children[v]`` the forest children of v, each in plane
+    order, which is the order of their attachment leaves: the i-th root
+    attaches to the i-th port leaf, in preorder, of the root component
+    (its leaves labelled m), and the i-th child of v to the i-th label-0
+    leaf of v's excursion.  Roots are positive excursions at positive
+    levels and negative ones at negative levels.
     """
 
     children: Tuple[Tuple[int, ...], ...]
     roots: Tuple[int, ...]
-    attachments: Tuple[int, ...]
     decorations: Tuple[Excursion, ...]
-    root_sign: int
 
     @property
     def n_vertices(self) -> int:
         return len(self.children)
 
     def validate(self) -> None:
-        """Check signs, child counts and attachment slots in one pass from the roots."""
-        root_slots = sorted(self.attachments[r] for r in self.roots)
-        if root_slots != list(range(len(root_slots))):
-            raise ReconstructionError(
-                "root attachment indices are not a bijection"
-            )
+        """Check signs (+1 at the roots) and child counts in one pass from the roots."""
         reached = [False] * self.n_vertices
-        stack = [(r, self.root_sign) for r in self.roots]
+        stack = [(r, 1) for r in self.roots]
         while stack:
             v, expected_sign = stack.pop()
             if reached[v]:
@@ -108,12 +102,6 @@ class ExcursionForest:
                 raise ReconstructionError(
                     f"forest vertex {v}: decoration has n={exc.n} label-0 "
                     f"leaves but {len(kids)} forest children"
-                )
-            kid_slots = sorted(self.attachments[c] for c in kids)
-            if kid_slots != list(range(len(kid_slots))):
-                raise ReconstructionError(
-                    f"forest vertex {v}: attachment indices are not a "
-                    "bijection onto its leaves"
                 )
             stack.extend((c, -expected_sign) for c in kids)
         if not all(reached):
@@ -132,15 +120,14 @@ class ExcursionDecomposition:
 def _mirror(d: ExcursionDecomposition) -> ExcursionDecomposition:
     """Reflect every label: the decomposition of the reflected tree at -level.
 
-    An involution; it flips every sign, the level and the root sign.
+    An involution; it flips the level and every sign.
     """
     f = d.forest
     forest = replace(
         f,
         decorations=tuple(
-            Excursion(e.tree.relabel(reflect=True), -e.sign, e.n) for e in f.decorations
+            Excursion(e.tree.relabel(reflect=True)) for e in f.decorations
         ),
-        root_sign=-f.root_sign,
     )
     return ExcursionDecomposition(
         -d.level, d.root_component.relabel(reflect=True), forest
@@ -173,8 +160,6 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
     comp_shift = [0]  # added to t's labels: excursion roots become +1 / -1
     ports: list = [[]]  # per component, the cuts attached below it, in preorder
     cut_from = []  # per cut: the vertex of t it was cut from
-    signs = []
-    attachments = []
     cut_sum = 2 * m - 1  # a cut edge joins labels m - 1 and m
     for v in range(1, n):
         p = parents[v]
@@ -189,13 +174,9 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
             local[v] = len(cl) - 1
             continue
         # Cut edge: v roots a new excursion.
-        c = len(signs)
-        kids = ports[b]
-        attachments.append(len(kids))
-        kids.append(c)
+        ports[b].append(len(cut_from))
         cut_from.append(p)
         sign = 1 if lv == m else -1
-        signs.append(sign)
         comp[v] = len(comp_labels)
         comp_labels.append([sign])
         comp_parents.append([None])
@@ -203,7 +184,7 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
         ports.append([])
 
     # Number the forest by cut_from, stably (see ExcursionForest).
-    k = len(signs)
+    k = len(cut_from)
     order = sorted(range(k), key=cut_from.__getitem__)
     number = [0] * k
     for i, c in enumerate(order):
@@ -211,16 +192,12 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
     forest = ExcursionForest(
         children=tuple(tuple(number[x] for x in ports[c + 1]) for c in order),
         roots=tuple(number[x] for x in ports[0]),
-        attachments=tuple(attachments[c] for c in order),
         decorations=tuple(
             Excursion(
-                LabelledPlaneTree.unchecked(comp_labels[c + 1], comp_parents[c + 1]),
-                signs[c],
-                len(ports[c + 1]),
+                LabelledPlaneTree.unchecked(comp_labels[c + 1], comp_parents[c + 1])
             )
             for c in order
         ),
-        root_sign=1,
     )
     root_component = LabelledPlaneTree.unchecked(comp_labels[0], comp_parents[0])
     return ExcursionDecomposition(level=m, root_component=root_component, forest=forest)
@@ -245,8 +222,6 @@ def _reconstruct_positive(d: ExcursionDecomposition) -> LabelledPlaneTree:
     forest = d.forest
     if rc.root_label != 0:
         raise ReconstructionError("root component must be rooted at label 0")
-    if forest.root_sign != 1:
-        raise ReconstructionError("forest roots must be positive excursions")
     forest.validate()
     n_ports = rc.labels.count(m)
     if n_ports != len(forest.roots):
@@ -255,49 +230,41 @@ def _reconstruct_positive(d: ExcursionDecomposition) -> LabelledPlaneTree:
             f"forest has {len(forest.roots)} roots"
         )
 
-    def slotted(kids) -> list:
-        """Forest children indexed by attachment slot."""
-        slots = [0] * len(kids)
-        for c in kids:
-            slots[forest.attachments[c]] = c
-        return slots
-
     # One pass in preorder.  Each component is walked through its own
     # preorder arrays; at a port (a leaf labelled m in the root component,
     # 0 in an excursion) the walk switches to the attached excursion, whose
-    # root takes the port's place, and resumes after it.  State of the
-    # component being walked: its labels and parents, the shift back to
-    # glued labels, the port label, its forest children by slot, the output
-    # index of each of its vertices, the next vertex, the next slot and the
-    # output parent of its root.
+    # root takes the port's place, and resumes after it; the i-th port
+    # takes the i-th forest child.  State of the component being walked:
+    # its labels and parents, the shift back to glued labels, the port
+    # label, its forest children, the output index of each of its
+    # vertices, the next vertex, the next child and the output parent of
+    # its root.
     out_labels: list = []
     out_parents: list = []
     cl, cp, shift, port = rc.labels, rc.parents, 0, m
-    slots, out, u, used, root_parent = slotted(forest.roots), [0] * len(cl), 0, 0, None
+    kids, out, u, used, root_parent = forest.roots, [0] * len(cl), 0, 0, None
     suspended = []
     while True:
         if u == len(cl):
             if not suspended:
                 break
-            cl, cp, shift, port, slots, out, u, used, root_parent = suspended.pop()
+            cl, cp, shift, port, kids, out, u, used, root_parent = suspended.pop()
             continue
         label = cl[u]
         if label == port:
             if u + 1 < len(cl) and cp[u + 1] == u:
                 raise ReconstructionError(f"port vertex {u} is not a leaf")
-            fv = slots[used]
+            fv = kids[used]
             exc = forest.decorations[fv]
-            new_shift = (m - 1) if exc.sign == 1 else m
-            if exc.tree.labels[0] + new_shift != label + shift:
-                raise ReconstructionError(
-                    f"attachment label mismatch at forest vertex {fv}"
-                )
             suspended.append(
-                (cl, cp, shift, port, slots, out, u + 1, used + 1, root_parent)
+                (cl, cp, shift, port, kids, out, u + 1, used + 1, root_parent)
             )
             root_parent = out[cp[u]]
-            cl, cp, shift, port = exc.tree.labels, exc.tree.parents, new_shift, 0
-            slots, out, u, used = slotted(forest.children[fv]), [0] * len(cl), 0, 0
+            # Signs alternate from +1 at the roots (validate checked them), so
+            # the excursion root's glued label is the port's: m, m - 1, m, ...
+            shift = (m - 1) if exc.sign == 1 else m
+            cl, cp, port = exc.tree.labels, exc.tree.parents, 0
+            kids, out, u, used = forest.children[fv], [0] * len(cl), 0, 0
             continue
         out[u] = len(out_labels)
         out_labels.append(label + shift)

@@ -208,7 +208,7 @@ def _successors(labels: Sequence[int]) -> List[Optional[int]]:
     """
     n = len(labels)
     succ: List[Optional[int]] = [None] * n
-    waiting: Dict[int, List[int]] = {}
+    waiting: dict[int, List[int]] = {}
     for j in list(range(n)) * 2:
         lab = labels[j]
         for i in waiting.pop(lab + 1, ()):

@@ -52,12 +52,11 @@ class OffspringDistribution:
     ``kind`` is one of:
 
     - ``finite-table``: ``table[k]`` = ξ(k), exact, finite support;
-    - ``geometric-half``: ξ(k) = 2^(-k-1), stored as ``p`` = 1/2.
+    - ``geometric-half``: ξ(k) = 2^(-k-1).
     """
 
     kind: str
     table: Tuple[Fraction, ...] = ()
-    p: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.kind == "finite-table":
@@ -67,13 +66,11 @@ class OffspringDistribution:
                 raise ConfigurationError("offspring probabilities must be >= 0")
             if sum(self.table) != 1:
                 raise ConfigurationError("offspring probabilities must sum to 1")
-            if self.mean() > 1:
+            if sum(k * x for k, x in enumerate(self.table)) > 1:
                 raise ConfigurationError(
                     "offspring mean exceeds 1 (supercritical models not supported)"
                 )
-        elif self.kind == "geometric-half":
-            object.__setattr__(self, "p", _HALF)
-        else:
+        elif self.kind != "geometric-half":
             raise ConfigurationError(f"unknown offspring kind {self.kind!r}")
 
     def prob(self, k: int) -> Fraction:
@@ -81,12 +78,7 @@ class OffspringDistribution:
             return Fraction(0)
         if self.kind == "finite-table":
             return self.table[k] if k < len(self.table) else Fraction(0)
-        return self.p * (1 - self.p) ** k
-
-    def mean(self) -> Fraction:
-        if self.kind == "finite-table":
-            return sum((k * x for k, x in enumerate(self.table)), Fraction(0))
-        return (1 - self.p) / self.p
+        return _HALF ** (k + 1)
 
     @property
     def max_arity(self) -> Optional[int]:
@@ -232,7 +224,7 @@ class TreeModel:
         """Hashable identity used for caching derived tables."""
         off = self.offspring
         disp = self.displacement
-        off_key = (off.kind, off.table, off.p)
+        off_key = (off.kind, off.table)
         if disp.kind == "per-arity-table":
             disp_key = (disp.kind, tuple(sorted(disp.tables.items())))
         else:

@@ -14,6 +14,7 @@ import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,13 +32,14 @@ class WeightedEnsemble:
     """A finite family of trees with exact positive weights."""
 
     items: Tuple[Tuple[LabelledPlaneTree, Fraction], ...]
-    total: Fraction
 
     def __post_init__(self):
         if any(w <= 0 for _, w in self.items):
             raise IntegrityError("ensemble weights must be positive")
-        if sum((w for _, w in self.items), Fraction(0)) != self.total:
-            raise IntegrityError("ensemble total does not match its items")
+
+    @cached_property
+    def total(self) -> Fraction:
+        return sum((w for _, w in self.items), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,7 @@ def enumerate_trees(
     items = tuple(
         (LabelledPlaneTree.from_nested(0, s), w) for s, w in shapes.items()
     )
-    total = sum((w for _, w in items), Fraction(0))
-    return WeightedEnsemble(items, total)
+    return WeightedEnsemble(items)
 
 
 _mass_memo: Dict[tuple, Fraction] = {}

@@ -189,7 +189,7 @@ class Sampler:
             raise ResourceLimitError(
                 f"excursion exceeded vertex_cap={self.config.vertex_cap}"
             )
-        return Excursion.from_tree(t)
+        return Excursion(t)
 
     def sample_conditioned(self, n_edges: int) -> LabelledPlaneTree:
         """One tree conditioned on having exactly ``n_edges`` edges.

@@ -23,7 +23,6 @@ class ChiSquareResult(NamedTuple):
     dof: int
     p_value: Optional[float]
     cells: int
-    skipped: bool
 
 
 def _gamma_p_value(statistic: float, dof: int) -> float:
@@ -90,10 +89,10 @@ def chi_square(
         pairs.append((0.0, n * tail))
     pairs = _pool(pairs)
     if len(pairs) <= 1:
-        return ChiSquareResult(0.0, 0, None, len(pairs), True)
+        return ChiSquareResult(0.0, 0, None, len(pairs))
     stat = sum((o - e) ** 2 / e for o, e in pairs)
     dof = len(pairs) - 1
-    return ChiSquareResult(stat, dof, _gamma_p_value(stat, dof), len(pairs), False)
+    return ChiSquareResult(stat, dof, _gamma_p_value(stat, dof), len(pairs))
 
 
 def fold_tail(

@@ -14,8 +14,8 @@ v's children, is built from ``parents`` on first use and cached.  Equality
 and hashing use ``(labels, parents)``.
 
 Validation runs where arrays come from outside the package: the public
-constructor ``LabelledPlaneTree(labels, parents, children)`` and
-``from_nested`` check every invariant.  The package's own producers
+constructor ``LabelledPlaneTree(labels, parents)`` (and so ``from_nested``)
+checks every invariant in one pass.  The package's own producers
 (samplers, :func:`decode`, :func:`truncate`, ``relabel``, the excursion
 decomposition and its inverse, the map bijection) append vertices in
 preorder and build their output with :meth:`LabelledPlaneTree.unchecked`;
@@ -50,49 +50,35 @@ class LabelledPlaneTree:
 
     __slots__ = ("labels", "parents", "_children", "_hash")
 
-    def __init__(
-        self,
-        labels: Sequence[int],
-        parents: Sequence[Optional[int]],
-        children: Sequence[Sequence[int]],
-    ):
-        self.labels = tuple(labels)
-        self.parents = tuple(parents)
-        self._children = tuple(tuple(c) for c in children)
+    def __init__(self, labels: Sequence[int], parents: Sequence[Optional[int]]):
+        labels = self.labels = tuple(labels)
+        parents = self.parents = tuple(parents)
+        self._children = None
         self._hash = None
-        self._validate()
-
-    def _validate(self) -> None:
-        n = len(self.labels)
+        n = len(labels)
         if n == 0:
             raise DomainError("a tree must have at least one vertex")
-        if len(self.parents) != n or len(self._children) != n:
-            raise DomainError("labels, parents and children must have equal length")
-        if self.parents[0] is not None:
+        if len(parents) != n:
+            raise DomainError("labels and parents must have equal length")
+        if parents[0] is not None:
             raise DomainError("vertex 0 must be the root")
-        seen_parent = [False] * n
-        seen_parent[0] = True
-        for v, kids in enumerate(self._children):
-            for c in kids:
-                if not (0 <= c < n) or self.parents[c] != v or seen_parent[c]:
-                    raise DomainError("children/parents tables are inconsistent")
-                seen_parent[c] = True
-                if abs(self.labels[c] - self.labels[v]) > 1:
-                    raise DomainError(
-                        f"edge ({v},{c}) has label increment "
-                        f"{self.labels[c] - self.labels[v]}"
-                    )
-        if not all(seen_parent):
-            raise DomainError("tree is not connected")
-        # Preorder check: each vertex is followed immediately by its subtree.
-        order = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self._children[v]))
-        if order != list(range(n)):
-            raise DomainError("vertices are not in preorder")
+        # In preorder, v's parent lies on the path from the root to v - 1;
+        # this one check also gives connectivity and parents in range.
+        path = [0]
+        for v in range(1, n):
+            p = parents[v]
+            while path and path[-1] != p:
+                path.pop()
+            if not path:
+                raise DomainError(
+                    f"vertex {v}: parent {p!r} is not on the path from the root "
+                    f"to vertex {v - 1} (vertices must be in preorder)"
+                )
+            if abs(labels[v] - labels[p]) > 1:
+                raise DomainError(
+                    f"edge ({p},{v}) has label increment {labels[v] - labels[p]}"
+                )
+            path.append(v)
 
     @classmethod
     def unchecked(cls, labels, parents) -> "LabelledPlaneTree":
@@ -165,8 +151,7 @@ class LabelledPlaneTree:
     @classmethod
     def from_nested(cls, root_label: int, nested: Nested) -> "LabelledPlaneTree":
         """Build from the nested-tuple shorthand (see module docstring)."""
-        labels, parents, children = _preorder_from_nested(root_label, nested)
-        return cls(labels, parents, children)
+        return cls(*_preorder_from_nested(root_label, nested))
 
     def relabel(self, shift: int = 0, reflect: bool = False) -> "LabelledPlaneTree":
         """Return a copy with labels mapped to ``-l + shift`` (reflect) or ``l + shift``."""
@@ -182,7 +167,6 @@ class LabelledPlaneTree:
 def _preorder_from_nested(root_label: int, nested: Nested):
     labels = [root_label]
     parents: list = [None]
-    children: list = [[]]
     # One iterator over the remaining children of each vertex on the path.
     stack = [(0, iter(nested))]
     while stack:
@@ -191,13 +175,11 @@ def _preorder_from_nested(root_label: int, nested: Nested):
             c = len(labels)
             labels.append(labels[v] + inc)
             parents.append(v)
-            children.append([])
-            children[v].append(c)
             stack.append((c, iter(sub)))
             break
         else:
             stack.pop()
-    return labels, parents, children
+    return labels, parents
 
 
 # -- text grammar ---------------------------------------------------------
@@ -333,7 +315,6 @@ class VerticalEdgeProfile:
     check_plus: dict
     check_minus: dict
     vertical: dict
-    n_edges: int
     _edge_max_labels: tuple = field(repr=False, default=())
 
     def mass_below(self, m: int) -> int:
@@ -383,6 +364,5 @@ def edge_profile(t: LabelledPlaneTree) -> VerticalEdgeProfile:
         check_plus=check_plus,
         check_minus=check_minus,
         vertical=vertical,
-        n_edges=t.n_edges,
         _edge_max_labels=tuple(edge_max),
     )

@@ -44,7 +44,7 @@ class TestExitCodes:
 
 
 class TestCountFlags:
-    """Bad counts are usage errors (exit 2) at parse time."""
+    """Bad counts and test levels are usage errors (exit 2) at parse time."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -96,6 +96,14 @@ class TestCountFlags:
              "argument --max-level: must be >= 1, got 0"),
             (["stats", "--model", "builtin:incomplete-binary", "--min-visits", "-1"],
              "argument --min-visits: must be >= 0, got -1"),
+            (["stats", "--model", "builtin:incomplete-binary", "--alpha", "-1"],
+             "argument --alpha: must be in (0, 1), got -1.0"),
+            (["stats", "--model", "builtin:incomplete-binary", "--alpha", "0"],
+             "argument --alpha: must be in (0, 1), got 0.0"),
+            (["stats", "--model", "builtin:incomplete-binary", "--alpha", "nan"],
+             "argument --alpha: must be in (0, 1), got nan"),
+            (["stats", "--model", "builtin:incomplete-binary", "--alpha", "1e9"],
+             "argument --alpha: must be in (0, 1), got 1000000000.0"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
@@ -212,6 +220,29 @@ class TestKernel:
     def test_bad_state(self, capsys):
         code, _, err = run(capsys, "kernel", "--from", "1;0")
         assert code == 2 and "error" in err
+
+    def test_start_state_beyond_smax(self, capsys):
+        # f_1(20) > 0: the f table must reach the start state's q = 20.
+        _, wide, _ = run(capsys, "kernel", "--from", "1,20", "--smax", "20")
+        header, *rows = wide.splitlines()
+        for smax, top in ([], 10), (["--smax", "19"], 19):
+            code, out, _ = run(capsys, "kernel", "--from", "1,20", *smax)
+            assert code == 0
+            assert out.splitlines() == [header] + [
+                row for row in rows if int(row.split(",")[1]) <= top
+            ]
+
+    @pytest.mark.parametrize(
+        "state", [["0,3"], ["1,-2"], ["2,1,9", "--edges", "5"]]
+    )
+    def test_invalid_state_is_a_usage_error_before_output(self, capsys, tmp_path, state):
+        out = tmp_path / "k.csv"
+        for to_file in ([], ["--out", str(out)]):
+            code, stdout, err = run(capsys, "kernel", "--from", *state, *to_file)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("gwprofile: error: ConfigurationError: ")
+            assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

@@ -24,16 +24,16 @@ from test_tree import random_trees
 
 class TestExcursion:
     def test_from_tree(self):
-        e = Excursion.from_tree(decode("1(-()+())"))
+        e = Excursion(decode("1(-()+())"))
         assert e.sign == 1 and e.n == 1
 
     def test_rejects_zero_root(self):
         with pytest.raises(DomainError):
-            Excursion.from_tree(decode("0(+())"))
+            Excursion(decode("0(+())"))
 
     def test_rejects_inner_zero(self):
         with pytest.raises(DomainError):
-            Excursion.from_tree(decode("1(-(+()))"))
+            Excursion(decode("1(-(+()))"))
 
 
 class TestDecompose:
@@ -65,7 +65,6 @@ class TestDecompose:
         d = decompose(t, m)
         mirrored = _mirror(d)
         assert mirrored.level == -m
-        assert mirrored.forest.root_sign == -d.forest.root_sign
         assert mirrored == decompose(t.relabel(reflect=True), -m)
         assert _mirror(mirrored) == d
 
@@ -91,7 +90,6 @@ class TestDecompose:
         unreached = dataclasses.replace(
             f,
             children=f.children + ((),),
-            attachments=f.attachments + (0,),
             decorations=f.decorations + (f.decorations[2],),
         )
         # Vertex 2, given a port leaf, attaches vertex 1 again: a cycle.
@@ -101,6 +99,23 @@ class TestDecompose:
             decorations=f.decorations[:2] + (f.decorations[0],),
         )
         for forest in (unreached, cycle):
+            with pytest.raises(ReconstructionError):
+                reconstruct(dataclasses.replace(d, forest=forest))
+
+    @pytest.mark.parametrize(
+        "tree, m, good, bad",
+        [
+            # a root decoration of the wrong sign; n = 1 with no forest child
+            ("0(+())", 1, "1()", ["-1()", "1(-())"]),
+            ("0(-())", -1, "-1()", ["1()", "-1(+())"]),
+        ],
+    )
+    def test_forest_signs_and_leaf_counts_are_checked(self, tree, m, good, bad):
+        d = decompose(decode(tree), m)
+        assert [encode(e.tree) for e in d.forest.decorations] == [good]
+        for text in bad:
+            decorations = (Excursion(decode(text)),)
+            forest = dataclasses.replace(d.forest, decorations=decorations)
             with pytest.raises(ReconstructionError):
                 reconstruct(dataclasses.replace(d, forest=forest))
 

@@ -68,9 +68,11 @@ class TestBuiltins:
             assert m.offspring.prob(k) == Fraction(1, 2 ** (k + 1))
 
     def test_no_general_geometric_kind(self):
-        # geometric-half is the only geometric law; a parameter p is refused.
+        # geometric-half is the only geometric law, and it takes no parameter p.
         with pytest.raises(ConfigurationError):
-            OffspringDistribution("geometric", p=Fraction(3, 4))
+            OffspringDistribution("geometric")
+        with pytest.raises(TypeError):
+            OffspringDistribution("geometric-half", p=Fraction(1, 3))
 
 
 class TestResolve:

@@ -19,7 +19,7 @@ from gwprofile.sampler import Sampler, SamplerConfig
 
 
 def assert_valid(t):
-    assert LabelledPlaneTree(t.labels, t.parents, t.children) == t
+    assert LabelledPlaneTree(t.labels, t.parents) == t
 
 
 @st.composite

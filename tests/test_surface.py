@@ -9,9 +9,14 @@ neither do docstrings, since the check reads syntax trees, not text.
 Names are matched as strings, so an unrelated attribute or variable of
 the same name counts as a caller.  Names in ``gwprofile.__all__`` and in
 ``ALLOWED`` pass without a caller.
+
+It also checks that every name used in an annotation is bound in its
+module.  With ``from __future__ import annotations`` nothing evaluates
+annotations, so an unimported name there would otherwise go unnoticed.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,3 +127,54 @@ def test_allowlist_is_current():
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
     stale = sorted(set(ALLOWED) - {name for _, name in _uncalled(defs, refs)})
     assert stale == [], f"allowed names that now have callers: {stale}"
+
+
+def _module_bindings(tree):
+    """Names a module binds at top level: imports, defs, classes, assignments."""
+    bound = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
+            stack.extend(ast.iter_child_nodes(node))
+        else:
+            bound.update(
+                n.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            )
+    return bound
+
+
+def _annotations(tree):
+    """Every annotation expression in a module, string annotations parsed."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            args = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            found = [x.annotation for x in args if x is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            found = [node.annotation]
+        else:
+            continue
+        for ann in found:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                ann = ast.parse(ann.value, mode="eval").body
+            if ann is not None:
+                yield ann
+
+
+def test_annotation_names_are_bound():
+    unbound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = _module_bindings(tree) | set(dir(builtins))
+        for ann in _annotations(tree):
+            for node in ast.walk(ann):
+                if isinstance(node, ast.Name) and node.id not in bound:
+                    unbound.append(f"{path.name}:{node.lineno}: {node.id}")
+    assert unbound == [], f"annotation names not bound in their module: {unbound}"

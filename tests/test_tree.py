@@ -32,7 +32,7 @@ def random_trees(draw, root_label=None):
 
 class TestConstruction:
     def test_single(self):
-        t = LabelledPlaneTree((5,), (None,), ((),))
+        t = LabelledPlaneTree((5,), (None,))
         assert t.n_vertices == 1 and t.n_edges == 0 and t.root_label == 5
 
     def test_from_nested(self):
@@ -42,11 +42,25 @@ class TestConstruction:
 
     def test_label_jump_rejected(self):
         with pytest.raises((DomainError, Exception)):
-            LabelledPlaneTree([0, 2], [None, 0], [[1], []])
+            LabelledPlaneTree([0, 2], [None, 0])
 
     def test_orphan_rejected(self):
         with pytest.raises(Exception):
-            LabelledPlaneTree([0, 1], [None, None], [[], []])
+            LabelledPlaneTree([0, 1], [None, None])
+
+    @pytest.mark.parametrize(
+        "labels, parents",
+        [
+            ([0, 1, 0, 1], [None, 0, 0, 1]),  # vertex 3's parent left the path
+            ([0, 1, 0], [None, 2, 0]),  # a parent after its child
+            ([0, 1, 0], [None, 0, None]),  # a second root
+            ([0, 1], [None, 0, 0]),  # more parents than labels
+            ([0, 1, 0], [None, 0]),  # fewer parents than labels
+        ],
+    )
+    def test_not_a_preorder_tree(self, labels, parents):
+        with pytest.raises(DomainError):
+            LabelledPlaneTree(labels, parents)
 
 
 class TestGrammar:
