@@ -24,7 +24,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ConfigurationError, DomainError, GWProfileError, TreeParseError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    GWProfileError,
+    ResourceLimitError,
+    TreeParseError,
+)
 from .model import builtin_model, resolve_model
 from .tree import decode, edge_profile, encode
 from .sampler import Sampler, SamplerConfig
@@ -81,9 +87,16 @@ def _int_at_least(lo: int):
     return _checked(int, lambda value: value >= lo, f">= {lo}")
 
 
-def _chunks(count: int, workers: int) -> List[Tuple[int, int]]:
+def _map_items(worker, task: tuple, count: int, workers: int) -> list:
+    """``worker(task + (lo, hi))`` for consecutive chunks [lo, hi) of the
+    items 0 .. count - 1, one chunk per worker process, results in item
+    order.  A single chunk runs in this process."""
     size = -(-count // workers)
-    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+    tasks = [task + (lo, min(lo + size, count)) for lo in range(0, count, size)]
+    if len(tasks) == 1:
+        return [worker(tasks[0])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks))
 
 
 # -- sample -----------------------------------------------------------------
@@ -108,6 +121,10 @@ def _cmd_sample(args) -> Tuple[int, dict]:
             raise ConfigurationError(
                 "--out prefix is required for --kind quadrangulation"
             )
+        if model.key != builtin_model("geom-pm01").key:
+            raise ConfigurationError(
+                f"--kind quadrangulation requires --model {_MAP_MODEL}"
+            )
         fields["outputs"] = [f"{args.out}.{i}.csv" for i in range(args.count)]
         for i, path in enumerate(fields["outputs"]):
             cfg = SamplerConfig(
@@ -119,28 +136,15 @@ def _cmd_sample(args) -> Tuple[int, dict]:
             save_map(Sampler(model, cfg).sample_quadrangulation(), path)
         return 0, fields
 
-    task_base = (
-        args.model,
-        args.kind,
-        args.seed,
-        vertex_cap,
-        rejection_cap,
-        args.edges,
-        sign,
+    task = (
+        args.model, args.kind, args.seed, vertex_cap, rejection_cap, args.edges, sign
     )
-    if args.workers > 1 and args.count > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            parts = pool.map(
-                _sample_items_worker,
-                [task_base + (lo, hi) for lo, hi in _chunks(args.count, args.workers)],
-            )
-            lines = [line for part in parts for line in part]
-    else:
-        lines = _sample_items_worker(task_base + (0, args.count))
+    parts = _map_items(_sample_items_worker, task, args.count, args.workers)
     fh = _open_out(args.out)
     try:
-        for line in lines:
-            fh.write(line + "\n")
+        for part in parts:
+            for line in part:
+                fh.write(line + "\n")
     finally:
         _close_out(fh)
     return 0, fields
@@ -278,6 +282,14 @@ def _cmd_kernel(args) -> Tuple[int, dict]:
     model = builtin_model("incomplete-binary")
     smax, V = args.smax, args.edges
     state = _parse_state(args.from_state, V)
+    if V is not None:
+        p, q, v = state
+        ftilde = joint_table(model, V + 1, V + 1, V)
+        if p and K._ftilde_at(ftilde, p, q, V - v - p) == 0:
+            raise ConfigurationError(
+                f"state ({p},{q},{v}) is unreachable with {V} edges:"
+                f" f~_{p}({q},{V - v - p}) = 0"
+            )
     fh = _open_out(args.out)
     try:
         w = csv.writer(fh)
@@ -292,8 +304,6 @@ def _cmd_kernel(args) -> Tuple[int, dict]:
                 if prob != 0:
                     w.writerow([r, s, str(prob)])
         else:
-            p, q, v = state
-            ftilde = joint_table(model, V + 1, V + 1, V)
             w.writerow(["r", "s", "w", "probability"])
             # From p = 0 the row is the absorbing state (0, 0, V) alone.
             for r, s in K.kernel_row(p, min(smax, V)):
@@ -595,8 +605,6 @@ def _census_worker(task):
             xpd = {k: v for k, v in enumerate(xp) if k >= 1 and v}
             xmd = {k: v for k, v in enumerate(xm) if k >= 1 and v}
         else:
-            from .errors import ResourceLimitError
-
             try:
                 t = Sampler(model, cfg).sample_tree()
             except ResourceLimitError:
@@ -607,7 +615,7 @@ def _census_worker(task):
         top = max(list(xpd) + list(xmd) + [1])
         levels = range(1, min(top, max_level) + 1)
         add_profile_transitions(census, xpd, xmd, levels)
-    return census.counts, capped
+    return census, capped
 
 
 def _cmd_stats(args) -> Tuple[int, dict]:
@@ -618,20 +626,10 @@ def _cmd_stats(args) -> Tuple[int, dict]:
         raise ConfigurationError(
             "--test-kernel requires --model builtin:incomplete-binary"
         )
-    tasks = [
-        (args.model, args.seed, args.vertex_cap, args.max_level, lo, hi)
-        for lo, hi in _chunks(args.count, args.workers)
-    ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            parts = list(pool.map(_census_worker, tasks))
-    else:
-        parts = [_census_worker(t) for t in tasks]
+    task = (args.model, args.seed, args.vertex_cap, args.max_level)
     census = TransitionCensus()
     capped = 0
-    for counts, c in parts:
-        part = TransitionCensus()
-        part.counts = counts
+    for part, c in _map_items(_census_worker, task, args.count, args.workers):
         census.merge(part)
         capped += c
 

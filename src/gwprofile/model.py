@@ -114,7 +114,8 @@ class DisplacementFamily:
 
     def __post_init__(self):
         if self.kind in ("iid-uniform-pm1", "iid-uniform-pm01"):
-            object.__setattr__(self, "tables", None)
+            if self.tables is not None:
+                raise ConfigurationError(f"{self.kind} displacement takes no tables")
             return
         if self.kind != "per-arity-table":
             raise ConfigurationError(f"unknown displacement kind {self.kind!r}")
@@ -373,7 +374,7 @@ def parse_model_config(config: Mapping, name: str = "custom") -> TreeModel:
 
     disp_kind = disp_cfg.get("kind")
     if disp_kind in ("iid-uniform-pm1", "iid-uniform-pm01"):
-        displacement = DisplacementFamily(disp_kind)
+        displacement = DisplacementFamily(disp_kind, disp_cfg.get("tables"))
     elif disp_kind == "per-arity-table":
         tables = {}
         for key, entries in disp_cfg.get("tables", {}).items():

@@ -14,13 +14,25 @@ first, then its displacement vector, and children are expanded
 depth-first in plane (left-to-right) order.  Trees are generated
 iteratively; the only growth limits are the explicit caps in the config,
 reported via :class:`ResourceLimitError` / the rejection counters.
+
+Per vertex, the random calls are, first, for ``finite-table`` offspring
+one ``random()`` u, giving the first arity k with u below the float sum
+ξ(0) + ... + ξ(k) (set to 1.0 at the last positive arity); for
+``geometric-half``, ``getrandbits(1)`` until it returns 0, the arity
+being the number of 1s.  Then, for d >= 1 children, ``iid-uniform-pm1``
+makes d calls ``getrandbits(1)`` (bit b is the increment 1 - 2b);
+``iid-uniform-pm01`` d calls ``randrange(3)`` (r is r - 1); and
+``per-arity-table`` one ``random()`` against the cumulative float weights
+of the arity's positive-weight vectors in table order, the last set to 1.0.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, List, Optional, Tuple
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .excursion import Excursion
@@ -59,6 +71,54 @@ def make_rng(config: SamplerConfig) -> random.Random:
     return random.Random(mixed)
 
 
+def _cumulative(pairs) -> Tuple[tuple, List[float]]:
+    """The outcomes of (outcome, weight) ``pairs``, and the running float
+    sums of their weights with the last set to 1.0, so every u < 1 lands."""
+    outcomes, weights = zip(*pairs)
+    cum = list(accumulate(float(w) for w in weights))
+    cum[-1] = 1.0
+    return outcomes, cum
+
+
+def _vertex_draw(model: TreeModel, rng: random.Random) -> Callable[[], Tuple[int, ...]]:
+    """``model``'s vertex draw on ``rng``, compiled once: a closure returning
+    one vertex's child increments (``()`` for a leaf) by the random calls of
+    the module docstring.  ``TreeModel`` gives every drawable arity a table.
+    """
+    off, disp = model.offspring, model.displacement
+    random_, bits, randrange = rng.random, rng.getrandbits, rng.randrange
+    if off.kind == "finite-table":
+        arities = [d for d, x in enumerate(off.table) if x]  # the positive ones
+        _, arity_cum = _cumulative(enumerate(off.table[: arities[-1] + 1]))
+
+        def arity() -> int:
+            return bisect_right(arity_cum, random_())
+
+    else:  # geometric-half, P(k) = 2^{-k-1}: count leading 1-bits
+
+        def arity() -> int:
+            k = 0
+            while bits(1):
+                k += 1
+            return k
+
+    if disp.kind == "iid-uniform-pm1":
+        return lambda: tuple([1 - 2 * bits(1) for _ in range(arity())])
+    if disp.kind == "iid-uniform-pm01":
+        return lambda: tuple([randrange(3) - 1 for _ in range(arity())])
+    # ξ is finite here (TreeModel); arity -> (positive-weight vectors, cumulative)
+    tables = {d: _cumulative(disp.vectors(d)) for d in arities if d}
+
+    def draw() -> Tuple[int, ...]:
+        d = arity()
+        if not d:
+            return ()
+        vectors, cum = tables[d]
+        return vectors[bisect_right(cum, random_())]
+
+    return draw
+
+
 class Sampler:
     """Stateful sampler bound to one model and one RNG stream.
 
@@ -70,64 +130,7 @@ class Sampler:
         self.model = model
         self.config = config or SamplerConfig()
         self.rng = make_rng(self.config)
-        self._offspring_cum = self._offspring_cumulative()
-        self._vector_cum = {}  # arity -> (vectors, cumulative floats)
-
-    # -- elementary draws -------------------------------------------------
-
-    def _offspring_cumulative(self) -> Optional[List[float]]:
-        off = self.model.offspring
-        if off.kind == "finite-table":
-            cum, acc = [], 0.0
-            for p in off.table:
-                acc += float(p)
-                cum.append(acc)
-            cum[-1] = 1.0
-            return cum
-        return None
-
-    def draw_offspring(self) -> int:
-        if self._offspring_cum is not None:
-            u = self.rng.random()
-            for k, c in enumerate(self._offspring_cum):
-                if u < c:
-                    return k
-            return len(self._offspring_cum) - 1
-        # geometric-half, P(k) = 2^{-k-1}: count leading 1-bits.
-        k = 0
-        while self.rng.getrandbits(1):
-            k += 1
-        return k
-
-    def draw_displacements(self, d: int) -> Tuple[int, ...]:
-        if d == 0:
-            return ()
-        disp = self.model.displacement
-        if disp.kind == "iid-uniform-pm1":
-            return tuple(1 - 2 * self.rng.getrandbits(1) for _ in range(d))
-        if disp.kind == "iid-uniform-pm01":
-            return tuple(self.rng.randrange(3) - 1 for _ in range(d))
-        entry = self._vector_cum.get(d)
-        if entry is None:
-            vectors, cum, acc = [], [], 0.0
-            for v, w in disp.vectors(d):
-                vectors.append(v)
-                acc += float(w)
-                cum.append(acc)
-            if not vectors:
-                raise DomainError(
-                    f"model {self.model.name!r} has no displacement vectors"
-                    f" for arity {d}"
-                )
-            cum[-1] = 1.0
-            entry = (vectors, cum)
-            self._vector_cum[d] = entry
-        vectors, cum = entry
-        u = self.rng.random()
-        for v, c in zip(vectors, cum):
-            if u < c:
-                return v
-        return vectors[-1]
+        self._vertex_draw = _vertex_draw(model, self.rng)
 
     # -- tree generation ---------------------------------------------------
 
@@ -144,8 +147,7 @@ class Sampler:
         """
         labels: List[int] = []
         parents: List[Optional[int]] = []
-        draw_offspring = self.draw_offspring
-        draw_displacements = self.draw_displacements
+        draw = self._vertex_draw
         # (label, parent) of every vertex drawn but not yet expanded; a
         # vertex gets its preorder index when it is popped.
         stack: List[Tuple[int, Optional[int]]] = [(root_label, None)]
@@ -157,15 +159,25 @@ class Sampler:
             parents.append(parent)
             if freeze_zero and label == 0:
                 continue
-            d = draw_offspring()
-            if d == 0:
+            incs = draw()
+            if not incs:
                 continue
-            incs = draw_displacements(d)
-            drawn += d
+            drawn += len(incs)
             if drawn > vertex_cap:
                 return None
             stack.extend([(label + inc, v) for inc in reversed(incs)])
         return LabelledPlaneTree.unchecked(labels, parents)
+
+    def _first(self, cap: int, accept, what: str) -> LabelledPlaneTree:
+        """The first tree of at most ``cap`` vertices, rooted at 0, that
+        ``accept`` takes, within ``rejection_cap`` attempts."""
+        for _ in range(self.config.rejection_cap):
+            t = self._grow(0, cap)
+            if t is not None and accept(t):
+                return t
+        raise ResourceLimitError(
+            f"no tree with {what} in rejection_cap={self.config.rejection_cap} attempts"
+        )
 
     def sample_tree(self, root_label: int = 0) -> LabelledPlaneTree:
         """One tree from the unconditioned model law, rooted at ``root_label``."""
@@ -208,37 +220,24 @@ class Sampler:
                 f" with {n_edges} edges"
             )
         cap = min(self.config.vertex_cap, n_edges + 2)
-        for _ in range(self.config.rejection_cap):
-            t = self._grow(0, cap)
-            if t is not None and t.n_edges == n_edges:
-                return t
-        raise ResourceLimitError(
-            f"no tree with {n_edges} edges in"
-            f" rejection_cap={self.config.rejection_cap} attempts"
-        )
+        return self._first(cap, lambda t: t.n_edges == n_edges, f"{n_edges} edges")
 
     def sample_quadrangulation(self):
         """One pointed rooted quadrangulation from the Boltzmann law.
 
         A tree from the {-1,0,+1}-increment geometric model conditioned
         on at least one edge, plus one orientation bit, pushed through
-        the tree-to-map bijection.
+        the tree-to-map bijection.  The sampler's model must be the
+        geom-pm01 builtin.
         """
         from .maps import tree_to_map
 
-        # Trees come from geom-pm01 whatever this sampler's model, drawn
-        # from this sampler's stream.
-        trees = Sampler(builtin_model("geom-pm01"), self.config)
-        trees.rng = self.rng
-        for _ in range(self.config.rejection_cap):
-            t = trees._grow(0, self.config.vertex_cap)
-            if t is not None and t.n_edges >= 1:
-                bit = self.rng.getrandbits(1)
-                return tree_to_map(t, bit)
-        raise ResourceLimitError(
-            f"no tree with >=1 edge in"
-            f" rejection_cap={self.config.rejection_cap} attempts"
-        )
+        if self.model.key != builtin_model("geom-pm01").key:
+            raise ConfigurationError(
+                f"quadrangulations are sampled from geom-pm01, not {self.model.name!r}"
+            )
+        t = self._first(self.config.vertex_cap, lambda t: t.n_edges >= 1, ">=1 edge")
+        return tree_to_map(t, self.rng.getrandbits(1))
 
 
 # -- fast profile path (incomplete binary model) ---------------------------

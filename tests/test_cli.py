@@ -199,6 +199,18 @@ class TestSample:
         assert all((tmp_path / name).is_file() for name in ("q.0.csv", "q.1.csv"))
 
 
+    @pytest.mark.parametrize("model", ["builtin:geom-pm1", "builtin:incomplete-binary"])
+    def test_quadrangulation_refuses_other_models(self, capsys, tmp_path, model):
+        code, out, err = run(
+            capsys, "sample", "--model", model, "--kind", "quadrangulation",
+            "--seed", "3", "--out", str(tmp_path / "q"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("gwprofile: error: ConfigurationError: ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestKernel:
     def test_row_contains_absorption(self, capsys):
         code, out, _ = run(capsys, "kernel", "--from", "1,0", "--smax", "10")
@@ -217,6 +229,13 @@ class TestKernel:
 
         assert sum(Fraction(r[3]) for r in rows) == 1
 
+    def test_readme_conditioned_row(self, capsys):
+        # One edge is left and the excursion from (1,0,3) is a single vertex.
+        code, out, _ = run(
+            capsys, "kernel", "--from", "1,0,3", "--edges", "4", "--smax", "4"
+        )
+        assert (code, out.splitlines()) == (0, ["r,s,w,probability", "0,0,4,1"])
+
     def test_bad_state(self, capsys):
         code, _, err = run(capsys, "kernel", "--from", "1;0")
         assert code == 2 and "error" in err
@@ -233,7 +252,8 @@ class TestKernel:
             ]
 
     @pytest.mark.parametrize(
-        "state", [["0,3"], ["1,-2"], ["2,1,9", "--edges", "5"]]
+        "state",
+        [["0,3"], ["1,-2"], ["2,1,9", "--edges", "5"], ["3,0,4", "--edges", "5"]],
     )
     def test_invalid_state_is_a_usage_error_before_output(self, capsys, tmp_path, state):
         out = tmp_path / "k.csv"

@@ -8,13 +8,19 @@ the sampler stream version or the output format, and update these values.
 """
 
 import hashlib
+from fractions import Fraction as F
 
 import pytest
 
 from gwprofile import builtin_model, encode
 from gwprofile.cli import main
 from gwprofile.errors import ResourceLimitError
-from gwprofile.model import BUILTIN_IDS
+from gwprofile.model import (
+    BUILTIN_IDS,
+    DisplacementFamily,
+    OffspringDistribution,
+    TreeModel,
+)
 from gwprofile.sampler import Sampler, SamplerConfig
 
 
@@ -61,6 +67,65 @@ def test_sampler_stream(model_id):
     trees = draw(lambda i: s.sample_tree(), 200)
     excursions = draw(lambda i: s.sample_excursion(1 - 2 * (i % 2)).tree, 200)
     assert (sha256(trees), sha256(excursions)) == STREAMS[model_id]
+
+
+# Model shapes the builtins miss: a finite offspring table with iid +-1
+# steps; one with a zero-probability arity and iid {-1,0,1} steps; and a
+# per-arity table with zero-weight vectors, one of them last.  (SHA-256 of
+# the first 300 trees, SHA-256 of the next 100 excursions of alternating
+# sign), drawn at seed 2026, stream 7, vertex_cap 10^5, pinned before the
+# vertex draw was compiled once per sampler.
+CUSTOM_MODELS = {
+    "table-pm1": TreeModel(
+        "table-pm1",
+        OffspringDistribution("finite-table", (F(1, 3), F(1, 3), F(1, 3))),
+        DisplacementFamily("iid-uniform-pm1"),
+    ),
+    "gap-pm01": TreeModel(
+        "gap-pm01",
+        OffspringDistribution("finite-table", (F(3, 5), F(0), F(1, 5), F(1, 5))),
+        DisplacementFamily("iid-uniform-pm01"),
+    ),
+    "zero-weight-vectors": TreeModel(
+        "zero-weight-vectors",
+        OffspringDistribution("finite-table", (F(1, 4), F(1, 2), F(1, 4))),
+        DisplacementFamily(
+            "per-arity-table",
+            {
+                1: (((-1,), F(1, 2)), ((0,), F(0)), ((1,), F(1, 2))),
+                2: (
+                    ((-1, 1), F(3, 10)),
+                    ((1, 1), F(3, 5)),
+                    ((-1, -1), F(1, 10)),
+                    ((0, 0), F(0)),
+                ),
+            },
+        ),
+    ),
+}
+CUSTOM_STREAMS = {
+    "table-pm1": (
+        "b4271ab252dd95acc65e881716a3636e33128540e4931b574e3d8a11041a4504",
+        "a21032ac15012838b6b45bf2052c49ec40c3c57c0784ad75fc7d664bdf6f6d08",
+    ),
+    "gap-pm01": (
+        "929807b94e218da4fd1fa21b417331b5a3651d976dfbe1269e1651231dab0e60",
+        "722e07adcfb0fe715a690a0efbb3147d22c4f55e333b43f0f86fc9a5ac0b8044",
+    ),
+    "zero-weight-vectors": (
+        "c0e9e9d43fa19ec742c7a9d9b97dbcf5c8855e53c620056775f113ee4251679a",
+        "8a88bce421a256115a69149af26c1256ae8d69714cc142a859582c6d8a4b0e14",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_MODELS))
+def test_custom_model_stream(name):
+    config = SamplerConfig(seed=2026, stream=7, vertex_cap=10**5)
+    s = Sampler(CUSTOM_MODELS[name], config)
+    trees = draw(lambda i: s.sample_tree(), 300)
+    excursions = draw(lambda i: s.sample_excursion(1 - 2 * (i % 2)).tree, 100)
+    assert (sha256(trees), sha256(excursions)) == CUSTOM_STREAMS[name]
 
 
 # The first six geom-pm1 trees with 30 to 300 edges at seed 2026, stream 0,

@@ -5,6 +5,7 @@ import pytest
 
 from gwprofile import (
     ConfigurationError,
+    DisplacementFamily,
     DomainError,
     OffspringDistribution,
     builtin_model,
@@ -73,6 +74,20 @@ class TestBuiltins:
             OffspringDistribution("geometric")
         with pytest.raises(TypeError):
             OffspringDistribution("geometric-half", p=Fraction(1, 3))
+
+    @pytest.mark.parametrize("kind", ["iid-uniform-pm1", "iid-uniform-pm01"])
+    def test_iid_displacement_takes_no_tables(self, kind):
+        # The iid kinds are fixed laws: a table given to one is an error,
+        # not silently dropped.
+        with pytest.raises(ConfigurationError):
+            DisplacementFamily(kind, tables={1: (((1,), Fraction(1)),)})
+        assert DisplacementFamily(kind).tables is None
+        config = {
+            "offspring": {"kind": "finite-table", "table": ["1/2", "1/2"]},
+            "displacement": {"kind": kind, "tables": {"1": [[[1], "1"]]}},
+        }
+        with pytest.raises(ConfigurationError):
+            parse_model_config(config)
 
 
 class TestResolve:

@@ -143,3 +143,10 @@ class TestQuadrangulationSampler:
             q = s.sample_quadrangulation()
             assert q.n_faces >= 1
             assert q.n_vertices - q.n_edges + q.n_faces == 2
+
+    @pytest.mark.parametrize("model_id", ["geom-pm1", "incomplete-binary"])
+    def test_other_models_are_refused(self, model_id):
+        # Quadrangulations come from geom-pm01 trees; another model would be ignored.
+        s = Sampler(builtin_model(model_id), SamplerConfig(seed=41))
+        with pytest.raises(ConfigurationError):
+            s.sample_quadrangulation()
