@@ -125,15 +125,21 @@ def _cmd_sample(args) -> Tuple[int, dict]:
             raise ConfigurationError(
                 f"--kind quadrangulation requires --model {_MAP_MODEL}"
             )
-        fields["outputs"] = [f"{args.out}.{i}.csv" for i in range(args.count)]
-        for i, path in enumerate(fields["outputs"]):
+        fields["outputs"] = []
+        for i in range(args.count):
             cfg = SamplerConfig(
                 seed=args.seed,
                 stream=i,
                 vertex_cap=vertex_cap,
                 rejection_cap=rejection_cap,
             )
-            save_map(Sampler(model, cfg).sample_quadrangulation(), path)
+            try:
+                quadrangulation = Sampler(model, cfg).sample_quadrangulation()
+            except ResourceLimitError as exc:
+                return _capped_item(i, exc), fields
+            path = f"{args.out}.{i}.csv"
+            save_map(quadrangulation, path)
+            fields["outputs"].append(path)
         return 0, fields
 
     task = (
@@ -142,15 +148,26 @@ def _cmd_sample(args) -> Tuple[int, dict]:
     parts = _map_items(_sample_items_worker, task, args.count, args.workers)
     fh = _open_out(args.out)
     try:
-        for part in parts:
-            for line in part:
+        for lines, capped in parts:
+            for line in lines:
                 fh.write(line + "\n")
+            if capped:
+                return _capped_item(*capped), fields
     finally:
         _close_out(fh)
     return 0, fields
 
 
-def _sample_items_worker(task) -> List[str]:
+def _capped_item(i: int, exc: ResourceLimitError) -> int:
+    """Report the first item that passed a cap, after the items before it
+    were written; the exit code of the run."""
+    print(f"gwprofile: error: ResourceLimitError: item {i}: {exc}", file=sys.stderr)
+    return 1
+
+
+def _sample_items_worker(task) -> Tuple[List[str], Optional[tuple]]:
+    """The encoded items lo .. hi - 1, up to the first that passes a cap,
+    and (index, error) of that item, or None."""
     (spec, kind, seed, vertex_cap, rejection_cap, edges, sign, lo, hi) = task
     model = resolve_model(spec)
     out = []
@@ -159,13 +176,16 @@ def _sample_items_worker(task) -> List[str]:
             seed=seed, stream=i, vertex_cap=vertex_cap, rejection_cap=rejection_cap
         )
         s = Sampler(model, cfg)
-        if kind == "tree":
-            out.append(encode(s.sample_tree()))
-        elif kind == "excursion":
-            out.append(encode(s.sample_excursion(sign).tree))
-        else:
-            out.append(encode(s.sample_conditioned(edges)))
-    return out
+        try:
+            if kind == "tree":
+                out.append(encode(s.sample_tree()))
+            elif kind == "excursion":
+                out.append(encode(s.sample_excursion(sign).tree))
+            else:
+                out.append(encode(s.sample_conditioned(edges)))
+        except ResourceLimitError as exc:
+            return out, (i, exc)
+    return out, None
 
 
 # -- decompose ---------------------------------------------------------------

@@ -21,16 +21,17 @@ routes:
 - :func:`solve_nu_gf` (check) expands the algebraic curve by series Newton
   iteration.
 
-The curve is verified at runtime by :func:`_verified_curve`, in exact
-arithmetic on the module's own polynomials.  The check routes cost
-O(order²) and more; tests and benchmarks compare them with
-:func:`nu_table`.
+The curve F(x, y) is one bivariate polynomial, a dict {(i, j): c} for
+c·x^i·y^j, built once and verified at runtime by :func:`_verified_curve`
+in exact arithmetic.  The check routes cost O(order²) and more; tests
+and benchmarks compare them with :func:`nu_table`.
 
 Also here: the convolution tables f_p(q) (p-fold convolutions of ν), the
 joint leaf/edge tables f̃_p(q, l), convolved on integers and, for
 incomplete-binary, certified by one step of the bivariate fixed-point map
-that :func:`bivariate_fixed_point` iterates as the reference route, and
-high-precision evaluation of the singular expansion of g_ν near 1.
+that :func:`bivariate_fixed_point` iterates on plain Fraction tables as
+the reference route, and high-precision evaluation of the singular
+expansion of g_ν near 1.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import mpmath
 
 from .errors import ConfigurationError, DomainError, IntegrityError, ResourceLimitError
 from .model import TreeModel, builtin_model
-from .series import BivariateSeries, RationalSeries, _integer_scale
+from .series import RationalSeries, _integer_scale
 
 # ---------------------------------------------------------------------------
 # Per-model algebraic data.
@@ -52,8 +53,8 @@ from .series import BivariateSeries, RationalSeries, _integer_scale
 # Closed forms: g(z) = (num(z) + coef * sqrt((a - z)(1 - z)^3)) / den(z),
 # polynomials given by ascending coefficient lists.
 #
-# Curves: F(x, y) = (P(x) y + Q(x))^2 - S(x) with Q = -num, P = den,
-# S = coef^2 (a - x)(1 - x)^3, so that F(z, g(z)) = 0.
+# Curves: F(x, y) = (den(x) y - num(x))^2 - coef^2 (a - x)(1 - x)^3, so
+# that F(z, g(z)) = 0.
 #
 # Functional equations, reduced over arities (G = g_ν, x the variable):
 #   geom-pm1:          G = 2 / (4 - x - G∘G)
@@ -121,29 +122,7 @@ def _require_builtin(model: TreeModel) -> dict:
     return data
 
 
-# -- polynomial helpers (ascending integer/rational coefficient lists) ------
-
-
-def _polymul(a: Sequence, b: Sequence) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += Fraction(x) * y
-    return out
-
-
-def _polysub(a: Sequence, b: Sequence) -> list:
-    n = max(len(a), len(b))
-    return [
-        (Fraction(a[i]) if i < len(a) else Fraction(0))
-        - (Fraction(b[i]) if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-# Bivariate polynomials are dicts {(i, j): c} for c·x^i·y^j, zeros dropped.
+# -- bivariate polynomials: dicts {(i, j): c} for c·x^i·y^j, zeros dropped --
 
 
 def _bisum(*products) -> dict:
@@ -171,81 +150,64 @@ def _pseudo_remainder(n: dict, f: dict) -> dict:
     return n
 
 
-def _polyeval(a: Sequence, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(a)):
-        acc = acc * x + c
-    return acc
-
-
 def _radicand(data: dict) -> List[int]:
     """R = (a − z)(1 − z)³ as ascending integer coefficients."""
-    return [int(c) for c in _polymul([data["a"], -1], [1, -3, 3, -1])]
-
-
-def _curve_polys(data: dict) -> Tuple[list, list, list]:
-    """Coefficient polynomials (A0, A1, A2) of F = A2 y^2 + A1 y + A0."""
-    p = [Fraction(c) for c in data["den"]]
-    q = [-Fraction(c) for c in data["num"]]
-    s = [data["coef"] ** 2 * c for c in _radicand(data)]
-    a2 = _polymul(p, p)
-    a1 = [2 * c for c in _polymul(p, q)]
-    a0 = _polysub(_polymul(q, q), s)
-    return a0, a1, a2
+    a = data["a"]
+    return [a, -3 * a - 1, 3 * a + 3, -a - 3, 1]
 
 
 @lru_cache(maxsize=None)
-def _verified_curve(name: str) -> Tuple[tuple, tuple, tuple, Fraction]:
+def _verified_curve(name: str) -> Tuple[dict, Fraction]:
     """Return the x-stripped curve of a builtin, after runtime verification.
 
-    Checks, all in exact rational arithmetic:
+    The curve is F(x, y) = (den(x)·y − num(x))² − coef²·R(x), one
+    bivariate polynomial.  Checks, all in exact rational arithmetic:
 
     1. invariance: F(y, R(x, y)) ≡ 0 modulo F(x, y) over Q(x)[y], where
        G∘G = R(x, G) is the model's reduced functional equation solved for
        the composed term — i.e. the curve is consistent with the equation.
-       With R = Rn/Rd, the polynomial
-       N = A2(y)·Rn² + A1(y)·Rn·Rd + A0(y)·Rd² is F(y, R)·Rd², and its
-       pseudo-remainder by F in y over Q[x] must vanish.  F's leading
-       coefficient A2 is a unit of Q(x), so this is division over Q(x)[y];
-    2. criticality: F(1, 1) = 0 (g_ν(1) = 1);
-    3. branch: after stripping the common power of x, the constant term c0
-       is a simple root of F̃(0, y), so the curve has a unique power-series
-       branch with that constant term.
+       With R = Rn/Rd, the polynomial N = Σ c·y^i·Rn^j·Rd^(2−j) over the
+       terms c·x^i·y^j of F is F(y, R)·Rd², and its pseudo-remainder by F
+       in y over Q[x] must vanish.  F's leading coefficient den² is a unit
+       of Q(x), so this is division over Q(x)[y];
+    2. criticality: F(1, 1) = 0 (g_ν(1) = 1), the sum of F's coefficients;
+    3. branch: after stripping the smallest power of x, the constant term
+       c0 is a simple root of F̃(0, y), so the curve has a unique
+       power-series branch with that constant term.
 
-    Returns the stripped coefficient polynomials (B0, B1, B2) and c0.
+    Returns the stripped curve F̃ and c0.
     """
     data = _MODEL_DATA[name]
-    a0, a1, a2 = _curve_polys(data)
+    line = {(i, 1): c for i, c in enumerate(data["den"])}
+    line.update({(i, 0): -c for i, c in enumerate(data["num"])})
+    radicand = {(i, 0): c for i, c in enumerate(_radicand(data))}
+    curve = _bisum((line, line), ({(0, 0): -data["coef"] ** 2}, radicand))
 
     # (1) invariance under (x, y) -> (y, G∘G).
     rn, rd = data["r_num"], data["r_den"]
-    a2y, a1y, a0y = ({(0, j): c for j, c in enumerate(a)} for a in (a2, a1, a0))
-    numerator = _bisum(
-        (a2y, _bisum((rn, rn))), (a1y, _bisum((rn, rd))), (a0y, _bisum((rd, rd)))
-    )
-    curve = {(i, j): c for j, p in enumerate((a0, a1, a2)) for i, c in enumerate(p)}
+    powers = [_bisum((rd, rd)), _bisum((rn, rd)), _bisum((rn, rn))]  # Rn^j·Rd^(2−j)
+    numerator = _bisum(*(({(0, i): c}, powers[j]) for (i, j), c in curve.items()))
     if _pseudo_remainder(numerator, curve):
         raise IntegrityError(
             f"curve for {name!r} is not invariant under its functional equation"
         )
 
     # (2) criticality.
-    if sum(_polyeval(a, Fraction(1)) for a in (a0, a1, a2)) != 0:
+    if sum(curve.values()) != 0:
         raise IntegrityError(f"curve for {name!r} fails F(1,1) = 0")
 
-    # (3) strip the common power of x and check the branch point.
-    polys = [list(a0), list(a1), list(a2)]
-    while all(p[0] == 0 for p in polys if any(c != 0 for c in p)):
-        polys = [p[1:] if any(c != 0 for c in p) else p for p in polys]
-    b0, b1, b2 = polys
+    # (3) strip the smallest power of x and check the branch point.
+    low = min(i for i, _ in curve)
+    curve = {(i - low, j): c for (i, j), c in curve.items()}
     c0 = data["c0"]
-    value = b2[0] * c0**2 + b1[0] * c0 + b0[0]
-    slope = 2 * b2[0] * c0 + b1[0]
+    at_zero = [(j, c) for (i, j), c in curve.items() if i == 0]
+    value = sum(c * c0**j for j, c in at_zero)
+    slope = sum(j * c * c0 ** (j - 1) for j, c in at_zero if j)
     if value != 0 or slope == 0:
         raise IntegrityError(
             f"curve for {name!r}: {c0} is not a simple root at x = 0"
         )
-    return tuple(b0), tuple(b1), tuple(b2), c0
+    return curve, c0
 
 
 # -- the two exact routes ----------------------------------------------------
@@ -282,11 +244,15 @@ def solve_nu_gf(model: TreeModel, order: int) -> RationalSeries:
     data = _require_builtin(model)
     if order < 0:
         raise DomainError("order must be >= 0")
-    b0, b1, b2, c0 = _verified_curve(model.name)
+    curve, c0 = _verified_curve(model.name)
     w = order + _SLACK
-    p0 = RationalSeries.from_polynomial(b0, w)
-    p1 = RationalSeries.from_polynomial(b1, w)
-    p2 = RationalSeries.from_polynomial(b2, w)
+    degree = max(i for i, _ in curve)
+    p0, p1, p2 = (
+        RationalSeries.from_polynomial(
+            [curve.get((i, j), 0) for i in range(degree + 1)], w
+        )
+        for j in range(3)
+    )
     g = RationalSeries.constant(c0, w)
     for _ in range(w.bit_length() + 3):
         f_val = (p2 * g + p1) * g + p0
@@ -368,7 +334,7 @@ def nu_table(model: TreeModel, order: int) -> Tuple[Fraction, ...]:
     data = _require_builtin(model)
     if order < 0:
         raise DomainError("order must be >= 0")
-    _, _, _, c0 = _verified_curve(model.name)
+    _, c0 = _verified_curve(model.name)
     r = _radicand(data)
     den = data["den"]
     v = next(j for j, c in enumerate(den) if c)
@@ -587,31 +553,51 @@ def _certify_fixed_point(n: List[List[int]], phi0: Fraction, c: int) -> None:
                 raise IntegrityError(f"fixed-point certificate fails at (q={q}, l={l})")
 
 
-def bivariate_fixed_point(z_order: int, u_order: int) -> BivariateSeries:
+def bivariate_fixed_point(z_order: int, u_order: int) -> List[List[Fraction]]:
     """Solve B(z,u) = ¼(1 + z u)(1 + u B(B(z,u), u)) exactly, by iteration.
 
     B is the joint generating function of (label-0 leaves, edges) of one
-    positive incomplete-binary excursion.  Because the coefficient of z^k
-    in B has u-valuation >= k, the truncated iteration stabilizes exactly
-    after at most u_order + 2 steps (checked).  This is the independent
-    reference route for :func:`joint_table`, which certifies its table by
-    one application of the same map instead; the tests compare the two.
+    positive incomplete-binary excursion, returned as ``b[q][l]``, the
+    coefficient of z^q u^l.  Because the coefficient of z^k in B has
+    u-valuation >= k, the truncated iteration stabilizes exactly after at
+    most u_order + 2 steps (checked).  This is the independent reference
+    route for :func:`joint_table`, which certifies its table by one
+    application of the same map instead; the tests compare the two.  It
+    works on plain Fraction tables with its own truncated product, so it
+    shares no arithmetic with the route it checks.
     """
     nz = max(z_order, u_order)
     nu = u_order
     quarter = Fraction(1, 4)
-    zu = BivariateSeries.zero(nz, nu)
-    rows = [list(r) for r in zu.coeffs]
-    if nz >= 1 and nu >= 1:
-        rows[1][1] = Fraction(1)
-    zu = BivariateSeries(rows)
 
-    b = BivariateSeries.zero(nz, nu)
+    def times(a, c):
+        """The product of two ``[z][u]`` tables, truncated at (nz, nu)."""
+        out = [[Fraction(0)] * (nu + 1) for _ in range(nz + 1)]
+        for q1, row in enumerate(a):
+            for l1, x in enumerate(row):
+                if x:
+                    for q2 in range(nz + 1 - q1):
+                        dst, src = out[q1 + q2], c[q2]
+                        for l2 in range(nu + 1 - l1):
+                            if src[l2]:
+                                dst[l1 + l2] += x * src[l2]
+        return out
+
+    b = [[Fraction(0)] * (nu + 1) for _ in range(nz + 1)]
     for _ in range(nu + 3):
-        composed = b.compose_z(b)
-        new_b = (quarter * (zu + 1)) * (composed.shift_u(1) + 1)
+        # B(B, u) = Σ_i b_i(u)·B^i by Horner; rows i > nu vanish mod u^(nu+1).
+        composed = [[Fraction(0)] * (nu + 1) for _ in range(nz + 1)]
+        for i in range(min(nz, nu), -1, -1):
+            composed = times(composed, b)
+            composed[0] = [x + y for x, y in zip(composed[0], b[i])]
+        # e = 1 + u·B(B, u), and T(B) = ¼(1 + zu)·e = ¼(e + zu·e).
+        e = [[Fraction(0)] + row[:nu] for row in composed]
+        e[0][0] += 1
+        zu_e = [[Fraction(0)] * (nu + 1)]
+        zu_e += [[Fraction(0)] + row[:nu] for row in e[:nz]]
+        new_b = [[quarter * (x + y) for x, y in zip(r, s)] for r, s in zip(e, zu_e)]
         if new_b == b:
-            return BivariateSeries([row[: u_order + 1] for row in b.coeffs[: z_order + 1]])
+            return [row[: u_order + 1] for row in b[: z_order + 1]]
         b = new_b
     raise IntegrityError("bivariate fixed point failed to stabilize")
 
@@ -628,11 +614,14 @@ def _closed_form_mp(model: TreeModel, z):
     return (num + coef * mpmath.sqrt(rad)) / den
 
 
-def measured_singular_coefficient(model: TreeModel, z_eval: Fraction) -> float:
-    """(g(z) - 1 + (1-z)) / (1-z)^{3/2} at a rational z near 1.
+def singular_coefficient(model: TreeModel, z_eval: Fraction) -> float:
+    """(g(z) - 1 + (1-z)) / (1-z)^{3/2} at a rational z in (0, 1).
 
-    Available for all four built-ins; reported as a measurement without
-    asserting a closed form for the limit.
+    Available for all four built-ins and reported as a measurement.  For
+    the iid-displacement models geom-pm1 and geom-pm01, where the per-edge
+    displacement variance is unambiguous, its limit as z -> 1 is
+    sqrt(2/3) * σ_ξ / σ_η; no closed form for the limit is asserted for
+    the other two.
     """
     z_eval = Fraction(z_eval)
     if not (0 < z_eval < 1):
@@ -642,23 +631,6 @@ def measured_singular_coefficient(model: TreeModel, z_eval: Fraction) -> float:
         g = _closed_form_mp(model, z)
         value = (g - 1 + (1 - z)) / (1 - z) ** mpmath.mpf("1.5")
         return float(value)
-
-
-def singular_coefficient(model: TreeModel, z_eval: Fraction) -> float:
-    """Singular-term coefficient estimate for the iid-displacement models.
-
-    Restricted to geom-pm1 / geom-pm01, where the per-edge displacement
-    variance is unambiguous and the limit is sqrt(2/3) * σ_ξ / σ_η.
-    """
-    if model.name not in ("geom-pm1", "geom-pm01"):
-        raise ConfigurationError(
-            "singular_coefficient supports geom-pm1 and geom-pm01 only; "
-            "use measured_singular_coefficient for other built-ins"
-        )
-    z_eval = Fraction(z_eval)
-    if not (Fraction(99, 100) < z_eval < 1):
-        raise DomainError("z_eval must lie in (0.99, 1)")
-    return measured_singular_coefficient(model, z_eval)
 
 
 def linear_coefficient(model: TreeModel, z_eval: Fraction) -> float:

@@ -121,17 +121,16 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def enumerate_trees(
-    model: TreeModel, edges: int, cap: int = ITEM_CAP
-) -> WeightedEnsemble:
-    """Every positive-weight tree with root label 0 and ``edges`` edges."""
+def enumerate_trees(model: TreeModel, edges: int) -> WeightedEnsemble:
+    """Every positive-weight tree with root label 0 and ``edges`` edges,
+    at most ``ITEM_CAP`` of them."""
     if edges < 0:
         raise DomainError("edges must be >= 0")
     # keyed by the shape itself: nested (increment, child shape) pairs
     shapes = _subtrees(model, edges, lambda children: children)
-    if len(shapes) > cap:
+    if len(shapes) > ITEM_CAP:
         raise ResourceLimitError(
-            f"enumeration would produce {len(shapes)} > cap {cap} trees"
+            f"enumeration would produce {len(shapes)} > cap {ITEM_CAP} trees"
         )
     items = tuple(
         (LabelledPlaneTree.from_nested(0, s), w) for s, w in shapes.items()
@@ -223,7 +222,7 @@ def _edge_multiset(children) -> tuple:
     return tuple(sorted(edges))
 
 
-def exact_chain_law(V: int, cap: int = ITEM_CAP):
+def exact_chain_law(V: int):
     """Exact path law of (X^+, X^-, M^-) for the uniform V-edge binary tree.
 
     Brute force, aggregated: every V-edge tree is enumerated, grouped by
@@ -232,13 +231,13 @@ def exact_chain_law(V: int, cap: int = ITEM_CAP):
     Subtrees are grouped the same way as they are combined, by shifting
     each child's multiset by its increment.  At V = 10 that is 5,887
     groups for 58,786 trees.  No kernel or profile-counting formula is
-    used.  ``cap`` bounds the number of groups.
+    used.  ``ITEM_CAP`` bounds the number of groups.
     """
     from .model import builtin_model
 
     groups = _subtrees(builtin_model("incomplete-binary"), V, _edge_multiset)
-    if len(groups) > cap:
-        raise ResourceLimitError(f"{len(groups)} edge multisets exceed cap {cap}")
+    if len(groups) > ITEM_CAP:
+        raise ResourceLimitError(f"{len(groups)} edge multisets exceed cap {ITEM_CAP}")
     total = sum(groups.values(), Fraction(0))
     if total == 0:
         raise DomainError(f"no {V}-edge trees")

@@ -179,9 +179,9 @@ class Sampler:
             f"no tree with {what} in rejection_cap={self.config.rejection_cap} attempts"
         )
 
-    def sample_tree(self, root_label: int = 0) -> LabelledPlaneTree:
-        """One tree from the unconditioned model law, rooted at ``root_label``."""
-        t = self._grow(root_label, self.config.vertex_cap)
+    def sample_tree(self) -> LabelledPlaneTree:
+        """One tree from the unconditioned model law, rooted at label 0."""
+        t = self._grow(0, self.config.vertex_cap)
         if t is None:
             raise ResourceLimitError(
                 f"tree exceeded vertex_cap={self.config.vertex_cap}"

@@ -2,8 +2,10 @@
 
 :class:`RationalSeries` is a univariate truncated power series with
 :class:`fractions.Fraction` coefficients; all arithmetic is exact up to the
-stated truncation order.  :class:`BivariateSeries` is its two-variable
-counterpart (variables z and u), used for joint edge/leaf counting.
+stated truncation order.  It carries only the operations that the check
+routes :func:`gwprofile.genfun.closed_form_series` and
+:func:`gwprofile.genfun.solve_nu_gf` call: sums, differences, products,
+division and the square root of a series with a positive constant term.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ class RationalSeries:
         if not coeffs:
             raise DomainError("a series needs at least a constant term")
         self.coeffs = tuple(_frac(c) for c in coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "RationalSeries":
-        return cls((Fraction(0),) * (order + 1))
 
     @classmethod
     def constant(cls, value, order: int) -> "RationalSeries":
@@ -104,26 +102,17 @@ class RationalSeries:
                 return k
         return None
 
-    def __add__(self, other) -> "RationalSeries":
-        if isinstance(other, RationalSeries):
-            n = min(self.order, other.order)
-            return RationalSeries(
-                [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
-            )
-        c = list(self.coeffs)
-        c[0] += _frac(other)
-        return RationalSeries(c)
-
-    __radd__ = __add__
+    def __add__(self, other: "RationalSeries") -> "RationalSeries":
+        n = min(self.order, other.order)
+        return RationalSeries(
+            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
+        )
 
     def __neg__(self) -> "RationalSeries":
         return RationalSeries([-c for c in self.coeffs])
 
-    def __sub__(self, other) -> "RationalSeries":
-        return self + (-other if isinstance(other, RationalSeries) else -_frac(other))
-
-    def __rsub__(self, other) -> "RationalSeries":
-        return (-self) + _frac(other)
+    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
+        return self + (-other)
 
     def __mul__(self, other) -> "RationalSeries":
         if isinstance(other, RationalSeries):
@@ -143,10 +132,7 @@ class RationalSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalSeries":
-        if not isinstance(other, RationalSeries):
-            s = _frac(other)
-            return RationalSeries([c / s for c in self.coeffs])
+    def __truediv__(self, other: "RationalSeries") -> "RationalSeries":
         v = other.valuation()
         if v is None:
             raise DomainError("division by the zero series")
@@ -155,9 +141,9 @@ class RationalSeries:
             # only known to order (min order) - v.
             if any(c != 0 for c in self.coeffs[:v]):
                 raise DomainError("series not divisible: valuation mismatch")
-            num = RationalSeries(self.coeffs[v:]) if self.order >= v else None
-            if num is None:
+            if self.order < v:
                 raise DomainError("series too short to divide")
+            num = RationalSeries(self.coeffs[v:])
             den = RationalSeries(other.coeffs[v:])
             return num / den
         n = min(self.order, other.order)
@@ -173,23 +159,13 @@ class RationalSeries:
         return RationalSeries(out)
 
     def sqrt(self) -> "RationalSeries":
-        """Exact square root with nonnegative leading coefficient.
+        """Exact square root with positive constant term.
 
-        The constant term must be the square of a rational.
+        The constant term must be the square of a positive rational.
         """
         c0 = self.coeffs[0]
-        if c0 < 0:
-            raise DomainError("series sqrt needs a nonnegative constant term")
-        if c0 == 0:
-            v = self.valuation()
-            if v is None:
-                return RationalSeries(self.coeffs)
-            if v % 2:
-                raise DomainError("series sqrt needs even valuation")
-            shifted = RationalSeries(self.coeffs[v:]).sqrt()
-            return RationalSeries(
-                (Fraction(0),) * (v // 2) + shifted.coeffs
-            )
+        if c0 <= 0:
+            raise DomainError("series sqrt needs a positive constant term")
         r0 = _rational_sqrt(c0)
         out = [r0]
         for k in range(1, self.order + 1):
@@ -207,117 +183,3 @@ def _rational_sqrt(x: Fraction) -> Fraction:
         raise DomainError(f"{x} is not the square of a rational")
     return Fraction(num, den)
 
-
-class BivariateSeries:
-    """Truncated series sum c[i][j] z^i u^j with exact coefficients.
-
-    ``coeffs[i][j]`` is the coefficient of z^i u^j; the rectangle of orders
-    (z_order, u_order) is fixed per instance and preserved by arithmetic
-    (binary operations truncate to the componentwise minimum).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Sequence]):
-        if not coeffs or not coeffs[0]:
-            raise DomainError("bivariate series needs at least one coefficient")
-        width = len(coeffs[0])
-        if any(len(row) != width for row in coeffs):
-            raise DomainError("ragged coefficient table")
-        self.coeffs = tuple(tuple(_frac(c) for c in row) for row in coeffs)
-
-    @classmethod
-    def zero(cls, z_order: int, u_order: int) -> "BivariateSeries":
-        return cls([[Fraction(0)] * (u_order + 1) for _ in range(z_order + 1)])
-
-    @property
-    def z_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def u_order(self) -> int:
-        return len(self.coeffs[0]) - 1
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.coeffs[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"BivariateSeries(z_order={self.z_order}, u_order={self.u_order})"
-
-    def __add__(self, other) -> "BivariateSeries":
-        if isinstance(other, BivariateSeries):
-            nz = min(self.z_order, other.z_order)
-            nu = min(self.u_order, other.u_order)
-            return BivariateSeries(
-                [
-                    [self.coeffs[i][j] + other.coeffs[i][j] for j in range(nu + 1)]
-                    for i in range(nz + 1)
-                ]
-            )
-        rows = [list(r) for r in self.coeffs]
-        rows[0][0] += _frac(other)
-        return BivariateSeries(rows)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "BivariateSeries":
-        if isinstance(other, BivariateSeries):
-            nz = min(self.z_order, other.z_order)
-            nu = min(self.u_order, other.u_order)
-            out = [[Fraction(0)] * (nu + 1) for _ in range(nz + 1)]
-            for i1, row1 in enumerate(self.coeffs):
-                if i1 > nz:
-                    break
-                for j1, c1 in enumerate(row1):
-                    if j1 > nu:
-                        break
-                    if c1 == 0:
-                        continue
-                    for i2 in range(nz - i1 + 1):
-                        row2 = other.coeffs[i2] if i2 <= other.z_order else None
-                        if row2 is None:
-                            break
-                        for j2 in range(nu - j1 + 1):
-                            if j2 <= other.u_order and row2[j2] != 0:
-                                out[i1 + i2][j1 + j2] += c1 * row2[j2]
-            return BivariateSeries(out)
-        s = _frac(other)
-        return BivariateSeries([[c * s for c in row] for row in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def shift_u(self, k: int = 1) -> "BivariateSeries":
-        """Multiply by u^k (truncated)."""
-        nu = self.u_order
-        return BivariateSeries(
-            [
-                tuple([Fraction(0)] * min(k, nu + 1))
-                + row[: max(nu + 1 - k, 0)]
-                for row in self.coeffs
-            ]
-        )
-
-    def compose_z(self, inner: "BivariateSeries") -> "BivariateSeries":
-        """Substitute ``inner`` for z: sum_i b_i(u) inner^i.
-
-        Exact on the full rectangle when the z-coefficient rows b_i have
-        u-valuation >= i (as in the joint leaf/edge fixed point), since then
-        dropped i > u_order terms cannot reach kept u-powers.
-        """
-        nz = min(self.z_order, inner.z_order)
-        nu = min(self.u_order, inner.u_order)
-        result = BivariateSeries.zero(nz, nu)
-        for i in range(min(self.z_order, nu), -1, -1):
-            row = BivariateSeries([self.coeffs[i][: nu + 1]])
-            # Promote the u-polynomial row to the full rectangle.
-            promoted = BivariateSeries(
-                [row.coeffs[0]] + [tuple([Fraction(0)] * (nu + 1))] * nz
-            )
-            result = result * inner + promoted
-        return result

@@ -187,6 +187,40 @@ class TestSample:
         assert manifest["argv"] == argv
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "kind, cap",
+        [(["--kind", "tree"], ["--vertex-cap", "5"]),
+         (["--kind", "conditioned", "--edges", "2"], ["--rejection-cap", "3"])],
+    )
+    def test_capped_item_keeps_the_items_before_it(self, capsys, tmp_path, workers, kind, cap):
+        base = ["sample", "--model", "builtin:geom-pm1", "--count", "20", "--seed", "0",
+                *kind, "--workers", workers]
+        full, capped = tmp_path / "full", tmp_path / "capped"
+        assert main(base + ["--out", str(full)]) == 0
+        code, _, err = run(capsys, *base, *cap, "--out", str(capped))
+        assert code == 1
+        [line] = [x for x in err.splitlines() if x.startswith("gwprofile: error:")]
+        k = int(line.split("item ")[1].split(":")[0])
+        assert line.startswith(f"gwprofile: error: ResourceLimitError: item {k}: ")
+        assert 0 < k < 20
+        written = capped.read_text().splitlines()
+        assert written == full.read_text().splitlines()[:k]
+        manifest = json.loads((tmp_path / "capped.manifest.json").read_text())
+        assert manifest["outputs"] == [str(capped)]
+
+    def test_capped_quadrangulation_lists_the_maps_written(self, capsys, tmp_path):
+        prefix = str(tmp_path / "q")
+        code, _, err = run(
+            capsys, "sample", "--model", "builtin:geom-pm01", "--kind", "quadrangulation",
+            "--count", "6", "--vertex-cap", "5", "--rejection-cap", "2", "--out", prefix,
+        )
+        assert code == 1
+        assert err.startswith("gwprofile: error: ResourceLimitError: item 2: ")
+        manifest = json.loads(open(prefix + ".manifest.json").read())
+        assert manifest["outputs"] == [prefix + ".0.csv", prefix + ".1.csv"]
+        assert sorted(p.name for p in tmp_path.glob("q.*.csv")) == ["q.0.csv", "q.1.csv"]
+
     def test_quadrangulation_manifest_lists_the_files_written(self, capsys, tmp_path):
         prefix = str(tmp_path / "q")
         code, _, _ = run(

@@ -13,8 +13,8 @@ from gwprofile.genfun import (
     f_table,
     joint_table,
     linear_coefficient,
-    measured_singular_coefficient,
     nu_table,
+    singular_coefficient,
     solve_nu_gf,
 )
 
@@ -158,8 +158,7 @@ class TestJointTable:
     def test_matches_bivariate_fixed_point(self, V):
         # the (V + 1, V) orders of criterion 5, and the benchmark's V = 20
         single = joint_table(builtin_model("incomplete-binary"), 1, V + 1, V)[1]
-        check = bivariate_fixed_point(V + 1, V)
-        assert [list(row) for row in check.coeffs] == single
+        assert bivariate_fixed_point(V + 1, V) == single
 
     def test_certificate_rejects_a_perturbed_cell(self, monkeypatch):
         honest = genfun._excursion_joint_gf
@@ -257,5 +256,10 @@ class TestSingular:
     def test_measured_is_finite(self):
         for model_id in MODELS:
             m = builtin_model(model_id)
-            val = measured_singular_coefficient(m, Fraction(1) - Fraction(1, 10**4))
+            val = singular_coefficient(m, Fraction(1) - Fraction(1, 10**4))
             assert 0.5 < val < 3.0
+
+    @pytest.mark.parametrize("z_eval", [Fraction(0), Fraction(1), Fraction(3, 2)])
+    def test_singular_coefficient_needs_z_in_the_unit_interval(self, z_eval):
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            singular_coefficient(builtin_model("geom-pm1"), z_eval)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gwprofile import builtin_model, decode, tree_weight
-from gwprofile.errors import DomainError, IntegrityError
+from gwprofile import builtin_model, decode, oracle, tree_weight
+from gwprofile.errors import DomainError, IntegrityError, ResourceLimitError
 from gwprofile.genfun import f_table, joint_table, nu_table
 from gwprofile.kernel import binomial, cond_transition_prob
 from gwprofile.oracle import (
@@ -70,6 +70,14 @@ class TestEnumeration:
         for v in range(0, 5):
             got = len(enumerate_trees(BINARY, v).items)
             assert got == math.comb(2 * (v + 1), v + 1) // (v + 2)
+
+    def test_item_cap_guards_enumeration(self, monkeypatch):
+        # 14 incomplete-binary trees with 3 edges, in 12 edge multisets
+        monkeypatch.setattr(oracle, "ITEM_CAP", 5)
+        with pytest.raises(ResourceLimitError, match="14 > cap 5 trees"):
+            enumerate_trees(BINARY, 3)
+        with pytest.raises(ResourceLimitError, match="edge multisets exceed cap 5"):
+            exact_chain_law(3)
 
 
 class TestChainLaw:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gwprofile.errors import DomainError, IntegrityError
-from gwprofile.series import BivariateSeries, RationalSeries, _integer_scale
+from gwprofile.series import RationalSeries, _integer_scale
 
 ORDER = 8
 
@@ -30,7 +30,7 @@ class TestRing:
 
     @given(series())
     def test_sub_self(self, a):
-        assert a - a == RationalSeries.zero(ORDER)
+        assert a - a == RationalSeries([0] * (ORDER + 1))
 
     def test_getitem(self):
         s = RationalSeries([1, 2, 3])
@@ -65,18 +65,10 @@ class TestSqrt:
         with pytest.raises(DomainError):
             RationalSeries([2, 1]).sqrt()
 
-
-class TestBivariate:
-    def test_mul(self):
-        a = BivariateSeries([[1, 1], [1, 0]])  # 1 + u + z
-        b = BivariateSeries([[1, 0], [1, 0]])  # 1 + z
-        c = a * b
-        assert c[0, 0] == 1 and c[0, 1] == 1 and c[1, 0] == 2 and c[1, 1] == 1
-
-    def test_shift_u(self):
-        a = BivariateSeries([[1, 2], [3, 4]])
-        s = a.shift_u()
-        assert s[0, 1] == 1 and s[1, 1] == 3 and s[0, 0] == 0
+    @pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 1], [0, 0, 0], [-1, 2]])
+    def test_constant_term_must_be_positive(self, coeffs):
+        with pytest.raises(DomainError, match="positive constant term"):
+            RationalSeries(coeffs).sqrt()
 
 
 class TestIntegerScale:

@@ -1,7 +1,8 @@
-"""The package's public surface has callers.
+"""The package's public surface, and every private helper, has callers.
 
-Every public top-level function or class in ``src/gwprofile``, and every
-public method of a public class, must be referenced from ``src/`` or
+Every public top-level function or class in ``src/gwprofile``, every
+public method of a public class, every private top-level function and
+every private method (dunders aside) must be referenced from ``src/`` or
 ``perfbench/`` somewhere outside its own definition: a top-level name by
 a loaded name, an attribute or a ``from ... import``, a method by an
 attribute.  The tests under ``tests/`` do not count as callers, and
@@ -40,22 +41,34 @@ def _is_public(name):
     return not name.startswith("_")
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _checked(name, public_scope):
+    """Whether a definition must have a caller: a public name in a public
+    scope, or any private name that is not a dunder."""
+    return public_scope if _is_public(name) else not _is_dunder(name)
+
+
 def _definitions(module, tree):
-    """(qualified name, name, node, is_method) for public top-level defs and
-    public methods of public classes."""
+    """(qualified name, name, node, is_method) for public top-level defs,
+    public methods of public classes, private top-level functions and
+    private methods of every class."""
     defs = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not _is_public(node.name):
-                continue
-            defs.append((f"{module}.{node.name}", node.name, node, False))
-            if isinstance(node, ast.ClassDef):
-                defs.extend(
-                    (f"{module}.{node.name}.{item.name}", item.name, item, True)
-                    for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and _is_public(item.name)
-                )
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if _checked(node.name, True):
+                defs.append((f"{module}.{node.name}", node.name, node, False))
+        elif isinstance(node, ast.ClassDef):
+            if _is_public(node.name):
+                defs.append((f"{module}.{node.name}", node.name, node, False))
+            defs.extend(
+                (f"{module}.{node.name}.{item.name}", item.name, item, True)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and _checked(item.name, _is_public(node.name))
+            )
     return defs
 
 
@@ -117,7 +130,7 @@ def test_every_public_name_has_a_caller():
     defs, refs, exported = _survey()
     uncalled = _uncalled(defs, refs)
     orphans = sorted(q for q, name in uncalled if name not in exported | set(ALLOWED))
-    assert orphans == [], f"public names with no caller outside tests: {orphans}"
+    assert orphans == [], f"names with no caller outside tests: {orphans}"
 
 
 def test_allowlist_is_current():
