@@ -115,8 +115,6 @@ def _cmd_sample(args) -> Tuple[int, dict]:
     sign = {"+": 1, "-": -1}.get(args.sign, 1)
 
     if args.kind == "quadrangulation":
-        from .maps import save_map
-
         if not args.out:
             raise ConfigurationError(
                 "--out prefix is required for --kind quadrangulation"
@@ -125,27 +123,22 @@ def _cmd_sample(args) -> Tuple[int, dict]:
             raise ConfigurationError(
                 f"--kind quadrangulation requires --model {_MAP_MODEL}"
             )
-        fields["outputs"] = []
-        for i in range(args.count):
-            cfg = SamplerConfig(
-                seed=args.seed,
-                stream=i,
-                vertex_cap=vertex_cap,
-                rejection_cap=rejection_cap,
-            )
-            try:
-                quadrangulation = Sampler(model, cfg).sample_quadrangulation()
-            except ResourceLimitError as exc:
-                return _capped_item(i, exc), fields
-            path = f"{args.out}.{i}.csv"
-            save_map(quadrangulation, path)
-            fields["outputs"].append(path)
-        return 0, fields
 
     task = (
         args.model, args.kind, args.seed, vertex_cap, rejection_cap, args.edges, sign
     )
     parts = _map_items(_sample_items_worker, task, args.count, args.workers)
+    if args.kind == "quadrangulation":
+        from .maps import save_map
+
+        outputs = fields["outputs"] = []
+        for maps, capped in parts:
+            for q in maps:
+                outputs.append(f"{args.out}.{len(outputs)}.csv")
+                save_map(q, outputs[-1])
+            if capped:
+                return _capped_item(*capped), fields
+        return 0, fields
     fh = _open_out(args.out)
     try:
         for lines, capped in parts:
@@ -165,9 +158,10 @@ def _capped_item(i: int, exc: ResourceLimitError) -> int:
     return 1
 
 
-def _sample_items_worker(task) -> Tuple[List[str], Optional[tuple]]:
-    """The encoded items lo .. hi - 1, up to the first that passes a cap,
-    and (index, error) of that item, or None."""
+def _sample_items_worker(task) -> Tuple[list, Optional[tuple]]:
+    """The items lo .. hi - 1, up to the first that passes a cap, and
+    (index, error) of that item, or None.  Trees and excursions come
+    encoded, quadrangulations as maps."""
     (spec, kind, seed, vertex_cap, rejection_cap, edges, sign, lo, hi) = task
     model = resolve_model(spec)
     out = []
@@ -181,6 +175,8 @@ def _sample_items_worker(task) -> Tuple[List[str], Optional[tuple]]:
                 out.append(encode(s.sample_tree()))
             elif kind == "excursion":
                 out.append(encode(s.sample_excursion(sign).tree))
+            elif kind == "quadrangulation":
+                out.append(s.sample_quadrangulation())
             else:
                 out.append(encode(s.sample_conditioned(edges)))
         except ResourceLimitError as exc:

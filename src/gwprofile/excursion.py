@@ -1,16 +1,22 @@
 """Level-m decomposition of labelled trees into excursions, and its inverse.
 
-Fix a tree t rooted at label 0 and a nonzero level m.  For m >= 1, cutting
-every edge whose endpoint labels are {m-1, m} (the edges crossing height
-m - 1/2) and duplicating the child endpoint of each cut edge splits t into:
+Fix a tree t rooted at label 0, a nonzero level m and its sign s = ±1.
+Cutting every edge whose endpoint labels are {m-s, m} (the edges crossing
+height m - s/2) and duplicating the child endpoint of each cut edge
+splits t into:
 
 - the *root component* t^[m]: the vertices with no strict ancestor
   labelled m; its vertices labelled m are exactly the duplicated
   first-hit leaves;
-- a forest of *excursions*: components rooted at duplicated children,
-  positive (all labels >= m, shifted down by m-1) when rooted at label m,
-  negative (all labels <= m-1, shifted down by m) when rooted at label
-  m-1.  Signs alternate with forest height, starting positive.
+- a forest of *excursions*: components rooted at duplicated children.
+  One rooted at label m has sign s (every label on m's side of the cut);
+  one rooted at label m-s has sign -s.  Each is shifted so that its root
+  is labelled by its sign.  Signs alternate with forest height, starting
+  with s at the roots.
+
+Reflecting every label of t maps its cut at m onto the cut of the
+reflected tree at -m, with the same edges and every sign flipped; this
+is why one pass, written in s, serves both signs of m.
 
 The forest genealogy sets τ' as a child of τ when the root of τ' was cut
 from a vertex of τ; each excursion then has exactly as many forest
@@ -19,15 +25,11 @@ those leaves in plane order.  So the forest stores no attachment slots (a
 child's slot is its rank among its siblings) and an excursion stores only
 its tree (its sign and leaf count are read off it).  :func:`reconstruct`
 inverts the map exactly.
-
-Negative levels use the mirrored construction: reflect all labels,
-decompose at -m, and reflect the pieces back (signs flip; forest roots are
-negative excursions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -71,8 +73,7 @@ class ExcursionForest:
     order, which is the order of their attachment leaves: the i-th root
     attaches to the i-th port leaf, in preorder, of the root component
     (its leaves labelled m), and the i-th child of v to the i-th label-0
-    leaf of v's excursion.  Roots are positive excursions at positive
-    levels and negative ones at negative levels.
+    leaf of v's excursion.  Roots have the sign of the level.
     """
 
     children: Tuple[Tuple[int, ...], ...]
@@ -83,10 +84,11 @@ class ExcursionForest:
     def n_vertices(self) -> int:
         return len(self.children)
 
-    def validate(self) -> None:
-        """Check signs (+1 at the roots) and child counts in one pass from the roots."""
+    def validate(self, root_sign: int) -> None:
+        """Check signs (``root_sign`` at the roots) and child counts in one
+        pass from the roots."""
         reached = [False] * self.n_vertices
-        stack = [(r, 1) for r in self.roots]
+        stack = [(r, root_sign) for r in self.roots]
         while stack:
             v, expected_sign = stack.pop()
             if reached[v]:
@@ -117,35 +119,13 @@ class ExcursionDecomposition:
     forest: ExcursionForest
 
 
-def _mirror(d: ExcursionDecomposition) -> ExcursionDecomposition:
-    """Reflect every label: the decomposition of the reflected tree at -level.
-
-    An involution; it flips the level and every sign.
-    """
-    f = d.forest
-    forest = replace(
-        f,
-        decorations=tuple(
-            Excursion(e.tree.relabel(reflect=True)) for e in f.decorations
-        ),
-    )
-    return ExcursionDecomposition(
-        -d.level, d.root_component.relabel(reflect=True), forest
-    )
-
-
 def decompose(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
-    """Cut t at height m - 1/2 (mirrored for m <= -1)."""
+    """Cut t at height m - s/2, where s = sign(m)."""
     if t.root_label != 0:
         raise DomainError("decomposition requires a tree rooted at label 0")
     if m == 0:
         raise DomainError("decomposition level must be nonzero")
-    if m < 0:
-        return _mirror(_decompose_positive(t.relabel(reflect=True), -m))
-    return _decompose_positive(t, m)
-
-
-def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
+    s = 1 if m > 0 else -1
     labels, parents = t.labels, t.parents
     n = len(labels)
     # Components in creation order: 0 is the root component, c + 1 the
@@ -160,7 +140,7 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
     comp_shift = [0]  # added to t's labels: excursion roots become +1 / -1
     ports: list = [[]]  # per component, the cuts attached below it, in preorder
     cut_from = []  # per cut: the vertex of t it was cut from
-    cut_sum = 2 * m - 1  # a cut edge joins labels m - 1 and m
+    cut_sum = 2 * m - s  # a cut edge joins labels m - s and m
     for v in range(1, n):
         p = parents[v]
         lv = labels[v]
@@ -176,7 +156,7 @@ def _decompose_positive(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
         # Cut edge: v roots a new excursion.
         ports[b].append(len(cut_from))
         cut_from.append(p)
-        sign = 1 if lv == m else -1
+        sign = s if lv == m else -s
         comp[v] = len(comp_labels)
         comp_labels.append([sign])
         comp_parents.append([None])
@@ -211,22 +191,16 @@ def reconstruct(d: ExcursionDecomposition) -> LabelledPlaneTree:
     m = d.level
     if m == 0:
         raise DomainError("decomposition level must be nonzero")
-    if m < 0:
-        return _reconstruct_positive(_mirror(d)).relabel(reflect=True)
-    return _reconstruct_positive(d)
-
-
-def _reconstruct_positive(d: ExcursionDecomposition) -> LabelledPlaneTree:
-    m = d.level
+    s = 1 if m > 0 else -1
     rc = d.root_component
     forest = d.forest
     if rc.root_label != 0:
         raise ReconstructionError("root component must be rooted at label 0")
-    forest.validate()
+    forest.validate(s)
     n_ports = rc.labels.count(m)
     if n_ports != len(forest.roots):
         raise ReconstructionError(
-            f"root component has {n_ports} level-{m} leaves but the "
+            f"root component has {n_ports} leaves labelled {m} but the "
             f"forest has {len(forest.roots)} roots"
         )
 
@@ -260,9 +234,9 @@ def _reconstruct_positive(d: ExcursionDecomposition) -> LabelledPlaneTree:
                 (cl, cp, shift, port, kids, out, u + 1, used + 1, root_parent)
             )
             root_parent = out[cp[u]]
-            # Signs alternate from +1 at the roots (validate checked them), so
-            # the excursion root's glued label is the port's: m, m - 1, m, ...
-            shift = (m - 1) if exc.sign == 1 else m
+            # Signs alternate from s at the roots (validate checked them), so
+            # the excursion root's glued label is the port's: m, m - s, m, ...
+            shift = (m - s) if exc.sign == s else m
             cl, cp, port = exc.tree.labels, exc.tree.parents, 0
             kids, out, u, used = forest.children[fv], [0] * len(cl), 0, 0
             continue

@@ -166,40 +166,37 @@ def count_profile(plus, check) -> int:
 
     ``plus`` lists (p_k, q_k) = (up, down) edge counts between labels
     k-1 and k for k = 1..; ``check`` lists (pcheck_k, qcheck_k) = (up,
-    down) counts between labels -k and -k+1.
+    down) counts between labels -k and -k+1.  Reflecting the labels maps
+    the negative half onto a positive one with up and down swapped, so
+    it is read as the pairs (qcheck_k, pcheck_k), and both halves go
+    through the same checks and the same product.
 
     A profile violating the state-space constraint (a downward count
     without the matching upward count) has count 0.
     """
-    plus = [tuple(x) for x in plus]
-    check = [tuple(x) for x in check]
-    m = _validate_half_profile(plus, "positive")
-    mck = _validate_half_profile([(qc, pc) for pc, qc in check], "negative")
-    # state-space constraint: q_k = 0 whenever p_k = 0 (and mirrored).
-    for p_k, q_k in plus:
-        if p_k == 0 and q_k != 0:
-            return 0
-    for pc_k, qc_k in check:
-        if qc_k == 0 and pc_k != 0:
-            return 0
+    halves = ([tuple(x) for x in plus], [(qc, pc) for pc, qc in check])
+    heights = [
+        _validate_half_profile(half, side)
+        for half, side in zip(halves, ("positive", "negative"))
+    ]
+    # state-space constraint: q_k = 0 whenever p_k = 0.
+    for half in halves:
+        for p_k, q_k in half:
+            if p_k == 0 and q_k != 0:
+                return 0
 
     def at(seq, k):  # 1-based, zero beyond range
         return seq[k - 1] if 1 <= k <= len(seq) else (0, 0)
 
-    p1, q1 = at(plus, 1)
-    pc1, qc1 = at(check, 1)
+    (p1, q1), (qc1, pc1) = (at(half, 1) for half in halves)
     m0 = pc1 + q1 + 1
     card = Fraction(binomial(m0, p1) * binomial(m0, qc1), m0)
-    for i in range(1, mck + 1):
-        pc_i, qc_i = at(check, i)
-        pc_n, qc_n = at(check, i + 1)
-        mi = pc_n + qc_i
-        card *= Fraction(qc_i, mi) * binomial(mi, qc_n) * binomial(mi, pc_i)
-    for j in range(1, m + 1):
-        p_j, q_j = at(plus, j)
-        p_n, q_n = at(plus, j + 1)
-        mj = p_j + q_n
-        card *= Fraction(p_j, mj) * binomial(mj, p_n) * binomial(mj, q_j)
+    for half, m in zip(halves, heights):
+        for j in range(1, m + 1):
+            p_j, q_j = at(half, j)
+            p_n, q_n = at(half, j + 1)
+            mj = p_j + q_n
+            card *= Fraction(p_j, mj) * binomial(mj, p_n) * binomial(mj, q_j)
     if card.denominator != 1:
         raise DomainError("profile count formula produced a non-integer")
     return int(card)

@@ -437,7 +437,8 @@ def verify_profile_relations(q: Quadrangulation, d_star_shift: int = 0):
     For every radius k: C_k = Xcheck+_{d_star-k} + 1 and
     P_k / 2 = Xcheck+_{d_star-k} + Xcheck-_{d_star-k} below d_star;
     C_k = X+_{k-d_star+1} and P_k / 2 = X+ + X- at k-d_star+1 from
-    d_star up; P_k is even throughout.  ``d_star_shift`` perturbs the
+    d_star up.  P_k is even throughout, since ``ball_profile`` computes
+    it as 2 E_k - 4 I_k.  ``d_star_shift`` perturbs the
     alignment (negative control); 0 is the asserted alignment.
     """
     summary = ball_profile(q)
@@ -449,9 +450,6 @@ def verify_profile_relations(q: Quadrangulation, d_star_shift: int = 0):
     for k in range(1, summary.k_max + 1):
         P_k, C_k = summary.P[k - 1], summary.C[k - 1]
         checked += 1
-        if P_k % 2:
-            mism.append(f"k={k}: odd perimeter {P_k}")
-            continue
         if k < d_star:
             cx = prof.check_plus.get(d_star - k, 0)
             cm = prof.check_minus.get(d_star - k, 0)

@@ -96,24 +96,23 @@ def chi_square(
 
 
 def fold_tail(
-    observed: Mapping[int, int], expected: Mapping[int, float], tail_key: Hashable = "tail"
+    observed: Mapping[int, int], expected: Mapping[int, float]
 ) -> Tuple[Dict[Hashable, int], Dict[Hashable, float]]:
     """Fold observations beyond the expected table into one tail cell.
 
     For integer-keyed histograms whose expected law is only tabulated up
     to some order: observed keys above the largest tabulated key are
-    merged into ``tail_key``, whose expected probability is the residual
-    mass 1 - sum(expected)."""
+    merged into the key ``"tail"``, whose expected probability is the
+    residual mass 1 - sum(expected)."""
     cutoff = max(expected) if expected else -1
     obs: Dict[Hashable, int] = {}
     for k, v in observed.items():
-        obs[tail_key if k > cutoff else k] = v + obs.get(
-            tail_key if k > cutoff else k, 0
-        )
+        key = "tail" if k > cutoff else k
+        obs[key] = v + obs.get(key, 0)
     exp: Dict[Hashable, float] = dict(expected)
     residual = 1.0 - sum(float(p) for p in expected.values())
     if residual > 0.0:
-        exp[tail_key] = residual
+        exp["tail"] = residual
     return obs, exp
 
 

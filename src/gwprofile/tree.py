@@ -16,10 +16,10 @@ and hashing use ``(labels, parents)``.
 Validation runs where arrays come from outside the package: the public
 constructor ``LabelledPlaneTree(labels, parents)`` (and so ``from_nested``)
 checks every invariant in one pass.  The package's own producers
-(samplers, :func:`decode`, :func:`truncate`, ``relabel``, the excursion
-decomposition and its inverse, the map bijection) append vertices in
-preorder and build their output with :meth:`LabelledPlaneTree.unchecked`;
-the tests check their outputs against the validating constructor.
+(samplers, :func:`decode`, :func:`truncate`, the excursion decomposition
+and its inverse, the map bijection) append vertices in preorder and build
+their output with :meth:`LabelledPlaneTree.unchecked`; the tests check
+their outputs against the validating constructor.
 
 The text grammar is exact and whitespace-free::
 
@@ -152,16 +152,6 @@ class LabelledPlaneTree:
     def from_nested(cls, root_label: int, nested: Nested) -> "LabelledPlaneTree":
         """Build from the nested-tuple shorthand (see module docstring)."""
         return cls(*_preorder_from_nested(root_label, nested))
-
-    def relabel(self, shift: int = 0, reflect: bool = False) -> "LabelledPlaneTree":
-        """Return a copy with labels mapped to ``-l + shift`` (reflect) or ``l + shift``."""
-        if reflect:
-            labels = tuple(-l + shift for l in self.labels)
-        else:
-            labels = tuple(l + shift for l in self.labels)
-        t = LabelledPlaneTree.unchecked(labels, self.parents)
-        t._children = self._children
-        return t
 
 
 def _preorder_from_nested(root_label: int, nested: Nested):

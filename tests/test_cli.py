@@ -210,16 +210,34 @@ class TestSample:
         assert manifest["outputs"] == [str(capped)]
 
     def test_capped_quadrangulation_lists_the_maps_written(self, capsys, tmp_path):
-        prefix = str(tmp_path / "q")
-        code, _, err = run(
-            capsys, "sample", "--model", "builtin:geom-pm01", "--kind", "quadrangulation",
-            "--count", "6", "--vertex-cap", "5", "--rejection-cap", "2", "--out", prefix,
-        )
-        assert code == 1
-        assert err.startswith("gwprofile: error: ResourceLimitError: item 2: ")
-        manifest = json.loads(open(prefix + ".manifest.json").read())
-        assert manifest["outputs"] == [prefix + ".0.csv", prefix + ".1.csv"]
-        assert sorted(p.name for p in tmp_path.glob("q.*.csv")) == ["q.0.csv", "q.1.csv"]
+        for workers in ("1", "2"):
+            prefix = str(tmp_path / f"q{workers}")
+            code, _, err = run(
+                capsys, "sample", "--model", "builtin:geom-pm01", "--kind",
+                "quadrangulation", "--count", "6", "--vertex-cap", "5",
+                "--rejection-cap", "2", "--workers", workers, "--out", prefix,
+            )
+            assert code == 1
+            assert err.startswith("gwprofile: error: ResourceLimitError: item 2: ")
+            manifest = json.loads(open(prefix + ".manifest.json").read())
+            assert manifest["outputs"] == [prefix + ".0.csv", prefix + ".1.csv"]
+            written = sorted(p.name for p in tmp_path.glob(f"q{workers}.*.csv"))
+            assert written == [f"q{workers}.0.csv", f"q{workers}.1.csv"]
+
+    def test_quadrangulation_is_worker_independent(self, capsys, tmp_path):
+        files = {}
+        for workers in ("1", "3"):
+            prefix = str(tmp_path / f"q{workers}")
+            code, _, _ = run(
+                capsys, "sample", "--model", "builtin:geom-pm01", "--kind",
+                "quadrangulation", "--count", "6", "--seed", "11",
+                "--workers", workers, "--out", prefix,
+            )
+            assert code == 0
+            files[workers] = [
+                open(f"{prefix}.{i}.csv", "rb").read() for i in range(6)
+            ]
+        assert files["1"] == files["3"]
 
     def test_quadrangulation_manifest_lists_the_files_written(self, capsys, tmp_path):
         prefix = str(tmp_path / "q")

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwprofile import builtin_model, decode, encode, tree_weight
+from gwprofile import LabelledPlaneTree, builtin_model, decode, encode, tree_weight
 from gwprofile.errors import DomainError, ReconstructionError
 from gwprofile.excursion import (
     Excursion,
     ExcursionDecomposition,
     ExcursionForest,
-    _mirror,
     decompose,
     decomposition_weight,
     reconstruct,
@@ -20,6 +19,11 @@ from gwprofile.oracle import enumerate_trees
 from gwprofile.sampler import Sampler, SamplerConfig
 
 from test_tree import random_trees
+
+
+def reflect(t):
+    """t with every label negated, through the validating constructor."""
+    return LabelledPlaneTree([-l for l in t.labels], t.parents)
 
 
 class TestExcursion:
@@ -61,12 +65,16 @@ class TestDecompose:
 
     @given(random_trees(root_label=0), st.sampled_from([1, 2, -1, -2]))
     @settings(max_examples=50)
-    def test_mirror_is_an_involution(self, t, m):
-        d = decompose(t, m)
-        mirrored = _mirror(d)
-        assert mirrored.level == -m
-        assert mirrored == decompose(t.relabel(reflect=True), -m)
-        assert _mirror(mirrored) == d
+    def test_negative_level_is_the_reflected_cut(self, t, m):
+        # Reflecting the labels maps the cut at m onto the cut at -m: every
+        # piece is reflected and the forest is the same.
+        d, r = decompose(t, m), decompose(reflect(t), -m)
+        assert r.level == -m
+        assert r.root_component == reflect(d.root_component)
+        assert [e.tree for e in r.forest.decorations] == [
+            reflect(e.tree) for e in d.forest.decorations
+        ]
+        assert (r.forest.roots, r.forest.children) == (d.forest.roots, d.forest.children)
 
     def test_level_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -16,9 +16,31 @@ from gwprofile.kernel import (
     kernel_row,
     transition_prob,
 )
-from gwprofile.oracle import exact_chain_law
+from gwprofile.oracle import enumerate_trees, exact_chain_law
+from gwprofile.tree import edge_profile
 
 BINARY = builtin_model("incomplete-binary")
+
+
+def binary_profiles(edges):
+    """The distinct (plus, check) profiles of incomplete-binary trees with
+    ``edges`` edges, in the form ``count_profile`` takes."""
+    profiles = set()
+    for t, _ in enumerate_trees(BINARY, edges).items:
+        prof = edge_profile(t)
+        mmax = max(list(prof.x_plus) + [0])
+        cmax = max(list(prof.check_minus) + [0])
+        profiles.add((
+            tuple(
+                (prof.x_plus.get(k, 0), prof.x_minus.get(k, 0))
+                for k in range(1, mmax + 1)
+            ),
+            tuple(
+                (prof.check_plus.get(k, 0), prof.check_minus.get(k, 0))
+                for k in range(1, cmax + 1)
+            ),
+        ))
+    return profiles
 
 
 def tables(p_max=8, q_max=8):
@@ -151,32 +173,24 @@ class TestCountProfile:
     def test_total_mass_over_trees(self):
         # summing card * 4^{-(1+edges)} over all profiles of <=3-edge trees
         # recovers the total 4^{-V-1} masses
-        from gwprofile.oracle import enumerate_trees
-        from gwprofile.tree import edge_profile
-
         total = Fraction(0)
         for e in range(0, 4):
             for t, wgt in enumerate_trees(BINARY, e).items:
                 total += wgt
-        by_profile = {}
-        for e in range(0, 4):
-            for t, _ in enumerate_trees(BINARY, e).items:
-                prof = edge_profile(t)
-                mmax = max(list(prof.x_plus) + [0])
-                cmax = max(list(prof.check_minus) + [0])
-                key = (
-                    tuple(
-                        (prof.x_plus.get(k, 0), prof.x_minus.get(k, 0))
-                        for k in range(1, mmax + 1)
-                    ),
-                    tuple(
-                        (prof.check_plus.get(k, 0), prof.check_minus.get(k, 0))
-                        for k in range(1, cmax + 1)
-                    ),
-                )
-                by_profile[key] = True
         acc = Fraction(0)
-        for plus, check in by_profile:
+        for plus, check in set().union(*(binary_profiles(e) for e in range(0, 4))):
             edges = sum(a + b for a, b in plus) + sum(a + b for a, b in check)
             acc += count_profile(plus, check) * Fraction(1, 4 ** (1 + edges))
         assert acc == total
+
+    def test_reflection_swaps_the_halves(self):
+        # Reflecting a tree's labels swaps the halves of its profile and up
+        # with down in each; the reflected trees are binary trees too.
+        def swap(half):
+            return tuple((b, a) for a, b in half)
+
+        for e in range(0, 7):
+            for plus, check in binary_profiles(e):
+                assert count_profile(plus, check) == count_profile(
+                    swap(check), swap(plus)
+                ), (plus, check)

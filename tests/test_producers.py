@@ -1,7 +1,7 @@
 """Outputs of the unchecked tree producers pass the validating constructor.
 
-Samplers, decode, truncate, relabel, the excursion decomposition and its
-inverse, and the map bijection build their trees with
+Samplers, decode, truncate, the excursion decomposition and its inverse,
+and the map bijection build their trees with
 ``LabelledPlaneTree.unchecked``; these properties re-run every invariant
 on their outputs, on random, deep and wide trees.
 """
@@ -48,14 +48,12 @@ def preorder_trees(draw, max_vertices=3000):
 
 
 class TestTreeProducers:
-    @given(preorder_trees(), st.integers(-3, 3), st.integers(-2, 4))
+    @given(preorder_trees(), st.integers(-2, 4))
     @settings(max_examples=40, deadline=None)
-    def test_decode_truncate_relabel(self, t, shift, level):
+    def test_decode_truncate(self, t, level):
         assert_valid(t)  # the strategy's own output
         assert_valid(decode(encode(t)))
         assert_valid(truncate(t, level))
-        for reflect in (False, True):
-            assert_valid(t.relabel(shift, reflect))
 
     @given(preorder_trees(), st.sampled_from([1, 2, -1, -2]))
     @settings(max_examples=40, deadline=None)
