@@ -558,6 +558,9 @@ def _cmd_maps(args) -> Tuple[int, dict]:
         raise ConfigurationError("provide exactly one of --from-tree or --in")
     exit_code = 0
     if args.from_tree is not None:
+        for flag in ("--to-tree", "--profile", "--check"):
+            if getattr(args, flag[2:].replace("-", "_")):
+                raise ConfigurationError(f"{flag} needs --in, not --from-tree")
         q = tree_to_map(decode(args.from_tree), args.orientation)
         if args.out:
             save_map(q, args.out)

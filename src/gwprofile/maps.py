@@ -9,18 +9,33 @@ Vertices are identified with the smallest dart of their sigma-orbit.
 The bijection with labelled trees draws one arc from every contour
 corner of the tree to its successor (the next corner, in contour
 order, whose label is one less); corners of minimal label connect to
-the extra pointed vertex.  Its orientation conventions are written in
-the code of ``tree_to_map`` and ``map_to_tree``: arc ends inside a
-corner in ascending clockwise distance, the corners of a vertex in
+the extra pointed vertex.  Its orientation conventions: arc ends inside
+a corner in ascending clockwise distance, the corners of a vertex in
 reverse contour order, the arcs around the pointed vertex in contour
 order, and children read back along the inverse rotation.  They were
 selected by exhaustive search as the unique self-consistent choice and
 are locked in place by the round-trip tests - the tests, not any
-external authority, validate them.  Ascending clockwise distance takes
-no sort: at a corner the arc that leaves it comes first, then the arcs
-arriving from the corners after it in cyclic contour order, because
-labels change by at most 1 between consecutive corners (see
-``tree_to_map``).
+external authority, validate them.
+
+``tree_to_map`` takes two passes and writes sigma directly.  The first
+walks the preorder arrays with a path stack and lists the contour
+corners, linking each to the previous corner of its vertex.  The second
+visits the corners once, from the first corner of minimal label, and
+keeps per label the chain of arcs still waiting for a successor; a
+corner of label l takes the whole label-(l + 1) chain as its fan.  Labels
+change by at most 1 between consecutive corners, so an arc from label
+l > min meets label l - 1 before the scan comes back round to its
+minimal start: no second lap is needed, and only the label-(min + 1)
+arcs left at the end wrap round to the start corner.  A fan is its
+corner p's leaving arc, then the chain in visiting order: ascending
+clockwise distance, as the corners strictly between an arriving one and
+p are all labelled above p, so p's successor comes before every arriving
+corner.
+
+``map_to_tree`` labels vertices by distance from the point and selects
+one tree edge per face.  Around a face the labels step by +-1, so they
+read (m, m-1, m, m-1), and the edge joins the two tops, or (m+1, m,
+m-1, m), and it joins the one top to the next corner.
 
 Ball profiles are counted, not built: one breadth-first search from the
 point and Euler's formula give the external faces and perimeters of
@@ -30,6 +45,7 @@ every ball (see ``ball_profile``).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
@@ -38,22 +54,22 @@ from .errors import DomainError, IntegrityError
 from .tree import LabelledPlaneTree, edge_profile
 
 
-def _orbits(perm: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Cycles of a permutation of 0..n-1, each from its smallest element."""
-    seen = bytearray(len(perm))
+def _orbits(perm: Sequence[int]) -> Tuple[Tuple[Tuple[int, ...], ...], List[int]]:
+    """Cycles of a permutation of 0..n-1, each from its smallest element,
+    and for each element the smallest element of its cycle."""
+    owner = [-1] * len(perm)
     orbits = []
-    d = seen.find(0)
-    while d >= 0:
-        orbit = [d]
-        seen[d] = 1
-        e = perm[d]
-        while e != d:
-            orbit.append(e)
-            seen[e] = 1
-            e = perm[e]
-        orbits.append(tuple(orbit))
-        d = seen.find(0, d + 1)
-    return tuple(orbits)
+    for d in range(len(perm)):
+        if owner[d] < 0:
+            orbit = [d]
+            owner[d] = d
+            e = perm[d]
+            while e != d:
+                orbit.append(e)
+                owner[e] = d
+                e = perm[e]
+            orbits.append(tuple(orbit))
+    return tuple(orbits), owner
 
 
 class PlanarMap:
@@ -82,28 +98,29 @@ class PlanarMap:
             a == d or alpha[a] != d for d, a in enumerate(alpha)
         ):
             raise IntegrityError("alpha is not a fixed-point-free involution")
-        # connectivity under <alpha, sigma>
+        self._vertices, self.vertex_of = _orbits(sigma)
+        vertex_of = self.vertex_of
+        # connectivity under <alpha, sigma>: search vertices, one test per dart
         seen = bytearray(len(darts))
         seen[0] = 1
-        stack = [0]
-        while stack:
-            d = stack.pop()
-            for e in (alpha[d], sigma[d]):
-                if not seen[e]:
-                    seen[e] = 1
-                    stack.append(e)
-        if 0 in seen:
+        queue = [0]
+        for v in queue:
+            d = v
+            while True:
+                w = vertex_of[alpha[d]]
+                if not seen[w]:
+                    seen[w] = 1
+                    queue.append(w)
+                d = sigma[d]
+                if d == v:
+                    break
+        if len(queue) != len(self._vertices):
             raise IntegrityError("map is not connected")
         if root_dart is not None and root_dart not in darts:
             raise IntegrityError("root dart is not a dart")
         if pointed_vertex is not None and pointed_vertex not in darts:
             raise IntegrityError("pointed vertex is not a dart")
-        self._vertices = _orbits(sigma)
-        self.vertex_of = vertex_of = [0] * len(darts)
-        for orbit in self._vertices:
-            for d in orbit:
-                vertex_of[d] = orbit[0]
-        self._faces = _orbits([sigma[a] for a in alpha])
+        self._faces = _orbits([sigma[a] for a in alpha])[0]
         self.root_dart = root_dart
         self.pointed_vertex = (
             None if pointed_vertex is None else vertex_of[pointed_vertex]
@@ -178,46 +195,6 @@ class Quadrangulation(PlanarMap):
 # -- forward bijection ------------------------------------------------------
 
 
-def _contour(t: LabelledPlaneTree) -> List[int]:
-    """Vertices at the contour corners, in contour order from the root corner.
-
-    The root contributes one corner before each child; every other
-    vertex contributes a corner before each child and one after the
-    last; total 2 * edges corners.
-    """
-    corners: List[int] = []
-    # iterative: stack of (vertex, next-child-index)
-    stack = [(0, 0)]
-    while stack:
-        v, i = stack.pop()
-        kids = t.children[v]
-        if i < len(kids):
-            corners.append(v)
-            stack.append((v, i + 1))
-            stack.append((kids[i], 0))
-        elif v != 0:
-            corners.append(v)
-    return corners
-
-
-def _successors(labels: Sequence[int]) -> List[Optional[int]]:
-    """For each position, the next position (cyclically) with label - 1.
-
-    Positions of minimal label get None (they connect to the pointed
-    vertex).
-    """
-    n = len(labels)
-    succ: List[Optional[int]] = [None] * n
-    waiting: dict[int, List[int]] = {}
-    for j in list(range(n)) * 2:
-        lab = labels[j]
-        for i in waiting.pop(lab + 1, ()):
-            if succ[i] is None:
-                succ[i] = j
-        waiting.setdefault(lab, []).append(j)
-    return succ
-
-
 def tree_to_map(t: LabelledPlaneTree, orientation: int) -> Quadrangulation:
     """The pointed quadrangulation of a labelled tree plus one root bit.
 
@@ -231,69 +208,83 @@ def tree_to_map(t: LabelledPlaneTree, orientation: int) -> Quadrangulation:
         raise DomainError("tree root must be labelled 0")
     if orientation not in (0, 1):
         raise DomainError("orientation must be 0 or 1")
-    corners = _contour(t)
-    labels = [t.labels[v] for v in corners]
-    n = len(corners)
-    succ = _successors(labels)
-    # darts: 2i leaves corner i, 2i+1 arrives at succ[i] (or the point)
+    parents = t.parents
+    low = min(t.labels)
+    labels = [x - low for x in t.labels]  # shifted to a minimum of 0
+    n = 2 * len(labels) - 2
+    # Pass 1: corner c has label lab[c]; back[c] is the previous corner of
+    # its vertex, cyclically.  A vertex's first corner is the next one made
+    # after it joins the path, and gets its link when the last one is made.
+    lab = [0] * n
+    back = [0] * n
+    first = [0] * len(labels)
+    latest = [0] * len(labels)
+    path = [0]
+    c = 0
+    for v in range(1, len(labels)):
+        p = parents[v]
+        u = path[-1]
+        while u != p:  # u's last corner
+            path.pop()
+            lab[c] = labels[u]
+            back[c] = latest[u]
+            back[first[u]] = latest[u] = c
+            c += 1
+            u = path[-1]
+        lab[c] = labels[p]  # p's corner before its child v
+        back[c] = latest[p]
+        latest[p] = c
+        c += 1
+        path.append(v)
+        first[v] = latest[v] = c
+    for u in reversed(path[1:]):
+        lab[c] = labels[u]
+        back[c] = latest[u]
+        back[first[u]] = latest[u] = c
+        c += 1
+    back[0] = latest[0]
+    # Pass 2: dart 2c leaves corner c and dart 2c + 1 arrives at its
+    # successor or the point.  The label-l chain is a sigma path from
+    # head[l] to tail[l] (-1 when empty); a fan ends at the leaving dart
+    # of the previous corner of its vertex.
     alpha = [d ^ 1 for d in range(2 * n)]
-    # Arc ends at corner p in ascending clockwise distance of the far end:
-    # the arc leaving p, then the arcs arriving from corners j in cyclic
-    # order starting after p.  The leaving arc comes first because labels
-    # change by at most 1 between consecutive corners: from an arriving j
-    # (label l_p + 1) on to p no corner has label l_p, so none has l_p - 1,
-    # and succ[p], when it exists, lies between p and every such j.  The
-    # point's arc (succ[p] is None) comes first too: the pointed vertex sits
-    # in the face on the forward side of every minimal corner.
-    fans = [[2 * p] for p in range(n)]
-    for i, s in enumerate(succ):  # j > p first: arcs that wrap around
-        if s is not None and s < i:
-            fans[s].append(2 * i + 1)
-    star_cycle = []
-    for i, s in enumerate(succ):  # then j < p
-        if s is None:
-            star_cycle.append(2 * i + 1)
-        elif s > i:
-            fans[s].append(2 * i + 1)
-    corners_of: List[List[int]] = [[] for _ in range(t.n_vertices)]
-    for p, v in enumerate(corners):
-        corners_of[v].append(p)
     sigma = [0] * (2 * n)
-    # corners around a vertex: reverse contour order; around the point:
-    # contour order
-    cycles = [[d for p in reversed(ps) for d in fans[p]] for ps in corners_of]
-    for cycle in cycles + [star_cycle]:
-        for i, d in enumerate(cycle):
-            sigma[cycle[i - 1]] = d
-    root_dart = 0 if orientation == 0 else 1
-    return Quadrangulation(alpha, sigma, root_dart, star_cycle[0])
+    head = [0] * (max(labels) + 2)
+    tail = [-1] * (max(labels) + 2)
+    s = lab.index(0)
+    for c in (*range(s, n), *range(s)):
+        l = lab[c]
+        end = tail[l + 1]
+        if end < 0:
+            end = 2 * c
+        else:
+            sigma[2 * c] = head[l + 1]
+            tail[l + 1] = -1
+        sigma[end] = 2 * back[c]
+        end = tail[l]
+        if end < 0:
+            head[l] = 2 * c + 1
+        else:
+            sigma[end] = 2 * c + 1
+        tail[l] = 2 * c + 1
+    # The label-1 corners after the last label-0 corner arrive at s.
+    end = tail[1]
+    if end >= 0:
+        sigma[2 * s] = head[1]
+        sigma[end] = 2 * back[s]
+    sigma[tail[0]] = head[0]  # around the point, in contour order
+    return Quadrangulation(alpha, sigma, orientation, head[0])
 
 
 # -- inverse bijection ------------------------------------------------------
 
 
-def _face_edge(face, lab) -> Tuple[int, int]:
-    """The selected tree edge of a face, as its two anchor darts.
-
-    With vertex labels (m, m-1, m, m-1) around the face the selected
-    edge joins the two label-m corners; with (m+1, m, m-1, m) it joins
-    the first two.  Anchors are the face darts at the edge's endpoints.
-    """
-    ls = [lab[d] for d in face]
-    top = max(ls)
-    idx = [i for i in range(4) if ls[i] == top]
-    for i in range(4):
-        if abs(ls[i] - ls[(i + 1) % 4]) != 1:
-            raise IntegrityError(f"face {face} labels {ls} are not bipartite")
-    if len(idx) == 2:
-        i, j = idx
-        if (j - i) % 4 != 2:
-            raise IntegrityError(f"face {face} labels {ls} are malformed")
-        return face[i], face[j]
-    if len(idx) == 1:
-        i = idx[0]
-        return face[i], face[(i + 1) % 4]
-    raise IntegrityError(f"face {face} labels {ls} are malformed")
+def _point_distances(q: Quadrangulation) -> Tuple[List[int], int]:
+    """(dist, d_star): each dart's distance from the point, and the larger
+    distance of the root edge's two ends."""
+    dist = q.distances_from(q.pointed_vertex)
+    x0, x1 = q.root_endpoints()
+    return dist, max(dist[x0], dist[x1])
 
 
 def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
@@ -305,60 +296,72 @@ def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
     is based there.
     """
     vertex_of = q.vertex_of
-    dist = q.distances_from(q.pointed_vertex)
+    dist, d_star = _point_distances(q)
     x0, x1 = q.root_endpoints()
-    d_star = max(dist[x0], dist[x1])
     lab = [d - d_star for d in dist]  # per dart: the label of its vertex
-    # partner[d]: for an anchor dart d of a selected edge, the anchor dart
-    # at the edge's other end; -1 for every other dart
+    # partner[d]: the anchor dart at the far end of d's selected edge, or -1
     partner = [-1] * len(dist)
-    for face in q.faces():
-        da, db = _face_edge(face, lab)
+    for a, b, c, d in q.faces():
+        la, lb, lc, ld = lab[a], lab[b], lab[c], lab[d]
+        # Consecutive face darts sit at adjacent vertices, whose distances
+        # differ by at most 1: the labels step by +-1 unless two are equal.
+        if la == lb or lb == lc or lc == ld or ld == la:
+            raise IntegrityError(
+                f"face {(a, b, c, d)} labels {[la, lb, lc, ld]} are not bipartite"
+            )
+        # Steps of +-1 make la == lc or lb == ld: two opposite tops, or one
+        # top and its edge to the next dart.  No other shape (adjacent
+        # tops, three tops) passes the check above, so none needs an error.
+        if la == lc:
+            if lb == ld:
+                da, db = (a, c) if la > lb else (b, d)
+            else:
+                da, db = (b, c) if lb > ld else (d, a)
+        else:
+            da, db = (a, b) if la > lc else (c, d)
         if vertex_of[da] == vertex_of[db]:
             raise IntegrityError("face selected a loop edge")
         if not (dist[da] and dist[db]):
             raise IntegrityError("a selected edge touches the pointed vertex")
         partner[da] = db
         partner[db] = da
-    # children are read back along the inverse rotation
-    step = [0] * len(dist)
-    for a, b in enumerate(q.sigma):
-        step[b] = a
-
     root = x0 if dist[x0] == d_star else x1
     bit = 0 if x0 == root else 1
     if lab[root] != 0:
         raise IntegrityError("root vertex is not labelled 0")
     # Build the plane tree by DFS; a vertex gets its preorder index when
-    # it is popped.
+    # it is popped, and its children are read back along the inverse
+    # rotation from its first dart.
+    sigma = q.sigma
     labels: List[int] = []
     parents: List[Optional[int]] = []
     root_based = q.root_dart if bit == 0 else q.alpha[q.root_dart]
-    # stack entries: (parent tree index, first rotation dart, inclusive).
-    # The first dart is the anchor of the parent edge (excluded) or, at the
-    # root, the root dart (included if it is an anchor).
-    stack: List[Tuple[Optional[int], int, bool]] = [(None, root_based, True)]
+    # stack entries: (parent tree index, first rotation dart).  The first
+    # dart is the anchor of the parent edge (skipped) or, at the root, the
+    # root dart (kept if it is an anchor).
+    stack: List[Tuple[Optional[int], int]] = [(None, root_based)]
     seen = bytearray(len(dist))
     seen[root] = 1
     while stack:
-        parent, start, include_start = stack.pop()
+        parent, start = stack.pop()
         iv = len(labels)
         labels.append(lab[start])
         parents.append(parent)
-        entries = []
+        skip = -1 if parent is None else start
+        # Push the tree edges in rotation order from sigma[start] round to
+        # start, so that they pop in inverse rotation order from start.
         d = start
-        while True:  # tree edges at this vertex in rotation order
+        while True:
+            d = sigma[d]
             e = partner[d]
-            if e >= 0 and (include_start or d != start):
+            if e >= 0 and d != skip:
                 w = vertex_of[e]
                 if seen[w]:
                     raise IntegrityError("selected edges contain a cycle")
                 seen[w] = 1
-                entries.append((iv, e, False))
-            d = step[d]
+                stack.append((iv, e))
             if d == start:
                 break
-        stack.extend(reversed(entries))
     if len(labels) != q.n_vertices - 1:
         raise IntegrityError("selected edges do not span the vertices")
     return LabelledPlaneTree.unchecked(labels, parents), bit
@@ -400,9 +403,7 @@ def ball_profile(q: Quadrangulation) -> BallSummary:
     - the ball is a submap of a planar map, so Euler's formula on the
       sphere gives V_k - E_k + (faces) = 2.
     """
-    dist = q.distances_from(q.pointed_vertex)
-    x0, x1 = q.root_endpoints()
-    d_star = max(dist[x0], dist[x1])
+    dist, d_star = _point_distances(q)
     k_max = max(dist)
     vertices = [0] * (k_max + 1)
     edges = [0] * (k_max + 1)
@@ -446,10 +447,8 @@ def verify_profile_relations(q: Quadrangulation, d_star_shift: int = 0):
     prof = edge_profile(t)
     d_star = summary.d_star + d_star_shift
     mism = []
-    checked = 0
     for k in range(1, summary.k_max + 1):
         P_k, C_k = summary.P[k - 1], summary.C[k - 1]
-        checked += 1
         if k < d_star:
             cx = prof.check_plus.get(d_star - k, 0)
             cm = prof.check_minus.get(d_star - k, 0)
@@ -465,7 +464,7 @@ def verify_profile_relations(q: Quadrangulation, d_star_shift: int = 0):
                 mism.append(f"k={k}: C={C_k} but X+({m})={xp}")
             if P_k != 2 * (xp + xm):
                 mism.append(f"k={k}: P={P_k} but 2(X+ + X-)({m})={2 * (xp + xm)}")
-    return ProfileReport(checked, tuple(mism))
+    return ProfileReport(summary.k_max, tuple(mism))
 
 
 # -- counting ---------------------------------------------------------------
@@ -478,8 +477,6 @@ def card_pointed_quadrangulations(n: int) -> int:
     2 * 3^n * Catalan(n) - each map is (labelled tree, orientation bit)
     with 3^n Catalan(n) labelled trees of n edges.
     """
-    import math
-
     if n < 1:
         raise DomainError("n must be >= 1")
     catalan = math.comb(2 * n, n) // (n + 1)

@@ -447,6 +447,14 @@ class TestMaps:
         assert err.startswith("gwprofile: error: " + message)
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--to-tree", "--profile", "--check"])
+    def test_from_tree_rejects_map_flags(self, capsys, flag):
+        code, out, err = run(capsys, "maps", "--from-tree", "0(+())", flag)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"gwprofile: error: ConfigurationError: {flag} needs --in, not --from-tree"
+        )
+
 
 class TestStats:
     def test_census_and_kernel_test(self, capsys):

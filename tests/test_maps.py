@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gwprofile import builtin_model, decode
+from gwprofile import LabelledPlaneTree, builtin_model, decode
 from gwprofile.errors import DomainError, IntegrityError
 from gwprofile.maps import (
     PlanarMap,
@@ -17,6 +18,7 @@ from gwprofile.maps import (
 )
 from gwprofile.oracle import enumerate_trees
 from gwprofile.sampler import Sampler, SamplerConfig
+from test_producers import preorder_trees
 
 MODEL = builtin_model("geom-pm01")
 
@@ -111,6 +113,106 @@ class TestBijection:
             assert q2.alpha == q.alpha and q2.sigma == q.sigma
             assert q2.root_dart == q.root_dart
             assert q2.pointed_vertex == q.pointed_vertex
+
+
+def reference_tree_to_map(t, orientation):
+    """(alpha, sigma, root dart, pointed vertex) of ``tree_to_map(t, orientation)``,
+    built from the definition.
+
+    The contour corners are listed from the root corner; a corner's
+    successor is the next corner, cyclically, with label - 1, found by
+    scanning the corners twice.  Dart 2i leaves corner i and dart 2i + 1
+    arrives at its successor, or at the point when the corner's label is
+    minimal.  The darts at a corner are its leaving dart, then the darts
+    arriving from the corners after it in cyclic order; the corners of a
+    vertex are taken in reverse contour order, and the point's darts in
+    contour order.
+    """
+    corners = []
+    stack = [(0, 0)]  # (vertex, next child index)
+    while stack:
+        v, i = stack.pop()
+        kids = t.children[v]
+        if i < len(kids):
+            corners.append(v)
+            stack.append((v, i + 1))
+            stack.append((kids[i], 0))
+        elif v != 0:
+            corners.append(v)
+    labels = [t.labels[v] for v in corners]
+    n = len(corners)
+    succ = [None] * n
+    waiting = {}
+    for j in list(range(n)) * 2:
+        for i in waiting.pop(labels[j] + 1, ()):
+            if succ[i] is None:
+                succ[i] = j
+        waiting.setdefault(labels[j], []).append(j)
+    fans = [[2 * p] for p in range(n)]
+    for i, s in enumerate(succ):  # first the arcs from i > s, which wrap round
+        if s is not None and s < i:
+            fans[s].append(2 * i + 1)
+    star = []
+    for i, s in enumerate(succ):  # then the arcs from i < s
+        if s is None:
+            star.append(2 * i + 1)
+        elif s > i:
+            fans[s].append(2 * i + 1)
+    corners_of = [[] for _ in range(t.n_vertices)]
+    for p, v in enumerate(corners):
+        corners_of[v].append(p)
+    sigma = [0] * (2 * n)
+    cycles = [[d for p in reversed(ps) for d in fans[p]] for ps in corners_of]
+    for cycle in cycles + [star]:
+        for i, d in enumerate(cycle):
+            sigma[cycle[i - 1]] = d
+    alpha = [d ^ 1 for d in range(2 * n)]
+    return alpha, sigma, orientation, min(star)
+
+
+def assert_matches_reference(t, bit, q=None):
+    q = tree_to_map(t, bit) if q is None else q
+    got = (q.alpha, q.sigma, q.root_dart, q.pointed_vertex)
+    assert got == reference_tree_to_map(t, bit)
+
+
+class TestConstruction:
+    """``tree_to_map`` builds the map of its definition, dart for dart."""
+
+    def test_exhaustive(self):
+        for t in all_trees(6):
+            alpha, sigma, _, point = reference_tree_to_map(t, 0)
+            for bit in (0, 1):
+                q = tree_to_map(t, bit)
+                assert (q.alpha, q.sigma, q.root_dart, q.pointed_vertex) == (
+                    alpha, sigma, bit, point)
+
+    @given(preorder_trees(), st.sampled_from([0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_paths_stars_zigzags(self, t, bit):
+        assume(t.n_edges >= 1)
+        assert_matches_reference(t, bit)
+
+    def test_sampled(self):
+        s = Sampler(MODEL, SamplerConfig(seed=2026, vertex_cap=2000))
+        for _ in range(200):
+            q = s.sample_quadrangulation()
+            assert_matches_reference(*map_to_tree(q), q)
+
+    @pytest.mark.parametrize("shape", ["path", "star", "zigzag"])
+    def test_deep_and_wide(self, shape):
+        # 10^5 vertices: a path climbing one level per edge, a star whose
+        # leaves cycle through -1, 0, 1, and a path alternating 0, 1.
+        n = 10**5
+        labels = {
+            "path": list(range(n)),
+            "star": [0] + [v % 3 - 1 for v in range(1, n)],
+            "zigzag": [v % 2 for v in range(n)],
+        }[shape]
+        parents = [None] + ([0] * (n - 1) if shape == "star" else list(range(n - 1)))
+        t = LabelledPlaneTree(labels, parents)
+        for bit in (0, 1):
+            assert map_to_tree(tree_to_map(t, bit)) == (t, bit)
 
 
 def _canonical_key(q):
