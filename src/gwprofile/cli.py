@@ -561,7 +561,7 @@ def _cmd_maps(args) -> Tuple[int, dict]:
         for flag in ("--to-tree", "--profile", "--check"):
             if getattr(args, flag[2:].replace("-", "_")):
                 raise ConfigurationError(f"{flag} needs --in, not --from-tree")
-        q = tree_to_map(decode(args.from_tree), args.orientation)
+        q = tree_to_map(decode(args.from_tree), args.orientation or 0)
         if args.out:
             save_map(q, args.out)
         else:
@@ -574,6 +574,8 @@ def _cmd_maps(args) -> Tuple[int, dict]:
                 buf.append(f"{d},{q.alpha[d]},{q.sigma[d]}")
             print("\n".join(buf))
     else:
+        if args.orientation is not None:
+            raise ConfigurationError("--orientation needs --from-tree, not --in")
         q = load_map(args.infile)
         fh = _open_out(args.out)
         try:
@@ -799,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maps", help="tree <-> quadrangulation bijection and profiles")
     p.add_argument("--from-tree", dest="from_tree")
-    p.add_argument("--orientation", type=int, choices=[0, 1], default=0)
+    p.add_argument("--orientation", type=int, choices=[0, 1])
     p.add_argument("--in", dest="infile", help="map CSV file")
     p.add_argument("--to-tree", dest="to_tree", action="store_true")
     p.add_argument("--profile", action="store_true")

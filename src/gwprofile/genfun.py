@@ -17,14 +17,17 @@ routes:
   exact O(order) certificate (:func:`_certify`) that the result lies on
   the verified curve;
 - :func:`closed_form_series` (check) expands the radical closed form with
-  generic exact series square roots and divisions;
+  the generic series square root, whose Taylor recurrence runs on
+  integers, and a generic Fraction series division;
 - :func:`solve_nu_gf` (check) expands the algebraic curve by series Newton
-  iteration.
+  iteration on Fraction series.
 
 The curve F(x, y) is one bivariate polynomial, a dict {(i, j): c} for
 c·x^i·y^j, built once and verified at runtime by :func:`_verified_curve`
-in exact arithmetic.  The check routes cost O(order²) and more; tests
-and benchmarks compare them with :func:`nu_table`.
+in exact arithmetic.  The check routes cost O(order²) operations and
+more; tests and benchmarks compare them with :func:`nu_table`.  Neither
+shares a recurrence with it: the square root is the generic
+Σ s_j·s_{k−j} recurrence, not the differential equation of h.
 
 Also here: the convolution tables f_p(q) (p-fold convolutions of ν), the
 joint leaf/edge tables f̃_p(q, l), convolved on integers and, for

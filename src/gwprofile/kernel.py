@@ -120,7 +120,18 @@ def _ftilde_at(ftilde, p: int, q: int, l: int) -> Fraction:
 
 
 def cond_transition_prob(ftilde, V: int, from_state, to_state) -> Fraction:
-    """One-step probability of the chain conditioned on V total edges."""
+    """One-step probability of the chain conditioned on V total edges.
+
+    The pin w = v + p + q (the mass below the next level is the mass
+    below this one plus this level's p + q vertical edges) holds only
+    for models without 0-increments.  A model with horizontal edges,
+    such as geom-pm01, adds their count h = w − v − p − q at each level.
+    Checked exactly at V ≤ 7, the ratio P_V(s → t)·f̃_p(q, V−v−p) /
+    f̃_r(s, V−w−r) is a function of (p, q, r, s) alone for the other
+    builtins; for geom-pm01 it is not, in 456 of 1,002 transitions, and
+    becomes one once h is added.  This kernel serves the incomplete-binary
+    model, which has no 0-increments.
+    """
     p, q, v = check_cond_state(*from_state, V)
     r, s, w = check_cond_state(*to_state, V)
     if p == 0:

@@ -11,6 +11,7 @@ the tests compare it with tree enumeration.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,7 +83,7 @@ class MarkedTree:
 # -- exhaustive tree enumeration -------------------------------------------
 
 
-def _subtrees(model: TreeModel, budget: int, join) -> Dict[tuple, Fraction]:
+def _subtrees(model: TreeModel, budget: int, join) -> Tuple[Dict[tuple, int], int]:
     """Every positive-weight subtree with ``budget`` edges, grouped by key.
 
     A vertex's key is ``join`` of the tuple of (child increment, child
@@ -90,21 +91,33 @@ def _subtrees(model: TreeModel, budget: int, join) -> Dict[tuple, Fraction]:
     leaves' ``join(())``; subtrees with equal keys have their weights
     (every offspring and displacement factor inside them) summed.  Keys
     are label-free: increments are relative to the subtree's root.
+
+    Weights are integers over one common denominator, returned with
+    them: every vertex factor ξ(k)·η(vec) is n/D for the lcm D of their
+    denominators, and a subtree with e edges has e + 1 vertices, so all
+    of level e share D^(e+1).  The product loop runs on ints.
     """
-    levels: List[Dict[tuple, Fraction]] = []
+    factors = [  # (arity, increments, ξ(k)·η(vec)), arities ascending
+        (k, vec, model.offspring.prob(k) * eta)
+        for k in model.offspring.arities_up_to(budget)
+        for vec, eta in model.displacement.vectors(k)
+    ]
+    D = math.lcm(*(x.denominator for _, _, x in factors))
+    levels: List[Dict[tuple, int]] = []
     for e in range(budget + 1):
-        out: Dict[tuple, Fraction] = defaultdict(Fraction)
-        for k in model.offspring.arities_up_to(e):
-            xi = model.offspring.prob(k)
-            for vec, eta in model.displacement.vectors(k):
-                for parts in _compositions(e - k, k):
-                    for combo in product(*(levels[p].items() for p in parts)):
-                        w = xi * eta
-                        for _, cw in combo:
-                            w *= cw
-                        out[join(tuple(zip(vec, (c for c, _ in combo))))] += w
+        out: Dict[tuple, int] = defaultdict(int)
+        for k, vec, x in factors:
+            if k > e:
+                break
+            n = x.numerator * (D // x.denominator)
+            for parts in _compositions(e - k, k):
+                for combo in product(*(levels[p].items() for p in parts)):
+                    w = n
+                    for _, cw in combo:
+                        w *= cw
+                    out[join(tuple(zip(vec, (c for c, _ in combo))))] += w
         levels.append(dict(out))
-    return levels[budget]
+    return levels[budget], D ** (budget + 1)
 
 
 def _compositions(total: int, parts: int):
@@ -123,17 +136,22 @@ def _compositions(total: int, parts: int):
 
 def enumerate_trees(model: TreeModel, edges: int) -> WeightedEnsemble:
     """Every positive-weight tree with root label 0 and ``edges`` edges,
-    at most ``ITEM_CAP`` of them."""
+    at most ``ITEM_CAP`` of them.
+
+    Weights are summed as integers over :func:`_subtrees`' common
+    denominator; each tree's exact Fraction is built once, at the end.
+    """
     if edges < 0:
         raise DomainError("edges must be >= 0")
     # keyed by the shape itself: nested (increment, child shape) pairs
-    shapes = _subtrees(model, edges, lambda children: children)
+    shapes, denominator = _subtrees(model, edges, lambda children: children)
     if len(shapes) > ITEM_CAP:
         raise ResourceLimitError(
             f"enumeration would produce {len(shapes)} > cap {ITEM_CAP} trees"
         )
     items = tuple(
-        (LabelledPlaneTree.from_nested(0, s), w) for s, w in shapes.items()
+        (LabelledPlaneTree.from_nested(0, s), Fraction(w, denominator))
+        for s, w in shapes.items()
     )
     return WeightedEnsemble(items)
 
@@ -231,17 +249,19 @@ def exact_chain_law(V: int):
     Subtrees are grouped the same way as they are combined, by shifting
     each child's multiset by its increment.  At V = 10 that is 5,887
     groups for 58,786 trees.  No kernel or profile-counting formula is
-    used.  ``ITEM_CAP`` bounds the number of groups.
+    used.  ``ITEM_CAP`` bounds the number of groups.  Group weights are
+    integers over one common denominator, so each path sums ints and
+    becomes one Fraction, its weight over the total, at the end.
     """
     from .model import builtin_model
 
-    groups = _subtrees(builtin_model("incomplete-binary"), V, _edge_multiset)
+    groups, _ = _subtrees(builtin_model("incomplete-binary"), V, _edge_multiset)
     if len(groups) > ITEM_CAP:
         raise ResourceLimitError(f"{len(groups)} edge multisets exceed cap {ITEM_CAP}")
-    total = sum(groups.values(), Fraction(0))
+    total = sum(groups.values())
     if total == 0:
         raise DomainError(f"no {V}-edge trees")
-    law: Dict[tuple, Fraction] = defaultdict(Fraction)
+    law: Dict[tuple, int] = defaultdict(int)
     for ms, w in groups.items():
         x_plus = Counter(u for u, d in ms if u >= 1 and d > 0)
         x_minus = Counter(u for u, d in ms if u >= 1 and d < 0)
@@ -249,8 +269,8 @@ def exact_chain_law(V: int):
         path = _read_path(
             x_plus, x_minus, lambda m: bisect.bisect_right(uppers, m - 1), V
         )
-        law[path] += w / total
-    return dict(law)
+        law[path] += w
+    return {path: Fraction(w, total) for path, w in law.items()}
 
 
 @dataclass
@@ -268,14 +288,16 @@ def verify_markov_exact(law, V: int, transition=None) -> MarkovReport:
     """Check the exact Markov property of a path law, and a kernel.
 
     For every history with positive mass, the conditional next-state
-    law must equal the conditional law given the final state alone; if
-    ``transition(from_state, to_state)`` is given, every conditional
-    probability is also compared to it.  Returns a report listing any
-    discrepancy (never raises).
+    law must equal the conditional law given the final state alone, and
+    that law must be the same at every step where the state occurs
+    (time-homogeneity); if ``transition(from_state, to_state)`` is
+    given, every conditional probability is also compared to it.
+    Returns a report listing any discrepancy (never raises).
     """
     report = MarkovReport()
     absorbing = (0, 0, V)
     max_len = max((len(p) for p in law), default=0)
+    first_seen: Dict[tuple, Tuple[int, dict]] = {}  # state -> (step, law)
 
     def state_at(path, k):  # absorbing once ended
         return path[k] if k < len(path) else absorbing
@@ -298,6 +320,12 @@ def verify_markov_exact(law, V: int, transition=None) -> MarkovReport:
             s: {n: w / sum(d.values()) for n, w in d.items()}
             for s, d in by_state.items()
         }
+        for s, cond in norm_state.items():
+            step, seen = first_seen.setdefault(s, (k + 1, cond))
+            if cond != seen:
+                report.discrepancies.append(
+                    f"state {s}: step {step} gives {seen}, step {k + 1} gives {cond}"
+                )
         for hist, d in by_history.items():
             total = sum(d.values())
             cond = {n: w / total for n, w in d.items()}

@@ -6,6 +6,12 @@ stated truncation order.  It carries only the operations that the check
 routes :func:`gwprofile.genfun.closed_form_series` and
 :func:`gwprofile.genfun.solve_nu_gf` call: sums, differences, products,
 division and the square root of a series with a positive constant term.
+
+Products and division run on Fractions, O(order²) operations each.  The
+square root runs its O(order²) Taylor recurrence on Python ints, after
+one rescaling of z, and builds one Fraction per output coefficient:
+every Fraction operation pays a gcd, which dominates at the orders the
+check routes use.
 """
 
 from __future__ import annotations
@@ -167,12 +173,25 @@ class RationalSeries:
         if c0 <= 0:
             raise DomainError("series sqrt needs a positive constant term")
         r0 = _rational_sqrt(c0)
+        # √(c0·u) = r0·t with u = self/c0, u_0 = 1, t² = u.  With c every
+        # c^k·u_k an integer, u(4c·z) = 1 + 4y(z) for an integer series y,
+        # and σ_k = t_k·(4c)^k are the coefficients of √(1 + 4y), integers
+        # because binom(1/2, m)·4^m is.  The Taylor recurrence
+        # 2σ_k = β_k − Σ_{j=1..k−1} σ_j σ_{k−j}, with β_k = u_k·(4c)^k,
+        # then runs on ints.
+        c, beta = _integer_scale(enumerate(x / c0 for x in self.coeffs))
+        c *= 4
+        sigma = [1]
         out = [r0]
+        scale = 1
         for k in range(1, self.order + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k):
-                acc -= out[j] * out[k - j]
-            out.append(acc / (2 * r0))
+            scale *= c
+            acc = sum(sigma[j] * sigma[k - j] for j in range(1, k))
+            s, rem = divmod(beta[k] * 4**k - acc, 2)
+            if rem:
+                raise IntegrityError("series sqrt recurrence left a remainder")
+            sigma.append(s)
+            out.append(Fraction(r0.numerator * s, r0.denominator * scale))
         return RationalSeries(out)
 
 

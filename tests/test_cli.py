@@ -447,6 +447,20 @@ class TestMaps:
         assert err.startswith("gwprofile: error: " + message)
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("bit", ["0", "1"])
+    def test_map_input_rejects_orientation(self, capsys, tmp_path, bit):
+        # a saved map carries its own bit; a given one would be ignored
+        path = str(tmp_path / "map.csv")
+        run(capsys, "maps", "--from-tree", "0(-(0()))", "--out", path)
+        code, out, err = run(
+            capsys, "maps", "--in", path, "--orientation", bit, "--to-tree"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "gwprofile: error: ConfigurationError: --orientation needs --from-tree, not --in"
+        )
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag", ["--to-tree", "--profile", "--check"])
     def test_from_tree_rejects_map_flags(self, capsys, flag):
         code, out, err = run(capsys, "maps", "--from-tree", "0(+())", flag)

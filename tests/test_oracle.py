@@ -1,6 +1,7 @@
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,8 +21,30 @@ from gwprofile.oracle import (
     verify_markov_exact,
 )
 from gwprofile.sampler import Sampler, SamplerConfig
+from gwprofile.tree import LabelledPlaneTree
 
 BINARY = builtin_model("incomplete-binary")
+BUILTINS = ("geom-pm1", "geom-pm01", "incomplete-binary", "complete-binary")
+
+
+def reference_subtrees(model, budget, join):
+    """Key -> exact weight of every subtree with ``budget`` edges, multiplied
+    out factor by factor in Fractions: the definition ``oracle._subtrees``
+    must match, keys in the same order."""
+    levels = []
+    for e in range(budget + 1):
+        out = defaultdict(Fraction)
+        for k in model.offspring.arities_up_to(e):
+            xi = model.offspring.prob(k)
+            for vec, eta in model.displacement.vectors(k):
+                for parts in _compositions(e - k, k):
+                    for combo in product(*(levels[p].items() for p in parts)):
+                        w = xi * eta
+                        for _, cw in combo:
+                            w *= cw
+                        out[join(tuple(zip(vec, (c for c, _ in combo))))] += w
+        levels.append(dict(out))
+    return levels[budget]
 
 
 class TestEnumeration:
@@ -36,6 +59,19 @@ class TestEnumeration:
             for e in range(0, 4):
                 for t, w in enumerate_trees(model, e).items:
                     assert w == tree_weight(model, t)
+
+    @pytest.mark.parametrize("model_id", BUILTINS)
+    def test_subtrees_match_reference(self, model_id):
+        model = builtin_model(model_id)
+        for e in range(7):
+            for join in (oracle._edge_multiset, lambda children: children):
+                want = reference_subtrees(model, e, join)
+                weights, denominator = oracle._subtrees(model, e, join)
+                assert list(weights) == list(want), e
+                assert all(Fraction(w, denominator) == want[k] for k, w in weights.items())
+            # ``want`` is keyed by shape now
+            items = [(LabelledPlaneTree.from_nested(0, k), w) for k, w in want.items()]
+            assert list(enumerate_trees(model, e).items) == items, e
 
     def test_size_mass_partial_sums(self):
         for model_id in ("geom-pm1", "geom-pm01", "incomplete-binary"):
@@ -142,6 +178,18 @@ class TestChainLaw:
 
         rep = verify_markov_exact(exact_chain_law(V), V, transition=corrupted)
         assert not rep.ok
+
+    def test_markov_detects_time_inhomogeneity(self):
+        # Markov within each step (one history per state), but state A
+        # moves to A or Z at step 1 and only to Z at step 2.
+        A, Z = (1, 0, 0), (0, 0, 3)
+        law = {(A, Z): Fraction(1, 2), (A, A, Z): Fraction(1, 2)}
+        rep = verify_markov_exact(law, 3)
+        assert rep.histories_checked == 3
+        assert rep.discrepancies == [
+            f"state {A}: step 1 gives {{{Z}: Fraction(1, 2), {A}: Fraction(1, 2)}},"
+            f" step 2 gives {{{Z}: Fraction(1, 1)}}"
+        ]
 
 
 class TestBicolouredForests:

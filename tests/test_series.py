@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gwprofile.errors import DomainError, IntegrityError
-from gwprofile.series import RationalSeries, _integer_scale
+from gwprofile.genfun import _MODEL_DATA, _radicand
+from gwprofile.series import RationalSeries, _integer_scale, _rational_sqrt
 
 ORDER = 8
 
@@ -17,6 +18,20 @@ def series(order=ORDER):
     return st.lists(rationals, min_size=order + 1, max_size=order + 1).map(
         RationalSeries
     )
+
+
+def reference_sqrt(a: RationalSeries) -> RationalSeries:
+    """The Taylor recurrence 2·r0·s_k = a_k − Σ_{j=1..k−1} s_j·s_{k−j},
+    step by step in Fractions: the definition RationalSeries.sqrt must
+    match."""
+    r0 = _rational_sqrt(a[0])
+    out = [r0]
+    for k in range(1, a.order + 1):
+        acc = a[k]
+        for j in range(1, k):
+            acc -= out[j] * out[k - j]
+        out.append(acc / (2 * r0))
+    return RationalSeries(out)
 
 
 class TestRing:
@@ -60,6 +75,22 @@ class TestSqrt:
         z = RationalSeries.from_polynomial([0, 1], ORDER)
         u = RationalSeries.constant(1, ORDER) + a * z
         assert u.sqrt() * u.sqrt() == u
+
+    @pytest.mark.parametrize("name", sorted(_MODEL_DATA))
+    def test_matches_reference_on_builtin_radicands(self, name):
+        radicand = RationalSeries.from_polynomial(_radicand(_MODEL_DATA[name]), 200)
+        assert radicand.sqrt() == reference_sqrt(radicand)
+
+    @given(
+        st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=12),
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=60),
+            min_size=0, max_size=14,
+        ),
+    )
+    def test_matches_reference(self, root, tail):
+        a = RationalSeries([root * root] + tail)
+        assert a.sqrt() == reference_sqrt(a)
 
     def test_non_square_constant(self):
         with pytest.raises(DomainError):
