@@ -116,10 +116,9 @@ class PlanarMap:
                     break
         if len(queue) != len(self._vertices):
             raise IntegrityError("map is not connected")
-        if root_dart is not None and root_dart not in darts:
-            raise IntegrityError("root dart is not a dart")
-        if pointed_vertex is not None and pointed_vertex not in darts:
-            raise IntegrityError("pointed vertex is not a dart")
+        for d, name in ((root_dart, "root dart"), (pointed_vertex, "pointed vertex")):
+            if d is not None and not (isinstance(d, int) and d in darts):
+                raise IntegrityError(f"{name} is not a dart")
         self._faces = _orbits([sigma[a] for a in alpha])[0]
         self.root_dart = root_dart
         self.pointed_vertex = (

@@ -10,13 +10,12 @@ the tests compare it with tree enumeration.
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cached_property, partial
+from itertools import count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
@@ -86,11 +85,11 @@ class MarkedTree:
 def _subtrees(model: TreeModel, budget: int, join) -> Tuple[Dict[tuple, int], int]:
     """Every positive-weight subtree with ``budget`` edges, grouped by key.
 
-    A vertex's key is ``join`` of the tuple of (child increment, child
-    key) pairs of its children, so keys are built bottom-up from the
-    leaves' ``join(())``; subtrees with equal keys have their weights
-    (every offspring and displacement factor inside them) summed.  Keys
-    are label-free: increments are relative to the subtree's root.
+    A vertex's key is ``join`` of its (child increment, child key) pairs,
+    built bottom-up from the leaves' ``join(())``: the nested shape for
+    :func:`enumerate_trees`, or one int of edge counts for the chain law
+    (:func:`_edge_counts`).  Subtrees with equal keys have their weights
+    summed.  Keys are label-free: increments are relative to the root.
 
     Weights are integers over one common denominator, returned with
     them: every vertex factor ξ(k)·η(vec) is n/D for the lcm D of their
@@ -211,43 +210,53 @@ def chain_path(t: LabelledPlaneTree, V: int) -> Tuple[Tuple[int, int, int], ...]
     absorbing state (0, 0, V).
     """
     prof = edge_profile(t)
-    return _read_path(prof.x_plus, prof.x_minus, prof.mass_below, V)
+    return _read_path(
+        lambda m: (prof.x_plus.get(m, 0), prof.x_minus.get(m, 0), prof.mass_below(m)), V
+    )
 
 
-def _read_path(x_plus, x_minus, mass_below, V: int):
+def _read_path(state_at, V: int):
     path = []
-    m = 1
-    while True:
-        state = (x_plus.get(m, 0), x_minus.get(m, 0), mass_below(m))
+    for m in count(1):
+        state = state_at(m)
         path.append(state)
         if state[0] == 0:
             if state != (0, 0, V):
                 raise IntegrityError(f"absorbed at {state}, expected (0,0,{V})")
             return tuple(path)
-        m += 1
 
 
-def _edge_multiset(children) -> tuple:
-    """Sorted (upper label, direction) of every edge below a vertex.
+def _edge_counts(V: int):
+    """A :func:`_subtrees` join counting the edges below a vertex in one int.
 
-    Labels are relative to the vertex; direction is the sign of the
-    child's increment.  A tree's path depends on nothing else.
+    The ``width``-bit digit 3·(u + V) + d + 1 counts the edges with upper
+    label u in −V..V, relative to the vertex, and direction d, the sign of
+    the child's increment.  A child's key moves one label (three digits)
+    with its increment, and keys add.  No digit carries, as a slot counts
+    at most V edges, and no label moves below −V, as a child has fewer
+    than V edges.  Returns ``(join, width)``.
     """
-    edges = []
-    for inc, sub in children:
-        edges.append((max(inc, 0), inc))
-        edges.extend((upper + inc, d) for upper, d in sub)
-    return tuple(sorted(edges))
+    width = (V + 1).bit_length()
+    step = 3 * width
+    edge = {inc: 1 << ((V + max(inc, 0)) * 3 + inc + 1) * width for inc in (-1, 0, 1)}
+
+    def join(children) -> int:
+        key = 0
+        for inc, sub in children:
+            key += edge[inc] + (sub << step if inc > 0 else sub >> step if inc < 0 else sub)
+        return key
+
+    return join, width
 
 
 def exact_chain_law(V: int):
     """Exact path law of (X^+, X^-, M^-) for the uniform V-edge binary tree.
 
     Brute force, aggregated: every V-edge tree is enumerated, grouped by
-    its multiset of (upper label, direction) edges (:func:`_edge_multiset`),
-    which is all its path depends on, so each group gives one path.
-    Subtrees are grouped the same way as they are combined, by shifting
-    each child's multiset by its increment.  At V = 10 that is 5,887
+    its counts of (upper label, direction) edges (:func:`_edge_counts`),
+    which is all its path depends on, so each group gives one path: X^+
+    and X^- are digits of each level, and M^- is the digit sum below it.
+    A lost edge would fail the absorption check.  At V = 10 that is 5,887
     groups for 58,786 trees.  No kernel or profile-counting formula is
     used.  ``ITEM_CAP`` bounds the number of groups.  Group weights are
     integers over one common denominator, so each path sums ints and
@@ -255,21 +264,24 @@ def exact_chain_law(V: int):
     """
     from .model import builtin_model
 
-    groups, _ = _subtrees(builtin_model("incomplete-binary"), V, _edge_multiset)
+    if V < 0:
+        raise DomainError("V must be >= 0")
+    join, width = _edge_counts(V)
+    groups, _ = _subtrees(builtin_model("incomplete-binary"), V, join)
     if len(groups) > ITEM_CAP:
         raise ResourceLimitError(f"{len(groups)} edge multisets exceed cap {ITEM_CAP}")
     total = sum(groups.values())
-    if total == 0:
-        raise DomainError(f"no {V}-edge trees")
+    digit = (1 << width) - 1
+
+    def state_at(key, m):
+        low = (m + V) * 3 * width  # level m's first digit
+        # a digit sum is at most V < 2^width − 1: the residue, as in casting out nines
+        below = (key & (1 << low) - 1) % digit
+        return (key >> low + 2 * width & digit, key >> low & digit, below)
+
     law: Dict[tuple, int] = defaultdict(int)
-    for ms, w in groups.items():
-        x_plus = Counter(u for u, d in ms if u >= 1 and d > 0)
-        x_minus = Counter(u for u, d in ms if u >= 1 and d < 0)
-        uppers = [u for u, _ in ms]  # sorted, as ms is
-        path = _read_path(
-            x_plus, x_minus, lambda m: bisect.bisect_right(uppers, m - 1), V
-        )
-        law[path] += w
+    for key, w in groups.items():
+        law[_read_path(partial(state_at, key), V)] += w
     return {path: Fraction(w, total) for path, w in law.items()}
 
 
@@ -292,58 +304,61 @@ def verify_markov_exact(law, V: int, transition=None) -> MarkovReport:
     that law must be the same at every step where the state occurs
     (time-homogeneity); if ``transition(from_state, to_state)`` is
     given, every conditional probability is also compared to it.
+    Histories and states with zero mass are skipped and not counted.
     Returns a report listing any discrepancy (never raises).
+
+    Masses, ints or Fractions, are summed as numerators over the lcm of
+    their denominators, and conditional laws are cross-multiplied;
+    Fractions are built only for the kernel and for discrepancy text.
     """
     report = MarkovReport()
     absorbing = (0, 0, V)
-    max_len = max((len(p) for p in law), default=0)
-    first_seen: Dict[tuple, Tuple[int, dict]] = {}  # state -> (step, law)
+    den = math.lcm(*(w.denominator for w in law.values()))
+    mass = {p: w.numerator * (den // w.denominator) for p, w in law.items() if w}
+    max_len = max((len(p) for p in mass), default=0)
+    first_seen: Dict[tuple, tuple] = {}  # state -> (step, (masses, total))
 
-    def state_at(path, k):  # absorbing once ended
-        return path[k] if k < len(path) else absorbing
+    def differ(a, ta, b, tb):  # do masses a over ta and b over tb give different laws?
+        return a.keys() != b.keys() or any(w * tb != b[n] * ta for n, w in a.items())
+
+    def show(d, total):
+        return {n: Fraction(w, total) for n, w in d.items()}
 
     for k in range(max_len - 1):
-        by_history: Dict[tuple, Dict[tuple, Fraction]] = defaultdict(
-            lambda: defaultdict(Fraction)
-        )
-        by_state: Dict[tuple, Dict[tuple, Fraction]] = defaultdict(
-            lambda: defaultdict(Fraction)
-        )
-        for path, w in law.items():
+        by_history: Dict[tuple, Dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
+        by_state: Dict[tuple, Dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
+        for path, w in mass.items():
             if k >= len(path):
                 continue
             hist = path[: k + 1]
-            nxt = state_at(path, k + 1)
+            nxt = path[k + 1] if k + 1 < len(path) else absorbing
             by_history[hist][nxt] += w
             by_state[hist[-1]][nxt] += w
-        norm_state = {
-            s: {n: w / sum(d.values()) for n, w in d.items()}
-            for s, d in by_state.items()
-        }
-        for s, cond in norm_state.items():
+        state_law = {s: (d, sum(d.values())) for s, d in by_state.items()}
+        for s, cond in state_law.items():
             step, seen = first_seen.setdefault(s, (k + 1, cond))
-            if cond != seen:
+            if differ(*cond, *seen):
                 report.discrepancies.append(
-                    f"state {s}: step {step} gives {seen}, step {k + 1} gives {cond}"
+                    f"state {s}: step {step} gives {show(*seen)},"
+                    f" step {k + 1} gives {show(*cond)}"
                 )
         for hist, d in by_history.items():
-            total = sum(d.values())
-            cond = {n: w / total for n, w in d.items()}
+            cond = (d, sum(d.values()))
             report.histories_checked += 1
-            if cond != norm_state[hist[-1]]:
+            if differ(*cond, *state_law[hist[-1]]):
                 report.discrepancies.append(
-                    f"step {k + 1}: history {hist} gives {cond},"
-                    f" state {hist[-1]} alone gives {norm_state[hist[-1]]}"
+                    f"step {k + 1}: history {hist} gives {show(*cond)},"
+                    f" state {hist[-1]} alone gives {show(*state_law[hist[-1]])}"
                 )
         if transition is not None:
-            for s, d in norm_state.items():
-                for n, prob in d.items():
+            for s, (d, total) in state_law.items():
+                for n, w in d.items():
                     report.transitions_checked += 1
+                    prob = Fraction(w, total)
                     expected = transition(s, n)
                     if expected != prob:
                         report.discrepancies.append(
-                            f"transition {s} -> {n}: law {prob},"
-                            f" kernel {expected}"
+                            f"transition {s} -> {n}: law {prob}, kernel {expected}"
                         )
     return report
 

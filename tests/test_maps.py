@@ -51,6 +51,16 @@ class TestPlanarMap:
         with pytest.raises(IntegrityError, match="pointed vertex is not a dart"):
             Quadrangulation(**TORUS, root_dart=0, pointed_vertex=99)
 
+    @pytest.mark.parametrize("dart", [1.0, "1"])
+    def test_darts_must_be_ints(self, dart):
+        # 1.0 == 1 is in range(2), but a float is not a dart
+        with pytest.raises(IntegrityError, match="root dart is not a dart"):
+            PlanarMap([1, 0], [0, 1], root_dart=dart)
+        with pytest.raises(IntegrityError, match="pointed vertex is not a dart"):
+            PlanarMap([1, 0], [0, 1], pointed_vertex=dart)
+        m = PlanarMap([1, 0], [0, 1], root_dart=1, pointed_vertex=1)
+        assert (m.root_dart, m.pointed_vertex) == (1, 1)
+
     def test_quadrangulation_rejects_torus(self):
         # one vertex, two edges and one degree-4 face: Euler characteristic 0
         assert PlanarMap(**TORUS).euler_characteristic() == 0

@@ -1,5 +1,6 @@
+import bisect
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -47,6 +48,145 @@ def reference_subtrees(model, budget, join):
     return levels[budget]
 
 
+def _edge_multiset(children) -> tuple:
+    """Sorted (upper label, direction) of every edge below a vertex.
+
+    Labels are relative to the vertex; direction is the sign of the
+    child's increment.  The reference key for ``oracle._edge_counts``,
+    which packs the same multiset into one int.
+    """
+    edges = []
+    for inc, sub in children:
+        edges.append((max(inc, 0), inc))
+        edges.extend((upper + inc, d) for upper, d in sub)
+    return tuple(sorted(edges))
+
+
+def unpack_edge_counts(key, V):
+    """The sorted edge multiset of an ``oracle._edge_counts(V)`` key, read
+    digit by digit from its documented layout."""
+    width = (V + 1).bit_length()
+    edges = []
+    for u in range(-V, V + 1):
+        for d in (-1, 0, 1):
+            edges += [(u, d)] * (key >> ((u + V) * 3 + d + 1) * width & (1 << width) - 1)
+    assert key >> (2 * V + 1) * 3 * width == 0, "a digit above label V"
+    return tuple(edges)
+
+
+def reference_chain_law(V):
+    """``exact_chain_law`` by grouping subtrees by sorted edge multisets and
+    reading each path with counters and a bisection: the definition the
+    packed-key route must match, items and order."""
+    groups, _ = oracle._subtrees(BINARY, V, _edge_multiset)
+    total = sum(groups.values())
+    law = defaultdict(int)
+    for ms, w in groups.items():
+        x_plus = Counter(u for u, d in ms if u >= 1 and d > 0)
+        x_minus = Counter(u for u, d in ms if u >= 1 and d < 0)
+        uppers = [u for u, _ in ms]  # sorted, as ms is
+        path = oracle._read_path(
+            lambda m: (x_plus[m], x_minus[m], bisect.bisect_right(uppers, m - 1)), V
+        )
+        law[path] += w
+    return {path: Fraction(w, total) for path, w in law.items()}
+
+
+def reference_verify_markov_exact(law, V, transition=None):
+    """``verify_markov_exact`` summing and normalising Fractions: the
+    definition the integer route must match, counters and text.  It
+    needs every history to have positive mass."""
+    report = oracle.MarkovReport()
+    absorbing = (0, 0, V)
+    max_len = max((len(p) for p in law), default=0)
+    first_seen = {}  # state -> (step, law)
+
+    def state_at(path, k):  # absorbing once ended
+        return path[k] if k < len(path) else absorbing
+
+    for k in range(max_len - 1):
+        by_history = defaultdict(lambda: defaultdict(Fraction))
+        by_state = defaultdict(lambda: defaultdict(Fraction))
+        for path, w in law.items():
+            if k >= len(path):
+                continue
+            hist = path[: k + 1]
+            nxt = state_at(path, k + 1)
+            by_history[hist][nxt] += w
+            by_state[hist[-1]][nxt] += w
+        norm_state = {
+            s: {n: w / sum(d.values()) for n, w in d.items()}
+            for s, d in by_state.items()
+        }
+        for s, cond in norm_state.items():
+            step, seen = first_seen.setdefault(s, (k + 1, cond))
+            if cond != seen:
+                report.discrepancies.append(
+                    f"state {s}: step {step} gives {seen}, step {k + 1} gives {cond}"
+                )
+        for hist, d in by_history.items():
+            total = sum(d.values())
+            cond = {n: w / total for n, w in d.items()}
+            report.histories_checked += 1
+            if cond != norm_state[hist[-1]]:
+                report.discrepancies.append(
+                    f"step {k + 1}: history {hist} gives {cond},"
+                    f" state {hist[-1]} alone gives {norm_state[hist[-1]]}"
+                )
+        if transition is not None:
+            for s, d in norm_state.items():
+                for n, prob in d.items():
+                    report.transitions_checked += 1
+                    expected = transition(s, n)
+                    if expected != prob:
+                        report.discrepancies.append(
+                            f"transition {s} -> {n}: law {prob},"
+                            f" kernel {expected}"
+                        )
+    return report
+
+
+def corrupted_kernel(V):
+    """The conditioned kernel with the excursion edge budget shifted by one."""
+    ftilde = joint_table(BINARY, V + 1, V + 1, V)
+
+    def kernel(s, t):
+        p, q, v = s
+        r, ss, w = t
+        if p == 0:
+            return Fraction(1) if t == (0, 0, V) else Fraction(0)
+        if w != v + p + q:
+            return Fraction(0)
+        from gwprofile.kernel import _ftilde_at
+
+        denom = _ftilde_at(ftilde, p, q, V - v - p)
+        num = _ftilde_at(ftilde, r, ss, V - w - r - 1)
+        return (
+            Fraction(p, p + ss)
+            * Fraction(1, 4 ** (p + ss))
+            * binomial(p + ss, r)
+            * binomial(p + ss, q)
+            * num
+            / denom
+        )
+
+    return kernel
+
+
+# Markov within each step (one history per state), but state A moves to A
+# or Z at step 1 and only to Z at step 2.
+A, B, C, D, Z = (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 2, 0), (0, 0, 3)
+INHOMOGENEOUS = {(A, Z): Fraction(1, 2), (A, A, Z): Fraction(1, 2)}
+# Time-homogeneous, but from C the chain moves to D with probability 1/3
+# after A and 2/3 after B: the supports agree, only the masses differ.
+HISTORY_DEPENDENT = {
+    (A, C, D, Z): Fraction(1, 6),
+    (A, C, Z): Fraction(1, 3),
+    (B, C, D, Z): Fraction(1, 3),
+    (B, C, Z): Fraction(1, 6),
+}
+
+
 class TestEnumeration:
     def test_one_edge_binary(self):
         ens = enumerate_trees(BINARY, 1)
@@ -64,11 +204,18 @@ class TestEnumeration:
     def test_subtrees_match_reference(self, model_id):
         model = builtin_model(model_id)
         for e in range(7):
-            for join in (oracle._edge_multiset, lambda children: children):
-                want = reference_subtrees(model, e, join)
-                weights, denominator = oracle._subtrees(model, e, join)
-                assert list(weights) == list(want), e
-                assert all(Fraction(w, denominator) == want[k] for k, w in weights.items())
+            # the packed key groups as the sorted multiset does, in its order;
+            # geom-pm01's 0-increments fill the direction-0 digits
+            want = reference_subtrees(model, e, _edge_multiset)
+            join, _ = oracle._edge_counts(e)
+            weights, denominator = oracle._subtrees(model, e, join)
+            assert [unpack_edge_counts(k, e) for k in weights] == list(want), e
+            got = [Fraction(w, denominator) for w in weights.values()]
+            assert got == list(want.values()), e
+            want = reference_subtrees(model, e, lambda children: children)
+            weights, denominator = oracle._subtrees(model, e, lambda children: children)
+            assert list(weights) == list(want), e
+            assert all(Fraction(w, denominator) == want[k] for k, w in weights.items())
             # ``want`` is keyed by shape now
             items = [(LabelledPlaneTree.from_nested(0, k), w) for k, w in want.items()]
             assert list(enumerate_trees(model, e).items) == items, e
@@ -128,6 +275,14 @@ class TestChainLaw:
         assert law[((0, 0, 2),)] == Fraction(2, 5)
         assert len(law) == 4
 
+    def test_negative_edges_rejected(self):
+        with pytest.raises(DomainError, match="V must be >= 0"):
+            exact_chain_law(-1)
+
+    @pytest.mark.parametrize("V", range(12))
+    def test_matches_reference(self, V):
+        assert list(exact_chain_law(V).items()) == list(reference_chain_law(V).items())
+
     @pytest.mark.parametrize("V", range(9))
     def test_matches_tree_by_tree_law(self, V):
         ens = enumerate_trees(BINARY, V)
@@ -151,45 +306,59 @@ class TestChainLaw:
         assert rep.ok and not rep.discrepancies
         assert rep.histories_checked > 0 and rep.transitions_checked > 0
 
-    def test_markov_detects_corruption(self):
-        # kernel with the excursion edge budget shifted by one
-        V = 5
+    def test_markov_exact_at_v12(self):
+        V = 12
         ftilde = joint_table(BINARY, V + 1, V + 1, V)
+        law = exact_chain_law(V)
+        rep = verify_markov_exact(
+            law, V, transition=lambda s, t: cond_transition_prob(ftilde, V, s, t)
+        )
+        assert rep.ok, rep.discrepancies[:3]
+        assert (rep.histories_checked, rep.transitions_checked) == (24058, 2246)
 
-        def corrupted(s, t):
-            p, q, v = s
-            r, ss, w = t
-            if p == 0:
-                return Fraction(1) if t == (0, 0, V) else Fraction(0)
-            if w != v + p + q:
-                return Fraction(0)
-            from gwprofile.kernel import _ftilde_at
-
-            denom = _ftilde_at(ftilde, p, q, V - v - p)
-            num = _ftilde_at(ftilde, r, ss, V - w - r - 1)
-            return (
-                Fraction(p, p + ss)
-                * Fraction(1, 4 ** (p + ss))
-                * binomial(p + ss, r)
-                * binomial(p + ss, q)
-                * num
-                / denom
-            )
-
-        rep = verify_markov_exact(exact_chain_law(V), V, transition=corrupted)
+    def test_markov_detects_corruption(self):
+        V = 5
+        rep = verify_markov_exact(exact_chain_law(V), V, transition=corrupted_kernel(V))
         assert not rep.ok
 
     def test_markov_detects_time_inhomogeneity(self):
-        # Markov within each step (one history per state), but state A
-        # moves to A or Z at step 1 and only to Z at step 2.
-        A, Z = (1, 0, 0), (0, 0, 3)
-        law = {(A, Z): Fraction(1, 2), (A, A, Z): Fraction(1, 2)}
-        rep = verify_markov_exact(law, 3)
+        rep = verify_markov_exact(INHOMOGENEOUS, 3)
         assert rep.histories_checked == 3
         assert rep.discrepancies == [
             f"state {A}: step 1 gives {{{Z}: Fraction(1, 2), {A}: Fraction(1, 2)}},"
             f" step 2 gives {{{Z}: Fraction(1, 1)}}"
         ]
+
+    def test_markov_detects_history_dependence(self):
+        rep = verify_markov_exact(HISTORY_DEPENDENT, 3)
+        assert rep.histories_checked == 8
+        assert rep.discrepancies == [
+            f"step 2: history {(A, C)} gives {{{D}: Fraction(1, 3), {Z}: Fraction(2, 3)}},"
+            f" state {C} alone gives {{{D}: Fraction(1, 2), {Z}: Fraction(1, 2)}}",
+            f"step 2: history {(B, C)} gives {{{D}: Fraction(2, 3), {Z}: Fraction(1, 3)}},"
+            f" state {C} alone gives {{{D}: Fraction(1, 2), {Z}: Fraction(1, 2)}}",
+        ]
+
+    @pytest.mark.parametrize(
+        "case", ["corrupted-kernel", "inhomogeneous", "history-dependent"]
+    )
+    def test_markov_matches_reference(self, case):
+        law, V, transition = {
+            "corrupted-kernel": lambda: (exact_chain_law(5), 5, corrupted_kernel(5)),
+            "inhomogeneous": lambda: (INHOMOGENEOUS, 3, None),
+            "history-dependent": lambda: (HISTORY_DEPENDENT, 3, None),
+        }[case]()
+        got = verify_markov_exact(law, V, transition)
+        want = reference_verify_markov_exact(law, V, transition)
+        assert got.discrepancies  # each input has something to report
+        assert (got.histories_checked, got.transitions_checked, got.discrepancies) == (
+            want.histories_checked, want.transitions_checked, want.discrepancies)
+
+    def test_markov_skips_zero_mass(self):
+        # B's only path has mass 0: its history and state are not checked
+        law = {(A, Z): Fraction(1), (B, Z): Fraction(0)}
+        rep = verify_markov_exact(law, 3, transition=lambda s, t: Fraction(1))
+        assert (rep.ok, rep.histories_checked, rep.transitions_checked) == (True, 1, 1)
 
 
 class TestBicolouredForests:
