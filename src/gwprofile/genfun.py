@@ -33,8 +33,8 @@ Also here: the convolution tables f_p(q) (p-fold convolutions of ν), the
 joint leaf/edge tables f̃_p(q, l), convolved on integers and, for
 incomplete-binary, certified by one step of the bivariate fixed-point map
 that :func:`bivariate_fixed_point` iterates on plain Fraction tables as
-the reference route, and high-precision evaluation of the singular
-expansion of g_ν near 1.
+the reference route, and the estimators of the singular expansion of
+g_ν near 1, on Fractions with one integer square root.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, List, Sequence, Tuple
-
-import mpmath
 
 from .errors import ConfigurationError, DomainError, IntegrityError, ResourceLimitError
 from .model import TreeModel, builtin_model
@@ -608,13 +606,20 @@ def bivariate_fixed_point(z_order: int, u_order: int) -> List[List[Fraction]]:
 # -- singular expansion ------------------------------------------------------
 
 
-def _closed_form_mp(model: TreeModel, z):
+def _sqrt(x: Fraction) -> Fraction:
+    """√x for a rational x > 0 to a relative 2^-320, by one integer square root."""
+    return Fraction(math.isqrt(x.numerator * x.denominator << 640), x.denominator << 320)
+
+
+def _closed_form_at(model: TreeModel, z_eval: Fraction) -> Tuple[Fraction, Fraction]:
+    """z_eval in (0, 1) as a Fraction, and g(z), exact but for one square root."""
+    z = Fraction(z_eval)
+    if not (0 < z < 1):
+        raise DomainError("z_eval must lie in (0, 1)")
     data = _require_builtin(model)
-    num = mpmath.polyval([mpmath.mpf(str(c)) for c in reversed(data["num"])], z)
-    den = mpmath.polyval([mpmath.mpf(str(c)) for c in reversed(data["den"])], z)
-    coef = mpmath.mpf(data["coef"].numerator) / data["coef"].denominator
-    rad = (data["a"] - z) * (1 - z) ** 3
-    return (num + coef * mpmath.sqrt(rad)) / den
+    num = sum(c * z**i for i, c in enumerate(data["num"]))
+    den = sum(c * z**i for i, c in enumerate(data["den"]))
+    return z, (num + data["coef"] * _sqrt((data["a"] - z) * (1 - z) ** 3)) / den
 
 
 def singular_coefficient(model: TreeModel, z_eval: Fraction) -> float:
@@ -626,22 +631,11 @@ def singular_coefficient(model: TreeModel, z_eval: Fraction) -> float:
     sqrt(2/3) * σ_ξ / σ_η; no closed form for the limit is asserted for
     the other two.
     """
-    z_eval = Fraction(z_eval)
-    if not (0 < z_eval < 1):
-        raise DomainError("z_eval must lie in (0, 1)")
-    with mpmath.workdps(60):
-        z = mpmath.mpf(z_eval.numerator) / z_eval.denominator
-        g = _closed_form_mp(model, z)
-        value = (g - 1 + (1 - z)) / (1 - z) ** mpmath.mpf("1.5")
-        return float(value)
+    z, g = _closed_form_at(model, z_eval)
+    return float((g - 1 + (1 - z)) / ((1 - z) * _sqrt(1 - z)))
 
 
 def linear_coefficient(model: TreeModel, z_eval: Fraction) -> float:
-    """(g(z) - 1) / (1 - z) at a rational z near 1; tends to -1."""
-    z_eval = Fraction(z_eval)
-    if not (0 < z_eval < 1):
-        raise DomainError("z_eval must lie in (0, 1)")
-    with mpmath.workdps(60):
-        z = mpmath.mpf(z_eval.numerator) / z_eval.denominator
-        g = _closed_form_mp(model, z)
-        return float((g - 1) / (1 - z))
+    """(g(z) - 1) / (1 - z) at a rational z in (0, 1); tends to -1 as z -> 1."""
+    z, g = _closed_form_at(model, z_eval)
+    return float((g - 1) / (1 - z))

@@ -47,7 +47,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError
@@ -91,6 +91,8 @@ class PlanarMap:
         self.darts = darts = range(len(alpha))
         if not darts:
             raise IntegrityError("empty dart set")
+        if not all(map(isinstance, chain(alpha, sigma), repeat(int))):
+            raise IntegrityError("alpha and sigma must hold int darts")
         dartset = set(darts)
         if len(sigma) != len(darts) or set(sigma) != dartset:
             raise IntegrityError("sigma is not a permutation of the darts")

@@ -3,15 +3,14 @@
 Provides the Pearson chi-square goodness-of-fit test (with standard
 small-cell pooling), transition censuses of the vertical edge-profile
 chain pooled across levels, and a Bonferroni helper for multi-row
-sweeps.  All p-values come from the regularized upper incomplete gamma
-function.
+sweeps.  All p-values come from the finite series of the chi-square
+tail at integer degrees of freedom.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Tuple
-
-import mpmath
 
 from .errors import DomainError
 
@@ -26,13 +25,17 @@ class ChiSquareResult(NamedTuple):
 
 
 def _gamma_p_value(statistic: float, dof: int) -> float:
-    """Upper tail of the chi-square distribution with ``dof`` degrees."""
+    """Upper tail of the chi-square law with k = ``dof`` degrees, at h = statistic/2:
+    e^-h·Σ_{i<k/2} h^i/i! for even k, erfc(√h) + e^-h·Σ_{i<(k-1)/2} h^(i+1/2)/Γ(i+3/2)
+    for odd k (Abramowitz & Stegun 26.4.4-5), summed from the logs of its terms,
+    shifted by the largest, so that none overflows or underflows."""
     if statistic <= 0.0:
         return 1.0
-    return float(
-        mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(statistic) / 2, mpmath.inf,
-                        regularized=True)
-    )
+    h, log_h, half = statistic / 2, math.log(statistic / 2), dof % 2 / 2
+    logs = [(i + half) * log_h - h - math.lgamma(i + half + 1) for i in range(dof // 2)]
+    top = max(logs, default=0.0)
+    head = math.erfc(math.sqrt(h)) if half else 0.0
+    return head + math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
 
 
 def _pool(pairs: List[Tuple[float, float]]) -> List[Tuple[float, float]]:

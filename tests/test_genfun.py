@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from gwprofile import builtin_model, genfun
@@ -231,16 +232,45 @@ class TestJointTable:
 
 
 def test_exact_layer_does_not_load_sympy():
+    # With mpmath blocked any import of it fails: every module, the
+    # chi-square tail, both estimators and the kernel test run without it.
     code = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from fractions import Fraction\n"
         "import gwprofile\n"
-        "from gwprofile.genfun import joint_table, nu_table\n"
+        "for module in pkgutil.iter_modules(gwprofile.__path__):\n"
+        "    importlib.import_module('gwprofile.' + module.name)\n"
+        "from gwprofile.cli import main\n"
+        "from gwprofile.genfun import joint_table, linear_coefficient, nu_table,"
+        " singular_coefficient\n"
+        "from gwprofile.stats import chi_square\n"
         "m = gwprofile.builtin_model('incomplete-binary')\n"
         "nu_table(m, 10)\n"
         "joint_table(m, 3, 3, 3)\n"
-        "assert 'sympy' not in sys.modules\n"
+        "z = 1 - Fraction(1, 10**6)\n"
+        "singular_coefficient(m, z), linear_coefficient(m, z)\n"
+        "assert chi_square({0: 30, 1: 70}, {0: 0.5, 1: 0.5}).p_value < 1e-4\n"
+        "assert main(['stats', '--model', 'builtin:incomplete-binary', '--count', '50',"
+        " '--min-visits', '10', '--test-kernel']) == 0\n"
+        "assert 'sympy' not in sys.modules and sys.modules['mpmath'] is None\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the kernel test computed p-values
+    assert any(line.startswith("test,") and line.split(",")[5]
+               for line in proc.stdout.splitlines())
+
+
+def reference_closed_form_mp(model, z):
+    """g(z) from the radical closed form in mpmath, at the caller's working
+    precision: with 60 digits, the route the estimators must match."""
+    data = genfun._require_builtin(model)
+    num = mpmath.polyval([mpmath.mpf(str(c)) for c in reversed(data["num"])], z)
+    den = mpmath.polyval([mpmath.mpf(str(c)) for c in reversed(data["den"])], z)
+    coef = mpmath.mpf(data["coef"].numerator) / data["coef"].denominator
+    rad = (data["a"] - z) * (1 - z) ** 3
+    return (num + coef * mpmath.sqrt(rad)) / den
 
 
 class TestSingular:
@@ -261,5 +291,24 @@ class TestSingular:
 
     @pytest.mark.parametrize("z_eval", [Fraction(0), Fraction(1), Fraction(3, 2)])
     def test_singular_coefficient_needs_z_in_the_unit_interval(self, z_eval):
-        with pytest.raises(DomainError, match=r"\(0, 1\)"):
-            singular_coefficient(builtin_model("geom-pm1"), z_eval)
+        for estimator in (singular_coefficient, linear_coefficient):
+            with pytest.raises(DomainError, match=r"\(0, 1\)"):
+                estimator(builtin_model("geom-pm1"), z_eval)
+
+    @pytest.mark.parametrize("model_id", MODELS)
+    @pytest.mark.parametrize(
+        # the points near 1 of criterion 2 and of test_linear_coefficient, and
+        # two where 1 - z is not a square, so that the root of 1 - z is inexact
+        "z_eval", [1 - Fraction(1, 10**4), 1 - Fraction(1, 10**6), 1 - Fraction(1, 10**10),
+                   1 - Fraction(2, 10**5), Fraction(1, 3)],
+        ids=["1-1e-4", "1-1e-6", "1-1e-10", "1-2e-5", "1/3"],
+    )
+    def test_estimators_match_reference(self, model_id, z_eval):
+        m = builtin_model(model_id)
+        with mpmath.workdps(60):
+            z = mpmath.mpf(z_eval.numerator) / z_eval.denominator
+            g = reference_closed_form_mp(m, z)
+            singular = float((g - 1 + (1 - z)) / (1 - z) ** mpmath.mpf("1.5"))
+            linear = float((g - 1) / (1 - z))
+        assert singular_coefficient(m, z_eval) == singular
+        assert linear_coefficient(m, z_eval) == linear

@@ -58,6 +58,11 @@ class TestPlanarMap:
             PlanarMap([1, 0], [0, 1], root_dart=dart)
         with pytest.raises(IntegrityError, match="pointed vertex is not a dart"):
             PlanarMap([1, 0], [0, 1], pointed_vertex=dart)
+        # the same for the entries of both permutations
+        with pytest.raises(IntegrityError, match="alpha and sigma must hold int darts"):
+            PlanarMap([dart, 0], [0, 1])
+        with pytest.raises(IntegrityError, match="alpha and sigma must hold int darts"):
+            PlanarMap([1, 0], [0, dart])
         m = PlanarMap([1, 0], [0, 1], root_dart=1, pointed_vertex=1)
         assert (m.root_dart, m.pointed_vertex) == (1, 1)
 

@@ -1,14 +1,43 @@
+import mpmath
 import pytest
 
 from gwprofile import builtin_model, decode, edge_profile
 from gwprofile.errors import DomainError
 from gwprofile.stats import (
     TransitionCensus,
+    _gamma_p_value,
     add_profile_transitions,
     bonferroni,
     chi_square,
     fold_tail,
 )
+
+
+def reference_gamma_p_value(statistic, dof):
+    """The chi-square tail as mpmath's regularized upper incomplete gamma
+    function: the definition the integer-dof series must match."""
+    if statistic <= 0.0:
+        return 1.0
+    return float(
+        mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(statistic) / 2, mpmath.inf,
+                        regularized=True)
+    )
+
+
+class TestGammaPValue:
+    def test_matches_reference(self):
+        # from near 0 through each law's centre into its deep tail, where
+        # p falls to about 1e-220 at dof 1
+        for dof in range(1, 401):
+            for statistic in (1e-9, dof / 4, dof / 2, dof - 1, dof, 2 * dof, 4 * dof,
+                              dof + 500, dof + 1000):
+                want = reference_gamma_p_value(statistic, dof)
+                got = _gamma_p_value(statistic, dof)
+                assert abs(got - want) <= 1e-12 * want, (statistic, dof, got, want)
+
+    @pytest.mark.parametrize("dof", [1, 2, 7])
+    def test_nonpositive_statistic_is_certain(self, dof):
+        assert _gamma_p_value(0.0, dof) == _gamma_p_value(-1.5, dof) == 1.0
 
 
 class TestChiSquare:
