@@ -250,21 +250,25 @@ def _cmd_decompose(args) -> Tuple[int, dict]:
 def _cmd_genfun(args) -> Tuple[int, dict]:
     from .genfun import f_table, nu_table
 
+    for flag, what in (("order", "nu"), ("pmax", "f"), ("qmax", "f")):
+        if args.what != what and getattr(args, flag) is not None:
+            raise ConfigurationError(f"--{flag} applies only to --what {what}")
     model = resolve_model(args.model)
     fh = _open_out(args.out)
     try:
         w = csv.writer(fh)
         if args.what == "nu":
-            nu = nu_table(model, args.order)
+            nu = nu_table(model, 40 if args.order is None else args.order)
             w.writerow(["k", "nu_k"])
             for k, v in enumerate(nu):
                 w.writerow([k, str(v)])
         else:
-            nu = nu_table(model, max(args.order, args.qmax + 1))
-            table = f_table(nu, args.pmax, args.qmax)
+            pmax = 5 if args.pmax is None else args.pmax
+            qmax = 10 if args.qmax is None else args.qmax
+            table = f_table(nu_table(model, qmax), pmax, qmax)
             w.writerow(["p", "q", "f_p_q"])
-            for p in range(args.pmax + 1):
-                for q in range(args.qmax + 1):
+            for p in range(pmax + 1):
+                for q in range(qmax + 1):
                     w.writerow([p, q, str(table[p][q])])
     finally:
         _close_out(fh)
@@ -768,9 +772,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genfun", help="first-hit offspring law and f tables")
     p.add_argument("--model", required=True)
     p.add_argument("--what", choices=["nu", "f"], default="nu")
-    p.add_argument("--order", type=_int_at_least(0), default=40)
-    p.add_argument("--pmax", type=_int_at_least(0), default=5)
-    p.add_argument("--qmax", type=_int_at_least(0), default=10)
+    p.add_argument("--order", type=_int_at_least(0), help="for --what nu (default 40)")
+    p.add_argument("--pmax", type=_int_at_least(0), help="for --what f (default 5)")
+    p.add_argument("--qmax", type=_int_at_least(0), help="for --what f (default 10)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_genfun)
 

@@ -13,9 +13,11 @@ routes:
 - :func:`nu_table` (production) computes h = √((a−z)(1−z)³) by the linear
   recurrence of its differential equation 2R·h′ = R′·h, then g_ν from the
   radical closed form by a degree-≤2 division recurrence: O(order)
-  operations.  Before returning it runs :func:`_verified_curve` and an
-  exact O(order) certificate (:func:`_certify`) that the result lies on
-  the verified curve;
+  operations, all on Python ints (h_n·(4a)^n and g_k·(4a)^(k+v)·d_0^(k+1)
+  are integers), with one Fraction built per coefficient at the end.
+  Before that it runs :func:`_verified_curve` and an exact O(order)
+  certificate (:func:`_certify`), on the same ints, that the result lies
+  on the verified curve;
 - :func:`closed_form_series` (check) expands the radical closed form with
   the generic series square root, whose Taylor recurrence runs on
   integers, and a generic Fraction series division;
@@ -29,19 +31,22 @@ more; tests and benchmarks compare them with :func:`nu_table`.  Neither
 shares a recurrence with it: the square root is the generic
 Σ s_j·s_{k−j} recurrence, not the differential equation of h.
 
-Also here: the convolution tables f_p(q) (p-fold convolutions of ν), the
-joint leaf/edge tables f̃_p(q, l), convolved on integers and, for
-incomplete-binary, certified by one step of the bivariate fixed-point map
-that :func:`bivariate_fixed_point` iterates on plain Fraction tables as
-the reference route, and the estimators of the singular expansion of
-g_ν near 1, on Fractions with one integer square root.
+Also here: the convolution tables f_p(q) (p-fold convolutions of ν); the
+joint leaf/edge tables f̃_p(q, l), whose single-excursion law
+(:func:`_excursion_joint_gf`) is a bottom-up DP by edge budget on integer
+numerators over one denominator per (l, q) cell, convolved on integers
+and, for incomplete-binary, certified by one step of the bivariate
+fixed-point map that :func:`bivariate_fixed_point` iterates on plain
+Fraction tables as the reference route; and the estimators of the
+singular expansion of g_ν near 1, on Fractions with one integer square
+root.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ConfigurationError, DomainError, IntegrityError, ResourceLimitError
@@ -72,7 +77,7 @@ from .series import RationalSeries, _integer_scale
 _MODEL_DATA = {
     "geom-pm1": {
         "num": (-4, 9, -2),
-        "coef": Fraction(2),
+        "coef": 2,
         "a": 4,
         "den": (0, 4, -1),
         "c0": Fraction(5, 8),
@@ -82,7 +87,7 @@ _MODEL_DATA = {
     },
     "geom-pm01": {
         "num": (-3, 6, -1),
-        "coef": Fraction(1),
+        "coef": 1,
         "a": 9,
         "den": (0, 2),
         "c0": Fraction(2, 3),
@@ -92,7 +97,7 @@ _MODEL_DATA = {
     },
     "incomplete-binary": {
         "num": (-3, 16, -1),
-        "coef": Fraction(1),
+        "coef": 1,
         "a": 49,
         "den": (10, 2),
         "c0": Fraction(2, 5),
@@ -102,7 +107,7 @@ _MODEL_DATA = {
     },
     "complete-binary": {
         "num": (-3, 10, -1),
-        "coef": Fraction(1),
+        "coef": 1,
         "a": 25,
         "den": (4, 2),
         "c0": Fraction(1, 2),
@@ -271,88 +276,115 @@ def solve_nu_gf(model: TreeModel, order: int) -> RationalSeries:
     return g.truncate(order)
 
 
-def _radical_series(r: Sequence[int], w: int) -> List[Fraction]:
-    """h_0..h_w of h = √R for a quartic R with a square constant term.
+def _radical_series(r: Sequence[int], w: int) -> List[int]:
+    """H_0..H_w, H_n = h_n·(4a)^n, of h = √R for an integer quartic R, a = r_0.
 
     h satisfies 2R·h′ = R′·h.  Reading off z^n gives, with r_j = 0 past
     the degree and h_k = 0 for k < 0,
 
-        2 r_0 (n+1) h_{n+1} = −Σ_{i=1..4} r_i (2n + 2 − 3i) h_{n+1−i},
+        2a (n+1) H_{n+1} = −Σ_{i=1..4} r_i (2n + 2 − 3i) (4a)^i H_{n+1−i}.
 
-    so each coefficient costs four multiplications.
+    Each H_n is an integer, since h/h_0 = Σ_k binom(1/2, k)·(R/a − 1)^k and
+    binom(1/2, k)·4^k is one; a division that leaves a remainder (a
+    radicand off the integers) raises IntegrityError.
     """
-    h = [Fraction(math.isqrt(r[0]))]  # _certify checks that it squares to r_0
-    inv = 1 / Fraction(2 * r[0])
+    a = r[0]
+    steps = [r[i] * (4 * a) ** i for i in range(5)]
+    h = [math.isqrt(a)]  # _certify checks that it squares to a
     for n in range(w):
         acc = 0
         for i in range(1, min(4, n + 1) + 1):
-            acc += r[i] * (2 * n + 2 - 3 * i) * h[n + 1 - i]
-        h.append(-acc * inv / (n + 1))
+            acc += steps[i] * (2 * n + 2 - 3 * i) * h[n + 1 - i]
+        step, rem = divmod(-acc, 2 * a * (n + 1))
+        if rem:
+            raise IntegrityError("radical recurrence left a remainder")
+        h.append(step)
     return h
 
 
-def _certify(
-    data: dict, r: Sequence[int], h: Sequence[Fraction], g: Sequence[Fraction], c0
-) -> None:
+def _quotient_series(data: dict, h: Sequence[int], order: int) -> List[int]:
+    """G_0..G_order, G_k = g_k·(4a)^(k+v)·d_0^(k+1), of g = (num + coef·h)/den.
+
+    With den = z^v·d and N_n = num_n·(4a)^n + coef·H_n, the division
+    recurrence d_0·g_k = (num + coef·h)_{k+v} − Σ_{j≥1} d_j·g_{k−j} becomes
+    G_k = d_0^k·N_{k+v} − Σ_{j≥1} d_j·(4a)^j·d_0^(j−1)·G_{k−j}: no division.
+    """
+    s, num, den, coef = 4 * data["a"], data["num"], data["den"], data["coef"]
+    v = next(j for j, c in enumerate(den) if c)
+    d = den[v:]
+    steps = [d[j] * s**j * d[0] ** (j - 1) for j in range(1, len(d))]
+    g: List[int] = []
+    lead = 1  # d_0^k
+    for k in range(order + 1):
+        n = k + v
+        acc = lead * ((num[n] * s**n if n < len(num) else 0) + coef * h[n])
+        for j, step in enumerate(steps[:k], 1):
+            acc -= step * g[k - j]
+        g.append(acc)
+        lead *= d[0]
+    return g
+
+
+def _certify(data: dict, r: Sequence[int], h: Sequence[int], g: Sequence[int], c0) -> None:
     """Exact O(order) certificate that g lies on the model's curve.
 
-    Checks h_0² = a; that 2R·h′ − R′·h vanishes coefficient by coefficient
-    to the working order, which with h_0² = R(0) gives h² = R there
-    ((h²/R)′ = 0); that den·g = num + coef·h to the working order; and that
-    g_0 = c0.  Then (den·g − num)² = coef²·R, which is F(z, g) = 0, and g
-    is the branch of the verified curve with constant term c0.
+    Runs on the integers H_n = h_n·(4a)^n of :func:`_radical_series` and
+    G_k = g_k·(4a)^(k+v)·d_0^(k+1) of :func:`_quotient_series`, each
+    identity multiplied through by its own powers of 4a and d_0.  Checks
+    h_0² = a; that 2R·h′ − R′·h vanishes coefficient by coefficient to the
+    working order, which with h_0² = R(0) gives h² = R there
+    ((h²/R)′ = 0); that den·g = num + coef·h to the working order; and
+    that g_0 = c0.  Then (den·g − num)² = coef²·R, which is F(z, g) = 0,
+    and g is the branch of the verified curve with constant term c0.
     """
-    w = len(h) - 1
+    s = 4 * r[0]
     if h[0] ** 2 != r[0]:
         raise IntegrityError("radical constant term does not square to a")
-    for n in range(w):
-        hi = min(4, n + 1)
-        lhs = sum(2 * r[i] * (n + 1 - i) * h[n + 1 - i] for i in range(hi + 1))
-        rhs = sum(i * r[i] * h[n + 1 - i] for i in range(1, hi + 1))
-        if lhs != rhs:
+    rs = [r[i] * s**i for i in range(5)]
+    for n in range(len(h) - 1):  # z^n of 2R·h′ = R′·h, times (4a)^(n+1)
+        terms = [(i, rs[i] * h[n + 1 - i]) for i in range(min(4, n + 1) + 1)]
+        if sum(2 * (n + 1 - i) * x for i, x in terms) != sum(i * x for i, x in terms):
             raise IntegrityError(f"radical ODE residual is nonzero at z^{n}")
     num, den, coef = data["num"], data["den"], data["coef"]
-    for n in range(w + 1):
-        lhs = sum(
-            den[j] * g[n - j] for j in range(len(den)) if 0 <= n - j < len(g)
-        )
-        rhs = (num[n] if n < len(num) else 0) + coef * h[n]
-        if lhs != rhs:
+    v = next(j for j, c in enumerate(den) if c)
+    d = den[v:]
+    ds = [d[m] * (s * d[0]) ** m for m in range(len(d))]
+    lead = 1  # d_0^(n−v+1) once n >= v
+    for n in range(len(h)):  # z^n of den·g = num + coef·h, times (4a)^n·d_0^(n−v+1)
+        k = n - v
+        lead *= d[0] if k >= 0 else 1
+        lhs = sum(ds[m] * g[k - m] for m in range(min(k + 1, len(d))))
+        if lhs != lead * ((num[n] * s**n if n < len(num) else 0) + coef * h[n]):
             raise IntegrityError(f"den·g differs from num + coef·h at z^{n}")
-    if g[0] != c0:
-        raise IntegrityError(f"series constant term {g[0]} is not the branch {c0}")
+    if g[0] * c0.denominator != c0.numerator * s**v * d[0]:
+        g0 = Fraction(g[0], s**v * d[0])
+        raise IntegrityError(f"series constant term {g0} is not the branch {c0}")
 
 
 def nu_table(model: TreeModel, order: int) -> Tuple[Fraction, ...]:
     """ν(0..order) as exact rationals (coefficients of g_ν).
 
-    Production route: h = √((a−z)(1−z)³) by its holonomic recurrence,
-    then g = (num + coef·h)/den by the degree-≤2 division recurrence after
-    stripping den's valuation; O(order) operations in all.  The curve is
-    verified by :func:`_verified_curve` and g is certified on it by
-    :func:`_certify` before returning.
+    Production route, on integers: h = √((a−z)(1−z)³) by its holonomic
+    recurrence, then g = (num + coef·h)/den by the degree-≤2 division
+    recurrence after stripping den's valuation; O(order) operations in
+    all.  The curve is verified by :func:`_verified_curve` and g is
+    certified on it by :func:`_certify` before one Fraction is built per
+    coefficient.
     """
     data = _require_builtin(model)
     if order < 0:
         raise DomainError("order must be >= 0")
     _, c0 = _verified_curve(model.name)
-    r = _radicand(data)
-    den = data["den"]
+    r, den, s = _radicand(data), data["den"], 4 * data["a"]
     v = next(j for j, c in enumerate(den) if c)
-    d = den[v:]
-    w = order + v
-    h = _radical_series(r, w)
-    num, coef = data["num"], data["coef"]
-    numer = [(num[n] if n < len(num) else 0) + coef * h[n] for n in range(w + 1)]
-    g: List[Fraction] = []
-    for k in range(order + 1):
-        acc = numer[k + v]
-        for j in range(1, len(d)):
-            if k >= j:
-                acc -= d[j] * g[k - j]
-        g.append(acc / d[0])
+    h = _radical_series(r, order + v)
+    g = _quotient_series(data, h, order)
     _certify(data, r, h, g, c0)
-    return tuple(g)
+    out, scale = [], s**v * den[v]
+    for x in g:
+        out.append(Fraction(x, scale))
+        scale *= s * den[v]
+    return tuple(out)
 
 
 # -- convolution tables ------------------------------------------------------
@@ -387,82 +419,88 @@ def f_table(nu: Sequence, p_max: int, q_max: int) -> List[List]:
 # -- joint leaf/edge tables --------------------------------------------------
 
 
+def _fold(head: list, tail: list, budget: int) -> List[int]:
+    """Σ_b head[b] ⊛ tail[budget − b], for lists by budget of integer lists by q."""
+    pairs = [(x, tail[budget - b]) for b, x in enumerate(head[: budget + 1])]
+    pairs = [(x, y) for x, y in pairs if x and y]
+    out = [0] * max((len(x) + len(y) - 1 for x, y in pairs), default=0)
+    for x, y in pairs:
+        for q1, n1 in enumerate(x):
+            if n1:
+                for q2, n2 in enumerate(y, q1):
+                    out[q2] += n1 * n2
+    return out
+
+
+def _mix(terms) -> List[int]:
+    """Σ n·x over the (n, x) pairs of an int and an integer list by q."""
+    out: List[int] = []
+    for n, x in terms:
+        out.extend([0] * (len(x) - len(out)))
+        for q, m in enumerate(x):
+            out[q] += n * m
+    return out
+
+
 def _excursion_joint_gf(model: TreeModel, l_max: int) -> List[Dict[int, Fraction]]:
     """Joint law of (label-0 leaves, edges) of one positive excursion.
 
     Returns ``table[l][q]`` = Π⁺-mass of excursions with l edges and q
-    label-0 leaves, by dynamic programming over subtrees rooted at positive
-    labels (finite because every child consumes one edge).  Each helper
-    returns a dict q -> mass, for an exact edge budget.
+    label-0 leaves, by dynamic programming over subtrees rooted at labels
+    j >= 1 with labels >= 0 and label-0 vertices leaves, bottom-up by edge
+    budget b (every child consumes one edge, so only j + b <= l_max + 1
+    is reached).  A vertex with d children contributes its arity's factor
+    times the product of its children's laws, built one child at a time
+    from the tail of its increment vector.  With iid increments every
+    child of a label-j vertex has one law (``child``), so the products
+    for all d are the suffixes of one vector of iid children.
+
+    Weights are integers over one denominator per (l, q) cell: every
+    vertex factor ξ(d) (times η(vec) without per-child weights) is n/c^(d+1)
+    and every per-child weight m/c_w, so a subtree with l edges and q
+    label-0 leaves, hence l + 1 − q factors, is N/(c^(2l+1−q)·c_w^l).
+    One Fraction is built per output cell.
     """
-    off = model.offspring
-    disp = model.displacement
+    off, disp = model.offspring, model.displacement
     per_child = disp.per_child_support()
-    memo = lru_cache(maxsize=None)
+    if per_child is None:
+        factors = [
+            (d, vec, off.prob(d) * eta)
+            for d in off.arities_up_to(l_max)
+            for vec, eta in disp.vectors(d)
+        ]
+        c_w, steps = 1, ()
+    else:  # None stands for one iid child
+        factors = [(d, (None,) * d, off.prob(d)) for d in off.arities_up_to(l_max)]
+        c_w = math.lcm(*(w.denominator for _, w in per_child))
+        steps = [(inc, (w * c_w).numerator) for inc, w in per_child]
+    c, weights = _integer_scale((d + 1, x) for d, _, x in factors)
+    factors = [(d, vec, n) for (d, vec, _), n in zip(factors, weights)]
+    suffixes = sorted({vec[i:] for _, vec, _ in factors for i in range(len(vec))}, key=len)
 
-    @memo
-    def subtree(j: int, budget: int) -> Dict[int, Fraction]:
-        """Subtrees rooted at label j >= 1 with ``budget`` edges, labels
-        >= 0 and label-0 vertices leaves; a label-0 root is such a leaf."""
-        if j == 0:
-            return {1: Fraction(1)} if budget == 0 else {}
-        out: Dict[int, Fraction] = {}
-        for d in off.arities_up_to(budget):
-            xi = off.prob(d)
-            if d == 0:
-                if budget == 0:
-                    out[0] = out.get(0, Fraction(0)) + xi
-                continue
-            if per_child is not None:
-                for q, w in forest_gf(j, d, budget - d).items():
-                    out[q] = out.get(q, Fraction(0)) + xi * w
-            else:
-                for vec, wv in disp.vectors(d):
-                    if any(j + inc < 0 for inc in vec):
-                        continue
-                    for q, w in vec_forest(j, vec, budget - d).items():
-                        out[q] = out.get(q, Fraction(0)) + xi * wv * w
-        return out
-
-    def split(first, rest, budget: int) -> Dict[int, Fraction]:
-        """Σ_b first(b)·rest(budget − b)."""
-        out: Dict[int, Fraction] = {}
-        for b1 in range(budget + 1):
-            head = first(b1)
-            if not head:
-                continue
-            tail = rest(budget - b1)
-            for q1, w1 in head.items():
-                for q2, w2 in tail.items():
-                    out[q1 + q2] = out.get(q1 + q2, Fraction(0)) + w1 * w2
-        return out
-
-    @memo
-    def child_gf(j: int, budget: int) -> Dict[int, Fraction]:
-        """One iid child of a label-j vertex, ``budget`` edges below its edge."""
-        out: Dict[int, Fraction] = {}
-        for inc, w in per_child:
-            if j + inc >= 0:
-                for q, mass in subtree(j + inc, budget).items():
-                    out[q] = out.get(q, Fraction(0)) + w * mass
-        return out
-
-    @memo
-    def forest_gf(j: int, d: int, budget: int) -> Dict[int, Fraction]:
-        """d iid children of a label-j vertex, ``budget`` edges below theirs."""
-        if d == 0:
-            return {0: Fraction(1)} if budget == 0 else {}
-        return split(partial(child_gf, j), partial(forest_gf, j, d - 1), budget)
-
-    @memo
-    def vec_forest(j: int, vec: tuple, budget: int) -> Dict[int, Fraction]:
-        """Children of a label-j vertex with increments ``vec``, likewise."""
-        if not vec:
-            return {0: Fraction(1)} if budget == 0 else {}
-        head, tail = vec[0], vec[1:]
-        return split(partial(subtree, j + head), partial(vec_forest, j, tail), budget)
-
-    return [dict(subtree(1, l)) for l in range(l_max + 1)]
+    top = l_max + 1
+    unit = [[1]] + [[]] * l_max
+    # sub[j][b][q]: subtrees at label j with b edges and q label-0 leaves
+    sub = [[[0, 1]] + [[]] * top] + [[] for _ in range(top + 1)]
+    child: List[list] = [[] for _ in range(top + 1)]
+    prods = [None] + [  # products by budget; one child is an alias, not a copy
+        {s: [] if len(s) > 1 else child[j] if s[0] is None else sub[j + s[0]] for s in suffixes}
+        | {(): unit}
+        for j in range(1, top + 1)
+    ]
+    for b in range(top):
+        for j in range(1, top - b + 1):
+            sub[j].append(_mix((n, prods[j][vec][b - d]) for d, vec, n in factors if d <= b))
+        for j in range(1, top - b):
+            child[j].append(_mix((m, sub[j + inc][b]) for inc, m in steps))
+            for s in suffixes:
+                if len(s) > 1 and b <= top - j - len(s):
+                    head = child[j] if s[0] is None else sub[j + s[0]]
+                    prods[j][s].append(_fold(head, prods[j][s[1:]], b))
+    return [
+        {q: Fraction(n, c ** (2 * l + 1 - q) * c_w**l) for q, n in enumerate(sub[1][l]) if n}
+        for l in range(top)
+    ]
 
 
 def _convolve(a: List[List[int]], b: List[List[int]], q_max: int, l_max: int) -> list:

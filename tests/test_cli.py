@@ -120,7 +120,7 @@ class TestCountFlags:
         assert out.splitlines() == ["r,s,probability", "0,0,5/8", "1,0,1/4"]
         code, out, _ = run(
             capsys, "genfun", "--model", "builtin:incomplete-binary", "--what", "f",
-            "--order", "0", "--pmax", "0", "--qmax", "0",
+            "--pmax", "0", "--qmax", "0",
         )
         assert code == 0
         assert out.splitlines() == ["p,q,f_p_q", "0,0,1"]
@@ -350,6 +350,27 @@ class TestVerify:
             "gwprofile: error: ConfigurationError: "
             "--model applies only to --suite decomposition-roundtrip\n"
         )
+
+
+class TestGenfun:
+    @pytest.mark.parametrize(
+        "what, flags, message",
+        [("nu", ["--pmax", "7"], "--pmax applies only to --what f"),
+         ("nu", ["--qmax", "3"], "--qmax applies only to --what f"),
+         ("f", ["--order", "500"], "--order applies only to --what nu")],
+    )
+    def test_flag_is_a_usage_error_where_ignored(self, capsys, what, flags, message):
+        code, out, err = run(
+            capsys, "genfun", "--model", "builtin:geom-pm1", "--what", what, *flags
+        )
+        assert (code, out) == (2, "")
+        assert err == f"gwprofile: error: ConfigurationError: {message}\n"
+
+    def test_defaults(self, capsys):
+        code, out, _ = run(capsys, "genfun", "--model", "builtin:geom-pm1")
+        assert code == 0 and len(out.splitlines()) == 1 + 41
+        code, out, _ = run(capsys, "genfun", "--model", "builtin:geom-pm1", "--what", "f")
+        assert code == 0 and len(out.splitlines()) == 1 + 6 * 11
 
 
 class TestDecompose:

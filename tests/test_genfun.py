@@ -1,7 +1,10 @@
 import hashlib
+import inspect
+import math
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import mpmath
 import pytest
@@ -20,6 +23,35 @@ from gwprofile.genfun import (
 )
 
 MODELS = ["geom-pm1", "geom-pm01", "incomplete-binary", "complete-binary"]
+
+
+def reference_nu_table(model, order):
+    """ν(0..order) on Fractions, as nu_table computed it before it ran on
+    integers: h = √R by its holonomic recurrence, then the division
+    recurrence of g = (num + coef·h)/den after stripping den's valuation."""
+    data = genfun._require_builtin(model)
+    r = genfun._radicand(data)
+    den = data["den"]
+    v = next(j for j, c in enumerate(den) if c)
+    d = den[v:]
+    w = order + v
+    h = [Fraction(math.isqrt(r[0]))]
+    inv = 1 / Fraction(2 * r[0])
+    for n in range(w):
+        acc = 0
+        for i in range(1, min(4, n + 1) + 1):
+            acc += r[i] * (2 * n + 2 - 3 * i) * h[n + 1 - i]
+        h.append(-acc * inv / (n + 1))
+    num, coef = data["num"], data["coef"]
+    numer = [(num[n] if n < len(num) else 0) + coef * h[n] for n in range(w + 1)]
+    g = []
+    for k in range(order + 1):
+        acc = numer[k + v]
+        for j in range(1, len(d)):
+            if k >= j:
+                acc -= d[j] * g[k - j]
+        g.append(acc / d[0])
+    return tuple(g)
 
 
 class TestNu:
@@ -62,6 +94,44 @@ class TestNu:
 
         monkeypatch.setattr(genfun, "_radical_series", corrupted)
         with pytest.raises(IntegrityError, match="ODE residual"):
+            nu_table(builtin_model(model_id), 20)
+
+    @pytest.mark.parametrize("model_id", MODELS)
+    def test_matches_reference(self, model_id):
+        m = builtin_model(model_id)
+        assert nu_table(m, 400) == reference_nu_table(m, 400)
+
+    def test_radical_recurrence_refuses_a_remainder(self):
+        # a radicand off the integers leaves a remainder, which the integer
+        # recurrence refuses rather than rounds
+        with pytest.raises(IntegrityError, match="left a remainder"):
+            genfun._radical_series([4, Fraction(1, 3), 0, 0, 0], 3)
+
+    @pytest.mark.parametrize("model_id", MODELS)
+    def test_certificate_rejects_a_corrupted_quotient(self, model_id, monkeypatch):
+        honest = genfun._quotient_series
+
+        def corrupted(data, h, order):
+            g = honest(data, h, order)
+            g[order // 2] += 1
+            return g
+
+        monkeypatch.setattr(genfun, "_quotient_series", corrupted)
+        with pytest.raises(IntegrityError, match="den·g differs"):
+            nu_table(builtin_model(model_id), 20)
+
+    @pytest.mark.parametrize("model_id", MODELS)
+    def test_certificate_rejects_another_constant_term(self, model_id, monkeypatch):
+        # g is computed honestly; only the g_0 = c0 check ties it to the
+        # curve's branch rather than to another constant term
+        honest = genfun._verified_curve
+
+        def corrupted(name):
+            curve, c0 = honest(name)
+            return curve, c0 + Fraction(1, 7)
+
+        monkeypatch.setattr(genfun, "_verified_curve", corrupted)
+        with pytest.raises(IntegrityError, match="is not the branch"):
             nu_table(builtin_model(model_id), 20)
 
     def test_curve_is_verified_at_runtime(self, monkeypatch):
@@ -120,7 +190,112 @@ class TestFTable:
             f_table(nu, 2, 5)
 
 
+def reference_excursion_joint_gf(model, l_max):
+    """The single-excursion joint law by the recursive Fraction DP that
+    _excursion_joint_gf ran before it went bottom-up on integers."""
+    off = model.offspring
+    disp = model.displacement
+    per_child = disp.per_child_support()
+    memo = lru_cache(maxsize=None)
+
+    @memo
+    def subtree(j, budget):
+        if j == 0:
+            return {1: Fraction(1)} if budget == 0 else {}
+        out = {}
+        for d in off.arities_up_to(budget):
+            xi = off.prob(d)
+            if d == 0:
+                if budget == 0:
+                    out[0] = out.get(0, Fraction(0)) + xi
+                continue
+            if per_child is not None:
+                for q, w in forest_gf(j, d, budget - d).items():
+                    out[q] = out.get(q, Fraction(0)) + xi * w
+            else:
+                for vec, wv in disp.vectors(d):
+                    if any(j + inc < 0 for inc in vec):
+                        continue
+                    for q, w in vec_forest(j, vec, budget - d).items():
+                        out[q] = out.get(q, Fraction(0)) + xi * wv * w
+        return out
+
+    def split(first, rest, budget):
+        out = {}
+        for b1 in range(budget + 1):
+            head = first(b1)
+            if not head:
+                continue
+            tail = rest(budget - b1)
+            for q1, w1 in head.items():
+                for q2, w2 in tail.items():
+                    out[q1 + q2] = out.get(q1 + q2, Fraction(0)) + w1 * w2
+        return out
+
+    @memo
+    def child_gf(j, budget):
+        out = {}
+        for inc, w in per_child:
+            if j + inc >= 0:
+                for q, mass in subtree(j + inc, budget).items():
+                    out[q] = out.get(q, Fraction(0)) + w * mass
+        return out
+
+    @memo
+    def forest_gf(j, d, budget):
+        if d == 0:
+            return {0: Fraction(1)} if budget == 0 else {}
+        return split(partial(child_gf, j), partial(forest_gf, j, d - 1), budget)
+
+    @memo
+    def vec_forest(j, vec, budget):
+        if not vec:
+            return {0: Fraction(1)} if budget == 0 else {}
+        head, tail = vec[0], vec[1:]
+        return split(partial(subtree, j + head), partial(vec_forest, j, tail), budget)
+
+    return [dict(subtree(1, l)) for l in range(l_max + 1)]
+
+
+def ternary_model():
+    # per-arity tables with a zero increment and vectors sharing no suffix
+    from gwprofile.model import parse_model_config
+
+    return parse_model_config({
+        "offspring": {"kind": "finite-table", "table": ["1/2", "1/6", "1/6", "1/6"]},
+        "displacement": {"kind": "per-arity-table", "tables": {
+            "1": [[[0], "1/2"], [[-1], "1/4"], [[1], "1/4"]],
+            "2": [[[-1, 1], "1/2"], [[1, 0], "1/2"]],
+            "3": [[[-1, 0, 1], "1/3"], [[1, 1, -1], "2/3"]],
+        }},
+    }, name="ternary")
+
+
 class TestJointTable:
+    @pytest.mark.parametrize(
+        "model_id, l_max",
+        [(m, 10) for m in MODELS] + [("incomplete-binary", 20), ("complete-binary", 20)],
+    )
+    def test_single_excursion_matches_reference(self, model_id, l_max):
+        m = builtin_model(model_id)
+        assert genfun._excursion_joint_gf(m, l_max) == reference_excursion_joint_gf(m, l_max)
+
+    def test_per_arity_tables_match_reference(self):
+        m = ternary_model()
+        assert genfun._excursion_joint_gf(m, 9) == reference_excursion_joint_gf(m, 9)
+
+    def test_deep_budget_needs_no_recursion(self):
+        # the recursive route needed a recursion limit of about 256 at
+        # l = 40, and ended in RecursionError on larger tables
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            table = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), 40)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert table[:21] == genfun._excursion_joint_gf(builtin_model("incomplete-binary"), 20)
+        assert all(0 < sum(row.values()) < 1 for row in table)
+
     def test_single_excursion_values(self):
         m = builtin_model("incomplete-binary")
         ft = joint_table(m, 1, 2, 2)
