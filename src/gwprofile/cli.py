@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,13 +62,9 @@ class RunManifest:
             print("gwprofile: manifest: " + text, file=sys.stderr)
 
 
-def _open_out(path: Optional[str]):
-    return open(path, "w", newline="") if path else sys.stdout
-
-
-def _close_out(fh) -> None:
-    if fh is not sys.stdout:
-        fh.close()
+def _out(path: Optional[str]):
+    """For a ``with`` block: the file at ``path``, closed on leaving, or stdout."""
+    return open(path, "w", newline="") if path else nullcontext(sys.stdout)
 
 
 def _checked(kind, ok, bound: str):
@@ -139,15 +136,12 @@ def _cmd_sample(args) -> Tuple[int, dict]:
             if capped:
                 return _capped_item(*capped), fields
         return 0, fields
-    fh = _open_out(args.out)
-    try:
+    with _out(args.out) as fh:
         for lines, capped in parts:
             for line in lines:
                 fh.write(line + "\n")
             if capped:
                 return _capped_item(*capped), fields
-    finally:
-        _close_out(fh)
     return 0, fields
 
 
@@ -218,8 +212,7 @@ def _cmd_decompose(args) -> Tuple[int, dict]:
     else:
         with open(args.infile) as fh:
             texts = [line.strip() for line in fh if line.strip()]
-    fh = _open_out(args.out)
-    try:
+    with _out(args.out) as fh:
         for text in texts:
             d = decompose(decode(text), args.level)
             # A forest vertex's attachment slot is its rank among its siblings.
@@ -239,8 +232,6 @@ def _cmd_decompose(args) -> Tuple[int, dict]:
                 "root_component": json.dumps(encode(d.root_component)),
             }
             fh.write("{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n")
-    finally:
-        _close_out(fh)
     return 0, {}
 
 
@@ -254,8 +245,7 @@ def _cmd_genfun(args) -> Tuple[int, dict]:
         if args.what != what and getattr(args, flag) is not None:
             raise ConfigurationError(f"--{flag} applies only to --what {what}")
     model = resolve_model(args.model)
-    fh = _open_out(args.out)
-    try:
+    with _out(args.out) as fh:
         w = csv.writer(fh)
         if args.what == "nu":
             nu = nu_table(model, 40 if args.order is None else args.order)
@@ -270,8 +260,6 @@ def _cmd_genfun(args) -> Tuple[int, dict]:
             for p in range(pmax + 1):
                 for q in range(qmax + 1):
                     w.writerow([p, q, str(table[p][q])])
-    finally:
-        _close_out(fh)
     return 0, {"model": args.model}
 
 
@@ -310,8 +298,7 @@ def _cmd_kernel(args) -> Tuple[int, dict]:
                 f"state ({p},{q},{v}) is unreachable with {V} edges:"
                 f" f~_{p}({q},{V - v - p}) = 0"
             )
-    fh = _open_out(args.out)
-    try:
+    with _out(args.out) as fh:
         w = csv.writer(fh)
         if V is None:
             p, q = state
@@ -331,8 +318,6 @@ def _cmd_kernel(args) -> Tuple[int, dict]:
                 prob = K.cond_transition_prob(ftilde, V, state, to)
                 if prob != 0:
                     w.writerow([*to, str(prob)])
-    finally:
-        _close_out(fh)
     return 0, {"model": _BINARY}
 
 
@@ -537,11 +522,8 @@ def _cmd_verify(args) -> Tuple[int, dict]:
         raise ConfigurationError(
             "--model applies only to --suite decomposition-roundtrip"
         )
-    fh = _open_out(args.out)
-    try:
+    with _out(args.out) as fh:
         ok = _SUITES[args.suite](args, lambda line: fh.write(line + "\n"))
-    finally:
-        _close_out(fh)
     return (0 if ok else 1), {"model": args.model}
 
 
@@ -581,8 +563,7 @@ def _cmd_maps(args) -> Tuple[int, dict]:
         if args.orientation is not None:
             raise ConfigurationError("--orientation needs --from-tree, not --in")
         q = load_map(args.infile)
-        fh = _open_out(args.out)
-        try:
+        with _out(args.out) as fh:
             if args.to_tree:
                 t, bit = map_to_tree(q)
                 fh.write(f"{encode(t)}\t{bit}\n")
@@ -602,8 +583,6 @@ def _cmd_maps(args) -> Tuple[int, dict]:
                     fh.write(f"FAIL {msg}\n")
                 if not rep.ok:
                     exit_code = 1
-        finally:
-            _close_out(fh)
     return exit_code, {"model": _MAP_MODEL}
 
 
@@ -659,8 +638,7 @@ def _cmd_stats(args) -> Tuple[int, dict]:
         capped += c
 
     exit_code = 0
-    fh = _open_out(args.out)
-    try:
+    with _out(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(["kind", "from_p", "from_q", "to_p", "to_q", "count"])
         for from_state in census.rows():
@@ -713,8 +691,6 @@ def _cmd_stats(args) -> Tuple[int, dict]:
                 exit_code = 1
         if capped:
             w.writerow(["capped", "", "", "", "", capped])
-    finally:
-        _close_out(fh)
     return exit_code, {
         "model": args.model,
         "seed": args.seed,

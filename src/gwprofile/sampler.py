@@ -24,14 +24,20 @@ makes d calls ``getrandbits(1)`` (bit b is the increment 1 - 2b);
 ``iid-uniform-pm01`` d calls ``randrange(3)`` (r is r - 1); and
 ``per-arity-table`` one ``random()`` against the cumulative float weights
 of the arity's positive-weight vectors in table order, the last set to 1.0.
+
+:func:`sample_incomplete_binary_profile` has a stream of its own: one
+``getrandbits(2)`` per vertex, bit 0 for the -1 child and bit 1 for the +1
+child, depth-first with the +1 child's subtree first.  A capped call stops
+right after the draw that passes the cap.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, List, Optional, Tuple
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
@@ -242,58 +248,76 @@ class Sampler:
 
 # -- fast profile path (incomplete binary model) ---------------------------
 
+_BATCH = 1 << 12  # draws between two counts of the profile walk's edges
+
+
+def _by_upper_label(counts, shift: int) -> Tuple[List[int], List[int]]:
+    """Edge counts by the label k = label + ``shift`` of their upper end, as
+    lists indexed by k >= 1 and by 1 - k >= 1, each at least [0, 0]."""
+    x, check = [0, 0], [0, 0]
+    for lab, n in counts.items():
+        k = lab + shift
+        levels, m = (x, k) if k >= 1 else (check, 1 - k)
+        levels.extend([0] * (m + 1 - len(levels)))
+        levels[m] = n
+    return x, check
+
 
 def sample_incomplete_binary_profile(rng: random.Random, vertex_cap: int):
     """Per-level vertical edge counts of one incomplete-binary tree.
 
-    Returns ``(x_plus, x_minus, check_plus, check_minus)`` as lists
-    indexed by level m >= 1 (index 0 unused), or None if the tree would
-    exceed ``vertex_cap`` vertices.  Equivalent to sampling the tree and
-    reading its edge profile, but without building the tree: one 2-bit
-    draw per vertex encodes (has left -1 child, has right +1 child),
-    matching the model's offspring table (1/4, 1/2, 1/4) with symmetric
-    single-child displacement.
+    Returns ``(x_plus, x_minus, check_plus, check_minus)`` as lists indexed by
+    level m >= 1 (index 0 unused), or None if the tree would exceed
+    ``vertex_cap`` vertices.  Equivalent to sampling the tree and reading its
+    edge profile, but without building the tree: one ``getrandbits(2)`` per
+    vertex, depth-first with the +1 child's subtree first, gives the -1 child
+    by bit 0 and the +1 child by bit 1, matching the model's offspring table
+    (1/4, 1/2, 1/4) with symmetric single-child displacement.  A capped call
+    stops right after the draw that passes ``vertex_cap``, so callers may share
+    one generator across trees.
     """
-    xp = [0, 0]
-    xm = [0, 0]
-    cp = [0, 0]
-    cm = [0, 0]
-    stack = [0]
-    grb = rng.getrandbits
-    count = 1
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        lab = pop()
-        code = grb(2)
-        if not code:
-            continue
-        count += code & 1
-        count += code >> 1
-        if count > vertex_cap:
-            return None
-        if code & 1:  # child labelled lab - 1
-            c = lab - 1
-            if lab >= 1:  # downward edge below level lab
-                if lab >= len(xm):
-                    xm.extend([0] * (lab + 1 - len(xm)))
-                xm[lab] += 1
-            else:  # upper label is lab (= -m+1), lower is c
-                m = 1 - lab
-                if m >= len(cm):
-                    cm.extend([0] * (m + 1 - len(cm)))
-                cm[m] += 1
-            push(c)
-        if code >> 1:  # child labelled lab + 1
-            c = lab + 1
-            if c >= 1:  # upward edge, upper label c
-                if c >= len(xp):
-                    xp.extend([0] * (c + 1 - len(xp)))
-                xp[c] += 1
-            else:  # upper label c = -m+1, lower lab = -m
-                m = -lab
-                if m >= len(cp):
-                    cp.extend([0] * (m + 1 - len(cp)))
-                cp[m] += 1
-            push(c)
-    return xp, xm, cp, cm
+    if vertex_cap < 1:
+        raise ConfigurationError("vertex_cap must be >= 1")
+    # The walk goes on to a vertex's +1 child, else its -1 child; a leaf resumes
+    # at the last -1 child that a two-child vertex left behind.  It lists the
+    # labels of the vertices with children, and counts their edges per batch.
+    minus, plus, both, down, up = [], [], [], Counter(), Counter()
+    rec_minus, rec_plus, rec_both = minus.append, plus.append, both.append
+    deferred: List[int] = []
+    pop, push, grb = deferred.pop, deferred.append, rng.getrandbits
+    lab = visited = 0  # the label drawn next; the vertices drawn and walked
+    while True:
+        drawn = visited + len(deferred) + 1  # a draw adds at most 2 vertices
+        room = min((vertex_cap - drawn) // 2, _BATCH)
+        if room > 0:
+            codes = map(grb, repeat(2, room))
+            visited += room
+        else:  # near the cap, each draw is checked
+            code = grb(2)
+            if code and drawn + (code & 1) + (code >> 1) > vertex_cap:
+                return None
+            codes = (code,)
+            visited += 1
+        try:
+            for code in codes:
+                if code == 3:
+                    rec_both(lab)
+                    push(lab - 1)
+                    lab += 1
+                elif code == 2:
+                    rec_plus(lab)
+                    lab += 1
+                elif code == 1:
+                    rec_minus(lab)
+                    lab -= 1
+                else:
+                    lab = pop()
+        except IndexError:  # a leaf with nothing deferred ends the tree
+            break
+        finally:  # count the batch's edges: memory stays O(_BATCH + height)
+            down.update(minus + both)
+            up.update(plus + both)
+            del minus[:], plus[:], both[:]
+    x_plus, check_plus = _by_upper_label(up, 1)
+    x_minus, check_minus = _by_upper_label(down, 0)
+    return x_plus, x_minus, check_plus, check_minus

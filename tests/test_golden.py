@@ -21,7 +21,12 @@ from gwprofile.model import (
     OffspringDistribution,
     TreeModel,
 )
-from gwprofile.sampler import Sampler, SamplerConfig
+from gwprofile.sampler import (
+    Sampler,
+    SamplerConfig,
+    make_rng,
+    sample_incomplete_binary_profile,
+)
 
 
 def sha256(lines):
@@ -126,6 +131,20 @@ def test_custom_model_stream(name):
     trees = draw(lambda i: s.sample_tree(), 300)
     excursions = draw(lambda i: s.sample_excursion(1 - 2 * (i % 2)).tree, 100)
     assert (sha256(trees), sha256(excursions)) == CUSTOM_STREAMS[name]
+
+
+# The SHA-256 of the incomplete-binary fast profile path's first 2,000 calls
+# on one generator at seed 2026, stream 0, vertex_cap 10^4 (each the repr of
+# the returned 4-tuple of lists, or "capped"), pinned before the walk was
+# rewritten to count its edges per batch and check the cap by headroom.
+FAST_PROFILE_STREAM = "c4c34ea70ef2040e9c86f747a67045a27a134e1ad28e0b0df381bb35b3618828"
+
+
+def test_fast_profile_stream():
+    rng = make_rng(SamplerConfig(seed=2026))
+    profiles = [sample_incomplete_binary_profile(rng, 10**4) for _ in range(2000)]
+    lines = ["capped" if p is None else repr(p) for p in profiles]
+    assert sha256(lines) == FAST_PROFILE_STREAM
 
 
 # The first six geom-pm1 trees with 30 to 300 edges at seed 2026, stream 0,

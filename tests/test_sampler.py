@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -10,6 +11,56 @@ from gwprofile.sampler import (
     make_rng,
     sample_incomplete_binary_profile,
 )
+
+
+def reference_incomplete_binary_profile(rng, vertex_cap):
+    """The fast profile path as first written: one stack pop and one
+    ``getrandbits(2)`` per vertex, each edge counted as it is drawn and the
+    cap checked after every draw.  The definition the walk must match,
+    draw for draw."""
+    xp = [0, 0]
+    xm = [0, 0]
+    cp = [0, 0]
+    cm = [0, 0]
+    stack = [0]
+    grb = rng.getrandbits
+    count = 1
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        lab = pop()
+        code = grb(2)
+        if not code:
+            continue
+        count += code & 1
+        count += code >> 1
+        if count > vertex_cap:
+            return None
+        if code & 1:  # child labelled lab - 1
+            c = lab - 1
+            if lab >= 1:  # downward edge below level lab
+                if lab >= len(xm):
+                    xm.extend([0] * (lab + 1 - len(xm)))
+                xm[lab] += 1
+            else:  # upper label is lab (= -m+1), lower is c
+                m = 1 - lab
+                if m >= len(cm):
+                    cm.extend([0] * (m + 1 - len(cm)))
+                cm[m] += 1
+            push(c)
+        if code >> 1:  # child labelled lab + 1
+            c = lab + 1
+            if c >= 1:  # upward edge, upper label c
+                if c >= len(xp):
+                    xp.extend([0] * (c + 1 - len(xp)))
+                xp[c] += 1
+            else:  # upper label c = -m+1, lower lab = -m
+                m = -lab
+                if m >= len(cp):
+                    cp.extend([0] * (m + 1 - len(cp)))
+                cp[m] += 1
+            push(c)
+    return xp, xm, cp, cm
 
 
 class TestConfig:
@@ -107,7 +158,44 @@ class TestConditionedSampler:
             s.sample_conditioned(3)
 
 
+def assert_same_walks(rngs, cap):
+    """The fast path and the reference agree on every call, and leave their
+    generator, a copy of the same one, in the same state."""
+    capped = 0
+    for rng in rngs:
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        got = sample_incomplete_binary_profile(rng, cap)
+        assert got == reference_incomplete_binary_profile(twin, cap)
+        assert rng.getstate() == twin.getstate()
+        capped += got is None
+    return capped
+
+
 class TestFastProfile:
+    def test_matches_reference_on_a_shared_stream(self):
+        rng = make_rng(SamplerConfig(seed=2026))
+        capped = assert_same_walks([rng] * 5000, 10**4)
+        assert 0 < capped < 100
+
+    def test_matches_reference_per_stream(self):
+        rngs = (make_rng(SamplerConfig(seed=7, stream=i)) for i in range(1000))
+        assert_same_walks(rngs, 10**4)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 50, 10**5])
+    def test_capped_calls_stop_on_the_same_draw(self, cap):
+        rng = make_rng(SamplerConfig(seed=5))
+        capped = assert_same_walks([rng] * (400 if cap == 10**5 else 3000), cap)
+        assert capped or cap == 10**5
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_refused(self, cap):
+        # A leaf root is already one vertex, more than a cap of 0 allows.
+        rng = make_rng(SamplerConfig(seed=0))
+        with pytest.raises(ConfigurationError):
+            for _ in range(20):
+                sample_incomplete_binary_profile(rng, cap)
+
     def test_matches_generic_sampler(self):
         # the bit-coded profile path and the generic tree sampler agree in law
         model = builtin_model("incomplete-binary")
