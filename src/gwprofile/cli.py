@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -84,6 +85,33 @@ def _int_at_least(lo: int):
     return _checked(int, lambda value: value >= lo, f">= {lo}")
 
 
+def _readers(table: Dict[str, dict], flag: str) -> str:
+    """The modes of ``table`` whose flags include ``flag``, as "A, B or C"."""
+    *rest, last = [mode for mode, flags in table.items() if flag in flags]
+    return f"{', '.join(rest)} or {last}" if rest else last
+
+
+def _mode_flags(args, option: str, mode, table: Dict[str, dict]) -> dict:
+    """The flags ``table[mode]`` lists, each as given or else its default.
+
+    ``table`` maps each mode (a value of ``option``) to the ``{flag: default}``
+    it reads.  A flag the chosen mode would ignore is a usage error, "--X
+    applies only to <option>A, B or C", checked in the parser's order.
+    """
+    reads = table.get(mode, {})
+    known = {flag for flags in table.values() for flag in flags}
+    for flag in vars(args):
+        if flag in known and flag not in reads and getattr(args, flag) is not None:
+            raise ConfigurationError(
+                f"--{flag.replace('_', '-')} applies only to "
+                f"{option}{_readers(table, flag)}"
+            )
+    return {
+        flag: default if getattr(args, flag) is None else getattr(args, flag)
+        for flag, default in reads.items()
+    }
+
+
 def _map_items(worker, task: tuple, count: int, workers: int) -> list:
     """``worker(task + (lo, hi))`` for consecutive chunks [lo, hi) of the
     items 0 .. count - 1, one chunk per worker process, results in item
@@ -107,9 +135,11 @@ def _cmd_sample(args) -> Tuple[int, dict]:
         "seed": args.seed,
         "caps": {"vertex_cap": vertex_cap, "rejection_cap": rejection_cap},
     }
-    if args.kind == "conditioned" and args.edges is None:
+    kinds = {"conditioned": {"edges": None}, "excursion": {"sign": "+"}}
+    read = _mode_flags(args, "--kind ", args.kind, kinds)
+    edges, sign = read.get("edges"), -1 if read.get("sign") == "-" else 1
+    if args.kind == "conditioned" and edges is None:
         raise ConfigurationError("--edges is required for --kind conditioned")
-    sign = {"+": 1, "-": -1}.get(args.sign, 1)
 
     if args.kind == "quadrangulation":
         if not args.out:
@@ -121,9 +151,7 @@ def _cmd_sample(args) -> Tuple[int, dict]:
                 f"--kind quadrangulation requires --model {_MAP_MODEL}"
             )
 
-    task = (
-        args.model, args.kind, args.seed, vertex_cap, rejection_cap, args.edges, sign
-    )
+    task = (args.model, args.kind, args.seed, vertex_cap, rejection_cap, edges, sign)
     parts = _map_items(_sample_items_worker, task, args.count, args.workers)
     if args.kind == "quadrangulation":
         from .maps import save_map
@@ -241,20 +269,19 @@ def _cmd_decompose(args) -> Tuple[int, dict]:
 def _cmd_genfun(args) -> Tuple[int, dict]:
     from .genfun import f_table, nu_table
 
-    for flag, what in (("order", "nu"), ("pmax", "f"), ("qmax", "f")):
-        if args.what != what and getattr(args, flag) is not None:
-            raise ConfigurationError(f"--{flag} applies only to --what {what}")
+    read = _mode_flags(
+        args, "--what ", args.what, {"nu": {"order": 40}, "f": {"pmax": 5, "qmax": 10}}
+    )
     model = resolve_model(args.model)
     with _out(args.out) as fh:
         w = csv.writer(fh)
         if args.what == "nu":
-            nu = nu_table(model, 40 if args.order is None else args.order)
+            nu = nu_table(model, read["order"])
             w.writerow(["k", "nu_k"])
             for k, v in enumerate(nu):
                 w.writerow([k, str(v)])
         else:
-            pmax = 5 if args.pmax is None else args.pmax
-            qmax = 10 if args.qmax is None else args.qmax
+            pmax, qmax = read["pmax"], read["qmax"]
             table = f_table(nu_table(model, qmax), pmax, qmax)
             w.writerow(["p", "q", "f_p_q"])
             for p in range(pmax + 1):
@@ -322,223 +349,161 @@ def _cmd_kernel(args) -> Tuple[int, dict]:
 
 
 # -- verify -------------------------------------------------------------------
+# A suite yields (case, got, want) per case and may return counts for its
+# summary line; _cmd_verify alone compares, counts and reports.
 
 
-def _verify_counting_lemma(args, report) -> bool:
+def _counting_lemma(max_pq):
     import math
 
     from .oracle import _compositions, enumerate_bicoloured_forests
 
-    ok = True
-    cases = 0
-    for p in range(1, args.max_pq + 1):
-        for q in range(0, args.max_pq - p + 1):
+    for p in range(1, max_pq + 1):
+        for q in range(0, max_pq - p + 1):
             for n in range(1, p + 1):
                 for n_minus in _compositions(p - n, q):
                     for n_plus in _compositions(q, p):
-                        got = enumerate_bicoloured_forests(n, n_plus, n_minus)
-                        want = math.factorial(q) * math.factorial(p - 1) * n
-                        cases += 1
-                        if got != want:
-                            ok = False
-                            report(
-                                f"FAIL counting-lemma n={n} n_plus={n_plus} "
-                                f"n_minus={n_minus}: {got} != {want}"
-                            )
-    report(f"{'PASS' if ok else 'FAIL'} counting-lemma: {cases} tuples checked")
-    return ok
+                        yield (
+                            f"n={n} n_plus={n_plus} n_minus={n_minus}",
+                            enumerate_bicoloured_forests(n, n_plus, n_minus),
+                            math.factorial(q) * math.factorial(p - 1) * n,
+                        )
 
 
-def _verify_joint_law(args, report) -> bool:
+def _joint_law(max_p, max_s):
     from .genfun import f_table, nu_table
     from .kernel import _weight
     from .oracle import enumerate_marked_forests
 
-    model = builtin_model("incomplete-binary")
-    nu = nu_table(model, args.max_s + 2)
-    f = f_table(nu, args.max_p + args.max_s + 1, args.max_s + 1)
-    ok = True
-    cells = 0
-    for p in range(1, args.max_p + 1):
-        for s in range(0, args.max_s + 1):
+    nu = nu_table(builtin_model("incomplete-binary"), max_s + 2)
+    f = f_table(nu, max_p + max_s + 1, max_s + 1)
+    for p in range(1, max_p + 1):
+        for s in range(0, max_s + 1):
             law = enumerate_marked_forests(nu, p, s)
             for q in range(p + s + 1):
                 for r in range(p + s + 1):
-                    fr = f[r][s] if r > 0 else (Fraction(1) if s == 0 else Fraction(0))
-                    want = _weight(p, q, r, s) * fr
+                    fr = f[r][s] if r > 0 else Fraction(int(s == 0))
                     got = law.get((q, r), Fraction(0))
-                    cells += 1
-                    if got != want:
-                        ok = False
-                        report(
-                            f"FAIL joint-law p={p} s={s} (q,r)=({q},{r}): "
-                            f"{got} != {want}"
-                        )
-    report(f"{'PASS' if ok else 'FAIL'} joint-law: {cells} cells checked")
-    return ok
+                    yield f"p={p} s={s} (q,r)=({q},{r})", got, _weight(p, q, r, s) * fr
 
 
-def _verify_chain_law(args, report) -> bool:
+def _chain_law(edges):
     from .genfun import joint_table
     from .kernel import cond_transition_prob
     from .oracle import exact_chain_law, verify_markov_exact
 
-    V = args.edges
-    model = builtin_model("incomplete-binary")
-    ftilde = joint_table(model, V + 1, V + 1, V)
-    law = exact_chain_law(V)
-
-    def kernel(s, t):
-        return cond_transition_prob(ftilde, V, s, t)
-
-    rep = verify_markov_exact(law, V, transition=kernel)
-    status = "PASS" if rep.ok else "FAIL"
-    report(
-        f"{status} chain-law V={V}: {rep.histories_checked} histories, "
-        f"{rep.transitions_checked} transitions, "
-        f"{len(rep.discrepancies)} discrepancies"
-    )
-    return rep.ok
+    ftilde = joint_table(builtin_model("incomplete-binary"), edges + 1, edges + 1, edges)
+    kernel = partial(cond_transition_prob, ftilde, edges)
+    rep = verify_markov_exact(exact_chain_law(edges), edges, transition=kernel)
+    yield f"V={edges}", rep.discrepancies, []
+    return dict(histories=rep.histories_checked, transitions=rep.transitions_checked,
+                discrepancies=len(rep.discrepancies))
 
 
-def _verify_profile_count(args, report) -> bool:
+def _profile_count(max_edges):
     from .kernel import count_profile
     from .oracle import enumerate_trees
-    from .tree import edge_profile as profile_of
+
+    def pairs(a, b, top):  # (a_k, b_k) for k = 1 .. top
+        return tuple((a.get(k, 0), b.get(k, 0)) for k in range(1, top + 1))
 
     model = builtin_model("incomplete-binary")
-    ok = True
-    profiles = 0
-    for e in range(0, args.max_edges + 1):
+    for e in range(0, max_edges + 1):
         groups: Dict[tuple, int] = {}
         for t, _ in enumerate_trees(model, e).items:
-            prof = profile_of(t)
-            mmax = max(list(prof.x_plus) + [0])
-            cmax = max(list(prof.check_minus) + [0])
-            plus = tuple(
-                (prof.x_plus.get(k, 0), prof.x_minus.get(k, 0))
-                for k in range(1, mmax + 1)
-            )
-            check = tuple(
-                (prof.check_plus.get(k, 0), prof.check_minus.get(k, 0))
-                for k in range(1, cmax + 1)
-            )
+            prof = edge_profile(t)
+            plus = pairs(prof.x_plus, prof.x_minus, max([*prof.x_plus, 0]))
+            check = pairs(prof.check_plus, prof.check_minus, max([*prof.check_minus, 0]))
             groups[(plus, check)] = groups.get((plus, check), 0) + 1
         for (plus, check), want in sorted(groups.items()):
-            got = count_profile(plus, check)
-            profiles += 1
-            if got != want:
-                ok = False
-                report(f"FAIL profile-count {plus} {check}: {got} != {want}")
-    report(f"{'PASS' if ok else 'FAIL'} profile-count: {profiles} profiles checked")
-    return ok
+            yield f"{plus} {check}", count_profile(plus, check), want
 
 
-def _verify_decomposition_roundtrip(args, report) -> bool:
+def _decomposition_roundtrip(model, max_edges):
     from .excursion import decompose, reconstruct
+    from .model import BUILTIN_IDS
     from .oracle import enumerate_trees
 
-    models = (
-        [resolve_model(args.model)]
-        if args.model
-        else [
-            builtin_model(k)
-            for k in ("geom-pm1", "geom-pm01", "incomplete-binary", "complete-binary")
-        ]
+    # resolved now, before the output is opened: a bad --model writes nothing
+    models = [resolve_model(model)] if model else [builtin_model(k) for k in BUILTIN_IDS]
+    return (
+        (f"{encode(t)} m={m}", reconstruct(decompose(t, m)), t)
+        for each in models
+        for e in range(0, max_edges + 1)
+        for t, _ in enumerate_trees(each, e).items
+        for span in [max([abs(l) for l in t.labels] + [1])]
+        for m in [*range(1, span + 1), *range(-span, 0)]
     )
-    ok = True
-    cases = 0
-    for model in models:
-        for e in range(0, args.max_edges + 1):
-            for t, _ in enumerate_trees(model, e).items:
-                span = max([abs(l) for l in t.labels] + [1])
-                for m in list(range(1, span + 1)) + list(range(-span, 0)):
-                    cases += 1
-                    if reconstruct(decompose(t, m)) != t:
-                        ok = False
-                        report(f"FAIL decomposition-roundtrip {encode(t)} m={m}")
-    report(
-        f"{'PASS' if ok else 'FAIL'} decomposition-roundtrip: {cases} cases checked"
-    )
-    return ok
 
 
-def _verify_schaeffer_roundtrip(args, report) -> bool:
+def _schaeffer_roundtrip(max_edges):
     from .maps import map_to_tree, tree_to_map, verify_profile_relations
     from .oracle import enumerate_trees
 
     model = builtin_model("geom-pm01")
-    ok = True
-    cases = 0
-    for e in range(1, args.max_edges + 1):
+    for e in range(1, max_edges + 1):
         for t, _ in enumerate_trees(model, e).items:
+            name = encode(t)
             for bit in (0, 1):
-                cases += 1
                 q = tree_to_map(t, bit)
-                if map_to_tree(q) != (t, bit):
-                    ok = False
-                    report(f"FAIL schaeffer-roundtrip {encode(t)} bit={bit}")
-                    continue
-                rep = verify_profile_relations(q)
-                if not rep.ok:
-                    ok = False
-                    report(
-                        f"FAIL schaeffer-profile {encode(t)} bit={bit}: "
-                        f"{rep.mismatches[0]}"
-                    )
-    report(f"{'PASS' if ok else 'FAIL'} schaeffer-roundtrip: {cases} cases checked")
-    return ok
+                got = map_to_tree(q), verify_profile_relations(q).mismatches
+                yield f"{name} bit={bit}", got, ((t, bit), ())
 
 
-def _verify_kemperman(args, report) -> bool:
+def _kemperman(p, s):
     from .genfun import nu_table
     from .oracle import kemperman_check
 
-    model = builtin_model("incomplete-binary")
-    nu = nu_table(model, args.s + 2)
-    cells = kemperman_check(nu, args.p, args.s)
-    bad = [(k, lhs, rhs) for k, (lhs, rhs) in sorted(cells.items()) if lhs != rhs]
-    for k, lhs, rhs in bad:
-        report(f"FAIL kemperman p={args.p} s={args.s} {k}: {lhs} != {rhs}")
-    report(
-        f"{'PASS' if not bad else 'FAIL'} kemperman: {len(cells)} cells checked"
-    )
-    return not bad
+    cells = kemperman_check(nu_table(builtin_model("incomplete-binary"), s + 2), p, s)
+    for k, (lhs, rhs) in sorted(cells.items()):
+        yield f"p={p} s={s} {k}", lhs, rhs
 
 
-_SUITES = {
-    "counting-lemma": _verify_counting_lemma,
-    "joint-law": _verify_joint_law,
-    "chain-law": _verify_chain_law,
-    "profile-count": _verify_profile_count,
-    "decomposition-roundtrip": _verify_decomposition_roundtrip,
-    "schaeffer-roundtrip": _verify_schaeffer_roundtrip,
-    "kemperman": _verify_kemperman,
+_SUITES = {  # name: (cases, summary after "PASS <name>", {flag: default})
+    "counting-lemma": (_counting_lemma, ": {cases} tuples checked", {"max_pq": 7}),
+    "joint-law": (_joint_law, ": {cases} cells checked", {"max_p": 3, "max_s": 4}),
+    "chain-law": (
+        _chain_law,
+        " V={edges}: {histories} histories, {transitions} transitions, "
+        "{discrepancies} discrepancies",
+        {"edges": 5},
+    ),
+    "profile-count": (_profile_count, ": {cases} profiles checked", {"max_edges": 4}),
+    "decomposition-roundtrip": (
+        _decomposition_roundtrip, ": {cases} cases checked", {"model": None, "max_edges": 4}
+    ),
+    "schaeffer-roundtrip": (_schaeffer_roundtrip, ": {cases} cases checked", {"max_edges": 4}),
+    "kemperman": (_kemperman, ": {cases} cells checked", {"p": 2, "s": 3}),
 }
+_SUITE_FLAGS = {name: flags for name, (_, _, flags) in _SUITES.items()}
 
 
 def _cmd_verify(args) -> Tuple[int, dict]:
-    if args.model is not None and args.suite != "decomposition-roundtrip":
-        raise ConfigurationError(
-            "--model applies only to --suite decomposition-roundtrip"
-        )
+    suite, summary, _ = _SUITES[args.suite]
+    counts = _mode_flags(args, "--suite ", args.suite, _SUITE_FLAGS)
+    cases = suite(**counts)
+    counts["cases"] = failed = 0
     with _out(args.out) as fh:
-        ok = _SUITES[args.suite](args, lambda line: fh.write(line + "\n"))
-    return (0 if ok else 1), {"model": args.model}
+        while True:
+            try:
+                case, got, want = next(cases)
+            except StopIteration as done:
+                counts.update(done.value or {})
+                break
+            counts["cases"] += 1
+            if got != want:
+                failed += 1
+                fh.write(f"FAIL {args.suite} {case}: {got} != {want}\n")
+        fh.write(f"{'FAIL' if failed else 'PASS'} {args.suite}{summary.format(**counts)}\n")
+    return (1 if failed else 0), {"model": args.model}
 
 
 # -- maps ---------------------------------------------------------------------
 
 
 def _cmd_maps(args) -> Tuple[int, dict]:
-    from .maps import (
-        ball_profile,
-        load_map,
-        map_to_tree,
-        save_map,
-        tree_to_map,
-        verify_profile_relations,
-    )
+    from .maps import ball_profile, load_map, map_to_tree, tree_to_map, write_map
+    from .maps import verify_profile_relations
 
     if (args.from_tree is None) == (args.infile is None):
         raise ConfigurationError("provide exactly one of --from-tree or --in")
@@ -548,17 +513,8 @@ def _cmd_maps(args) -> Tuple[int, dict]:
             if getattr(args, flag[2:].replace("-", "_")):
                 raise ConfigurationError(f"{flag} needs --in, not --from-tree")
         q = tree_to_map(decode(args.from_tree), args.orientation or 0)
-        if args.out:
-            save_map(q, args.out)
-        else:
-            buf = [
-                f"root_dart,{q.root_dart}",
-                f"pointed_vertex,{q.pointed_vertex}",
-                "dart,alpha,sigma",
-            ]
-            for d in q.darts:
-                buf.append(f"{d},{q.alpha[d]},{q.sigma[d]}")
-            print("\n".join(buf))
+        with _out(args.out) as fh:
+            write_map(q, fh)
     else:
         if args.orientation is not None:
             raise ConfigurationError("--orientation needs --from-tree, not --in")
@@ -625,6 +581,8 @@ def _census_worker(task):
 def _cmd_stats(args) -> Tuple[int, dict]:
     from .stats import TransitionCensus, bonferroni, chi_square
 
+    mode = "--test-kernel" if args.test_kernel else None
+    read = _mode_flags(args, "", mode, {"--test-kernel": {"alpha": 0.001, "min_visits": 500}})
     binary = builtin_model("incomplete-binary").key
     if args.test_kernel and resolve_model(args.model).key != binary:
         raise ConfigurationError(
@@ -652,7 +610,7 @@ def _cmd_stats(args) -> Tuple[int, dict]:
             tested = [
                 state
                 for state in census.rows()
-                if state != (0, 0) and census.row_total(state) >= args.min_visits
+                if state != (0, 0) and census.row_total(state) >= read["min_visits"]
             ]
             for p, q in tested:
                 far = [to for to in census.row((p, q)) if to[1] > smax]
@@ -687,7 +645,7 @@ def _cmd_stats(args) -> Tuple[int, dict]:
                         "" if res.p_value is None else f"{res.p_value:.6g}",
                     ]
                 )
-            if not bonferroni(p_values, args.alpha):
+            if not bonferroni(p_values, read["alpha"]):
                 exit_code = 1
         if capped:
             w.writerow(["capped", "", "", "", "", capped])
@@ -720,20 +678,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--count", type=_int_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--vertex-cap", type=_int_at_least(1), default=defaults.vertex_cap)
     p.add_argument(
-        "--vertex-cap",
-        type=_int_at_least(1),
-        dest="vertex_cap",
-        default=defaults.vertex_cap,
-    )
-    p.add_argument(
-        "--rejection-cap",
-        type=_int_at_least(1),
-        dest="rejection_cap",
-        default=defaults.rejection_cap,
+        "--rejection-cap", type=_int_at_least(1), default=defaults.rejection_cap
     )
     p.add_argument("--edges", type=_int_at_least(0), help="for --kind conditioned")
-    p.add_argument("--sign", choices=["+", "-"], default="+")
+    p.add_argument("--sign", choices=["+", "-"], help="for --kind excursion (default +)")
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
@@ -767,15 +717,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="named exact verification suites")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    # --model first: a usage error reports it before the size flags
+    p.add_argument(
+        "--model", help="for --suite decomposition-roundtrip (default: every builtin)"
+    )
     # each suite counts up to its bound from 0 or 1: no minimum checks nothing
-    p.add_argument("--max-pq", type=_int_at_least(1), default=7)
-    p.add_argument("--max-p", type=_int_at_least(1), default=3)
-    p.add_argument("--max-s", type=_int_at_least(0), default=4)
-    p.add_argument("--edges", type=_int_at_least(1), default=5)
-    p.add_argument("--max-edges", type=_int_at_least(1), default=4)
-    p.add_argument("--model")
-    p.add_argument("--p", type=_int_at_least(1), default=2)
-    p.add_argument("--s", type=_int_at_least(0), default=3)
+    for flag, low in (
+        ("max_pq", 1), ("max_p", 1), ("max_s", 0), ("edges", 1), ("max_edges", 1),
+        ("p", 1), ("s", 0),
+    ):
+        default = next(f[flag] for f in _SUITE_FLAGS.values() if flag in f)
+        p.add_argument(
+            "--" + flag.replace("_", "-"), type=_int_at_least(low),
+            help=f"for --suite {_readers(_SUITE_FLAGS, flag)} (default {default})",
+        )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -793,19 +748,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--count", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--vertex-cap",
-        type=_int_at_least(1),
-        dest="vertex_cap",
-        default=defaults.vertex_cap,
-    )
+    p.add_argument("--vertex-cap", type=_int_at_least(1), default=defaults.vertex_cap)
     p.add_argument("--max-level", type=_int_at_least(1), default=10**9)
-    p.add_argument("--min-visits", type=_int_at_least(0), default=500)
+    p.add_argument(
+        "--min-visits", type=_int_at_least(0), help="for --test-kernel (default 500)"
+    )
     p.add_argument(
         "--alpha",  # 0 < nan < 1 is false, so nan is refused too
         type=_checked(float, lambda a: 0 < a < 1, "in (0, 1)"),
-        default=0.001,
-        help="family-wise level of --test-kernel: Bonferroni over the rows tested",
+        help="family-wise level of --test-kernel: Bonferroni over the rows tested"
+        " (default 0.001)",
     )
     p.add_argument("--test-kernel", dest="test_kernel", action="store_true")
     p.add_argument("--workers", type=_int_at_least(1), default=1)

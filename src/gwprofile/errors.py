@@ -2,8 +2,7 @@
 
 Every error raised deliberately by this package derives from
 :class:`GWProfileError`, so callers (in particular the CLI) can separate
-anticipated failures from genuine bugs.  Each subclass carries a short
-``category`` tag used for machine-parsable error lines on stderr.
+anticipated failures from genuine bugs.
 """
 
 from __future__ import annotations
@@ -12,13 +11,9 @@ from __future__ import annotations
 class GWProfileError(Exception):
     """Base class for all errors raised by gwprofile."""
 
-    category = "error"
-
 
 class ConfigurationError(GWProfileError):
     """A model definition, config file, or parameter set is invalid."""
-
-    category = "configuration"
 
 
 class TreeParseError(GWProfileError):
@@ -26,8 +21,6 @@ class TreeParseError(GWProfileError):
 
     ``offset`` is the byte offset (0-based) at which parsing failed.
     """
-
-    category = "parse"
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
@@ -41,22 +34,14 @@ class DomainError(GWProfileError):
     model cannot produce, conditioning on an impossible size.
     """
 
-    category = "domain"
-
 
 class ResourceLimitError(GWProfileError):
     """A configured cap (vertices, rejections, table size) was exhausted."""
-
-    category = "resource-limit"
 
 
 class ReconstructionError(GWProfileError):
     """An excursion decomposition is inconsistent and cannot be glued back."""
 
-    category = "reconstruction"
-
 
 class IntegrityError(GWProfileError):
     """An internal cross-check failed; indicates corrupted data or a bug."""
-
-    category = "integrity"

@@ -488,16 +488,20 @@ def card_pointed_quadrangulations(n: int) -> int:
 
 
 def save_map(q: PlanarMap, path: str) -> None:
-    """Per-dart CSV (dart, alpha, sigma) with a root/point header."""
+    """Write ``q`` to the file at ``path`` as :func:`write_map` does."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["root_dart", q.root_dart if q.root_dart is not None else ""])
-        w.writerow(
-            ["pointed_vertex", q.pointed_vertex if q.pointed_vertex is not None else ""]
-        )
-        w.writerow(["dart", "alpha", "sigma"])
-        for d in q.darts:
-            w.writerow([d, q.alpha[d], q.sigma[d]])
+        write_map(q, fh)
+
+
+def write_map(q: PlanarMap, fh) -> None:
+    """Per-dart CSV (dart, alpha, sigma) with a root/point header, to an
+    open text file; rows end in CRLF, as ``csv.writer`` writes them."""
+    w = csv.writer(fh)
+    w.writerow(["root_dart", q.root_dart if q.root_dart is not None else ""])
+    w.writerow(["pointed_vertex", q.pointed_vertex if q.pointed_vertex is not None else ""])
+    w.writerow(["dart", "alpha", "sigma"])
+    for d in q.darts:
+        w.writerow([d, q.alpha[d], q.sigma[d]])
 
 
 def load_map(path: str) -> Quadrangulation:

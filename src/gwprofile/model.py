@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -348,21 +349,35 @@ def excursion_weight(model: TreeModel, tau) -> Fraction:
 # -- config files -----------------------------------------------------------
 
 
+def _int(value) -> int:
+    """``value`` if it is a JSON integer (``true`` and ``false`` are not)."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an integer: {value!r}")
+    return operator.index(value)
+
+
+def _json(value, kind: str, what: str):
+    """``value`` if it is a JSON ``kind`` ("object" or "array"), else a
+    ConfigurationError naming ``what``."""
+    if not isinstance(value, {"object": Mapping, "array": list}[kind]):
+        raise ConfigurationError(f"{what} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def parse_model_config(config: Mapping, name: str = "custom") -> TreeModel:
     """Build a TreeModel from a parsed JSON config (finite tables only)."""
-    if not isinstance(config, Mapping):
-        raise ConfigurationError("model config must be a JSON object")
+    _json(config, "object", "model config")
     try:
-        off_cfg = config["offspring"]
-        disp_cfg = config["displacement"]
+        off_cfg = _json(config["offspring"], "object", "offspring")
+        disp_cfg = _json(config["displacement"], "object", "displacement")
     except KeyError as exc:
         raise ConfigurationError(f"model config missing field {exc}") from exc
 
     off_kind = off_cfg.get("kind")
     if off_kind == "finite-table":
+        table = _json(off_cfg.get("table", []), "array", "offspring table")
         offspring = OffspringDistribution(
-            "finite-table",
-            tuple(parse_rational(x) for x in off_cfg.get("table", ())),
+            "finite-table", tuple(parse_rational(x) for x in table)
         )
     elif off_kind == "geometric-half":
         raise ConfigurationError(
@@ -377,11 +392,18 @@ def parse_model_config(config: Mapping, name: str = "custom") -> TreeModel:
         displacement = DisplacementFamily(disp_kind, disp_cfg.get("tables"))
     elif disp_kind == "per-arity-table":
         tables = {}
-        for key, entries in disp_cfg.get("tables", {}).items():
-            d = int(key)
-            tables[d] = tuple(
-                (tuple(int(e) for e in v), parse_rational(w)) for v, w in entries
-            )
+        given = _json(disp_cfg.get("tables", {}), "object", "displacement tables")
+        for key, entries in given.items():
+            try:  # each entry a [vector, weight] pair, each vector a list of ints
+                tables[int(key)] = tuple(
+                    (tuple(map(_int, v)), parse_rational(w)) for v, w in entries
+                )
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"malformed displacement table {key!r}: {exc}"
+                ) from exc
+        if len(tables) != len(given):  # keys such as "1" and "01"
+            raise ConfigurationError("displacement tables name an arity twice")
         displacement = DisplacementFamily("per-arity-table", tables)
     else:
         raise ConfigurationError(f"unknown displacement kind {disp_kind!r}")

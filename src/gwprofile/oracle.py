@@ -420,12 +420,19 @@ def enumerate_bicoloured_forests(
 # -- marked trees and forests ----------------------------------------------
 
 
-def _marked_tree_law(nu: Sequence[Fraction], edges: int):
-    """Joint law (|L|, |R|) -> prob for one marked tree with ``edges`` edges.
+def enumerate_marked_forests(nu: Sequence[Fraction], p: int, s: int):
+    """Joint law of (sum |L_k|, sum |R_k|) for p marked trees, total edges s.
 
-    Every vertex draws iota, sigma ~ Bernoulli(1/2); a vertex with
-    sigma = 1 draws its children count from ``nu``; |T| counts edges.
+    Returns a dict (q, r) -> exact probability of the event
+    {sum |T_k| = s, sum |L_k| = q, sum |R_k| = r}.  Every vertex draws
+    iota, sigma ~ Bernoulli(1/2); a vertex with sigma = 1 draws its
+    children count from ``nu``; |T| counts edges.  The laws of one tree
+    with e edges and of k trees with ``budget`` edges are each computed
+    once per call, in one pair of memos.
     """
+    if p < 1 or s < 0:
+        raise DomainError("need p >= 1 and s >= 0")
+    nu = [Fraction(x) for x in nu]
     memo: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
     half = Fraction(1, 2)
 
@@ -464,30 +471,7 @@ def _marked_tree_law(nu: Sequence[Fraction], edges: int):
         forest_memo[(k, budget)] = dict(out)
         return forest_memo[(k, budget)]
 
-    return tree(edges)
-
-
-def enumerate_marked_forests(nu: Sequence[Fraction], p: int, s: int):
-    """Joint law of (sum |L_k|, sum |R_k|) for p marked trees, total edges s.
-
-    Returns a dict (q, r) -> exact probability of the event
-    {sum |T_k| = s, sum |L_k| = q, sum |R_k| = r}.
-    """
-    if p < 1 or s < 0:
-        raise DomainError("need p >= 1 and s >= 0")
-    nu = [Fraction(x) for x in nu]
-    # distribute the s edges over the p trees, convolving (|L|, |R|)
-    acc: Dict[Tuple[int, int, int], Fraction] = {(0, 0, 0): Fraction(1)}
-    for _ in range(p):
-        nxt: Dict[Tuple[int, int, int], Fraction] = defaultdict(Fraction)
-        for (e0, q0, r0), w0 in acc.items():
-            for e in range(s - e0 + 1):
-                for (l, rho), w in _marked_tree_law(nu, e).items():
-                    nxt[(e0 + e, q0 + l, r0 + rho)] += w0 * w
-        acc = dict(nxt)
-    return {
-        (q, r): w for (e, q, r), w in acc.items() if e == s and w != 0
-    }
+    return {qr: w for qr, w in forest(p, s).items() if w != 0}
 
 
 def to_marked(tau) -> MarkedTree:

@@ -1,8 +1,24 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from gwprofile import excursion, kernel, maps, oracle
 from gwprofile.cli import main
+from gwprofile.tree import decode
+
+# The flags each verify suite reads, and a value for each flag.
+SUITE_FLAGS = {
+    "counting-lemma": ["--max-pq"],
+    "joint-law": ["--max-p", "--max-s"],
+    "chain-law": ["--edges"],
+    "profile-count": ["--max-edges"],
+    "decomposition-roundtrip": ["--model", "--max-edges"],
+    "schaeffer-roundtrip": ["--max-edges"],
+    "kemperman": ["--p", "--s"],
+}
+FLAG_VALUES = {flag: "2" for flags in SUITE_FLAGS.values() for flag in flags}
+FLAG_VALUES["--model"] = "builtin:geom-pm1"
 
 
 def run(capsys, *argv):
@@ -41,6 +57,66 @@ class TestExitCodes:
         )
         assert code == 1
         assert err.startswith("gwprofile: error: DomainError")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["sample", "--model", "builtin:geom-pm1", "--edges", "3"],
+          "--edges applies only to --kind conditioned"),
+         (["sample", "--model", "builtin:geom-pm1", "--kind", "excursion", "--edges", "3"],
+          "--edges applies only to --kind conditioned"),
+         (["sample", "--model", "builtin:geom-pm1", "--sign", "-"],
+          "--sign applies only to --kind excursion"),
+         (["sample", "--model", "builtin:geom-pm1", "--kind", "conditioned", "--edges", "2",
+           "--sign", "+"],
+          "--sign applies only to --kind excursion"),
+         (["stats", "--model", "builtin:incomplete-binary", "--count", "5", "--alpha", "0.5"],
+          "--alpha applies only to --test-kernel"),
+         (["stats", "--model", "builtin:incomplete-binary", "--count", "5",
+           "--min-visits", "3"],
+          "--min-visits applies only to --test-kernel")],
+    )
+    def test_flag_the_mode_does_not_read_is_a_usage_error(
+        self, capsys, tmp_path, argv, message
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"gwprofile: error: ConfigurationError: {message}\n"
+        assert run(capsys, *argv, "--out", str(tmp_path / "o.txt"))[0] == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda cfg: cfg.update(offspring=[]),
+         lambda cfg: cfg["offspring"].update(table=5),
+         lambda cfg: cfg["displacement"].update(tables=[1]),
+         lambda cfg: cfg["displacement"]["tables"].update({"1": [[5, "1/2"], [[1], "1/2"]]}),
+         lambda cfg: cfg["displacement"]["tables"].update({"1": [[[-1], "1/2"], [[0.5], "1/2"]]}),
+         lambda cfg: cfg["displacement"]["tables"].update({"1": [[[-1], "1/2"], [[True], "1/2"]]}),
+         lambda cfg: cfg["displacement"]["tables"].update(x=cfg["displacement"]["tables"]
+                                                          .pop("1")),
+         lambda cfg: cfg["displacement"]["tables"].update({"01": [[[1], 1]]})],
+        ids=["offspring-list", "table-int", "tables-list", "vector-int", "vector-float",
+             "vector-bool", "table-key-x", "arity-twice"],
+    )
+    def test_malformed_model_config_is_one_usage_error_line(self, capsys, tmp_path, edit):
+        cfg = {
+            "offspring": {"kind": "finite-table", "table": ["1/4", "1/2", "1/4"]},
+            "displacement": {
+                "kind": "per-arity-table",
+                "tables": {"1": [[[-1], "1/2"], [[1], "1/2"]], "2": [[[-1, 1], 1]]},
+            },
+        }
+        edit(cfg)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "sample", "--model", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err.startswith("gwprofile: error: ConfigurationError: ")
+        assert len(err.splitlines()) == 1
+        out = tmp_path / "v.txt"
+        code, _, _ = run(capsys, "verify", "--suite", "decomposition-roundtrip",
+                         "--model", f"file:{path}", "--out", str(out))
+        assert code == 2 and not out.exists()
 
 
 class TestCountFlags:
@@ -162,6 +238,16 @@ class TestCountFlags:
 
 
 class TestSample:
+    @pytest.mark.parametrize("flags, root", [([], "1"), (["--sign", "+"], "1"),
+                                             (["--sign", "-"], "-1")])
+    def test_excursion_sign(self, capsys, flags, root):
+        code, out, _ = run(
+            capsys, "sample", "--model", "builtin:incomplete-binary", "--kind", "excursion",
+            "--count", "3", *flags,
+        )
+        assert code == 0
+        assert [line.split("(")[0] for line in out.splitlines()] == [root] * 3
+
     def test_deterministic_and_worker_independent(self, capsys):
         args = ("sample", "--model", "builtin:geom-pm1", "--count", "8", "--seed", "5")
         _, out1, _ = run(capsys, *args)
@@ -351,6 +437,88 @@ class TestVerify:
             "--model applies only to --suite decomposition-roundtrip\n"
         )
 
+    @pytest.mark.parametrize(
+        "suite, line",
+        [("counting-lemma", "PASS counting-lemma: 1275 tuples checked"),
+         ("joint-law", "PASS joint-law: 415 cells checked"),
+         ("chain-law", "PASS chain-law V=5: 98 histories, 60 transitions, 0 discrepancies"),
+         ("profile-count", "PASS profile-count: 50 profiles checked"),
+         ("decomposition-roundtrip", "PASS decomposition-roundtrip: 4722 cases checked"),
+         ("schaeffer-roundtrip", "PASS schaeffer-roundtrip: 2580 cases checked"),
+         ("kemperman", "PASS kemperman: 30 cells checked")],
+    )
+    def test_default_summary_line(self, capsys, suite, line):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert (code, out) == (0, line + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, module, name, corrupt, out",
+        [
+            (["counting-lemma", "--max-pq", "3"], oracle, "enumerate_bicoloured_forests",
+             lambda real: lambda n, plus, minus: real(n, plus, minus) + ((n, plus) == (2, (0, 1))),
+             "FAIL counting-lemma n=2 n_plus=(0, 1) n_minus=(0,): 3 != 2\n"
+             "FAIL counting-lemma: 9 tuples checked\n"),
+            (["joint-law", "--max-p", "1", "--max-s", "1"], oracle, "enumerate_marked_forests",
+             lambda real: lambda nu, p, s: {**real(nu, p, s), (0, 1): Fraction(1, 2)}
+             if (p, s) == (1, 1) else real(nu, p, s),
+             "FAIL joint-law p=1 s=1 (q,r)=(0,1): 1/2 != 81/2800\n"
+             "FAIL joint-law: 13 cells checked\n"),
+            (["chain-law", "--edges", "2"], kernel, "cond_transition_prob",
+             lambda real: lambda f, V, a, b: real(f, V, a, b) * (2 if a == (1, 0, 0) else 1),
+             "FAIL chain-law V=2: ['transition (1, 0, 0) -> (1, 0, 1): law 1, kernel 2']"
+             " != []\nFAIL chain-law V=2: 7 histories, 6 transitions, 1 discrepancies\n"),
+            (["profile-count", "--max-edges", "1"], kernel, "count_profile",
+             lambda real: lambda plus, check: real(plus, check) + (plus == ((1, 0),)),
+             "FAIL profile-count ((1, 0),) (): 2 != 1\n"
+             "FAIL profile-count: 3 profiles checked\n"),
+            (["decomposition-roundtrip", "--model", "builtin:geom-pm1", "--max-edges", "1"],
+             excursion, "reconstruct",
+             lambda real: lambda d: decode("0()"),
+             "FAIL decomposition-roundtrip 0(-()) m=1: LabelledPlaneTree('0()')"
+             " != LabelledPlaneTree('0(-())')\n"
+             "FAIL decomposition-roundtrip 0(-()) m=-1: LabelledPlaneTree('0()')"
+             " != LabelledPlaneTree('0(-())')\n"
+             "FAIL decomposition-roundtrip 0(+()) m=1: LabelledPlaneTree('0()')"
+             " != LabelledPlaneTree('0(+())')\n"
+             "FAIL decomposition-roundtrip 0(+()) m=-1: LabelledPlaneTree('0()')"
+             " != LabelledPlaneTree('0(+())')\n"
+             "FAIL decomposition-roundtrip: 6 cases checked\n"),
+            (["schaeffer-roundtrip", "--max-edges", "1"], maps, "verify_profile_relations",
+             lambda real: lambda q: maps.ProfileReport(1, ("P_1 off by one",)),
+             "".join(
+                 f"FAIL schaeffer-roundtrip {t} bit={b}: ((LabelledPlaneTree('{t}'), {b}),"
+                 f" ('P_1 off by one',)) != ((LabelledPlaneTree('{t}'), {b}), ())\n"
+                 for t in ("0(-())", "0(0())", "0(+())") for b in (0, 1)
+             ) + "FAIL schaeffer-roundtrip: 6 cases checked\n"),
+            (["kemperman", "--p", "1", "--s", "0"], oracle, "kemperman_check",
+             lambda real: lambda nu, p, s: {**real(nu, p, s), (0, 0): (1, 2)},
+             "FAIL kemperman p=1 s=0 (0, 0): 1 != 2\nFAIL kemperman: 4 cells checked\n"),
+        ],
+        ids=list(SUITE_FLAGS),
+    )
+    def test_a_corrupted_route_fails_and_names_the_case(
+        self, capsys, monkeypatch, argv, module, name, corrupt, out
+    ):
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+        assert run(capsys, "verify", "--suite", *argv)[:2] == (1, out)
+
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [(suite, flag) for suite, flags in SUITE_FLAGS.items()
+         for flag in FLAG_VALUES if flag not in flags],
+    )
+    def test_flag_the_suite_does_not_read_is_a_usage_error(self, capsys, tmp_path, suite, flag):
+        *rest, last = [s for s, flags in SUITE_FLAGS.items() if flag in flags]
+        readers = f"{', '.join(rest)} or {last}" if rest else last
+        argv = ["verify", "--suite", suite, flag, FLAG_VALUES[flag]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"gwprofile: error: ConfigurationError: {flag} applies only to --suite {readers}\n"
+        )
+        assert run(capsys, *argv, "--out", str(tmp_path / "v.txt"))[0] == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGenfun:
     @pytest.mark.parametrize(
@@ -482,6 +650,15 @@ class TestMaps:
         )
         assert len(err.splitlines()) == 1
 
+    def test_from_tree_writes_the_same_bytes_to_stdout_as_to_a_file(self, capsys, tmp_path):
+        path = tmp_path / "map.csv"
+        argv = ("maps", "--from-tree", "0(-(0())+(0()))", "--orientation", "1")
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == path.read_bytes()
+        assert out.startswith("root_dart,") and out.endswith("\r\n")
+
     @pytest.mark.parametrize("flag", ["--to-tree", "--profile", "--check"])
     def test_from_tree_rejects_map_flags(self, capsys, flag):
         code, out, err = run(capsys, "maps", "--from-tree", "0(+())", flag)
@@ -508,6 +685,14 @@ class TestStats:
         lines = out.strip().splitlines()
         assert lines[0].startswith("kind,")
         assert any(line.startswith("test,1,0,") for line in lines)
+        # --min-visits defaults to 500 under --test-kernel
+        rows = [line.split(",") for line in lines]
+        visits = {}
+        for kind, p, q, _, _, n in rows:
+            if kind == "census":
+                visits[(p, q)] = visits.get((p, q), 0) + int(n)
+        tested = {(p, q) for kind, p, q, *_ in rows if kind == "test"}
+        assert tested == {row for row, n in visits.items() if n >= 500 and row != ("0", "0")}
 
     def test_alpha_is_family_wise(self, capsys):
         # The run fails exactly when some row's p-value is <= alpha / rows.

@@ -423,6 +423,19 @@ class TestMarkedForests:
                         )
                         assert law.get((q, r), Fraction(0)) == want
 
+    def test_forest_is_one_tree_convolved_with_the_rest(self):
+        nu = nu_table(BINARY, 8)
+        for p in (2, 3):
+            for s in range(5):
+                want = defaultdict(Fraction)
+                for e in range(s + 1):
+                    rest = enumerate_marked_forests(nu, p - 1, s - e)
+                    for (q1, r1), w1 in enumerate_marked_forests(nu, 1, e).items():
+                        for (q2, r2), w2 in rest.items():
+                            want[(q1 + q2, r1 + r2)] += w1 * w2
+                got = enumerate_marked_forests(nu, p, s)
+                assert got == {k: w for k, w in want.items() if w}, (p, s)
+
 
 class TestToMarked:
     def test_one_left_child(self):
