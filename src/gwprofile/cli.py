@@ -196,7 +196,7 @@ def _sample_items_worker(task) -> Tuple[list, Optional[tuple]]:
             if kind == "tree":
                 out.append(encode(s.sample_tree()))
             elif kind == "excursion":
-                out.append(encode(s.sample_excursion(sign).tree))
+                out.append(encode(s.sample_excursion(sign)))
             elif kind == "quadrangulation":
                 out.append(s.sample_quadrangulation())
             else:
@@ -252,9 +252,7 @@ def _cmd_decompose(args) -> Tuple[int, dict]:
             # would write them; forest_shape is written without recursion.
             record = {
                 "attachments": json.dumps(slot),
-                "decorations": json.dumps(
-                    [encode(e.tree) for e in d.forest.decorations]
-                ),
+                "decorations": json.dumps([encode(e) for e in d.forest.decorations]),
                 "forest_shape": _forest_shape(d.forest),
                 "level": json.dumps(d.level),
                 "root_component": json.dumps(encode(d.root_component)),

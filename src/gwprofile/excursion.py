@@ -22,9 +22,9 @@ The forest genealogy sets τ' as a child of τ when the root of τ' was cut
 from a vertex of τ; each excursion then has exactly as many forest
 children as it has label-0 (shifted) leaves, and the children attach to
 those leaves in plane order.  So the forest stores no attachment slots (a
-child's slot is its rank among its siblings) and an excursion stores only
-its tree (its sign and leaf count are read off it).  :func:`reconstruct`
-inverts the map exactly.
+child's slot is its rank among its siblings) and an excursion is a plain
+:class:`LabelledPlaneTree`: its sign is ``labels[0]`` and its leaf count
+``labels.count(0)``.  :func:`reconstruct` inverts the map exactly.
 """
 
 from __future__ import annotations
@@ -34,31 +34,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import DomainError, ReconstructionError
-from .model import TreeModel, _vertex_factors, excursion_weight, is_excursion
+from .model import TreeModel, _vertex_factors, excursion_weight
 from .tree import LabelledPlaneTree
-
-
-@dataclass(frozen=True)
-class Excursion:
-    """A positive or negative label excursion, held as its tree.
-
-    ``tree`` carries the shifted labels: the root is labelled ``sign``
-    (+1 or -1), every label has the root's (weak) sign, and the ``n``
-    label-0 vertices are all leaves.
-    """
-
-    tree: LabelledPlaneTree
-
-    def __post_init__(self):
-        is_excursion(self.tree)
-
-    @property
-    def sign(self) -> int:
-        return self.tree.labels[0]
-
-    @property
-    def n(self) -> int:
-        return self.tree.labels.count(0)
 
 
 @dataclass(frozen=True)
@@ -74,11 +51,15 @@ class ExcursionForest:
     attaches to the i-th port leaf, in preorder, of the root component
     (its leaves labelled m), and the i-th child of v to the i-th label-0
     leaf of v's excursion.  Roots have the sign of the level.
+
+    ``decorations[v]`` is v's excursion as a plain tree: its root is
+    labelled by its sign, every label has that weak sign, and its label-0
+    vertices are leaves.  Only :func:`reconstruct` checks this.
     """
 
     children: Tuple[Tuple[int, ...], ...]
     roots: Tuple[int, ...]
-    decorations: Tuple[Excursion, ...]
+    decorations: Tuple[LabelledPlaneTree, ...]
 
     @property
     def n_vertices(self) -> int:
@@ -94,15 +75,16 @@ class ExcursionForest:
             if reached[v]:
                 raise ReconstructionError(f"forest vertex {v} is reached twice")
             reached[v] = True
-            exc = self.decorations[v]
-            if exc.sign != expected_sign:
+            labels = self.decorations[v].labels
+            if labels[0] != expected_sign:
                 raise ReconstructionError(
-                    f"forest vertex {v}: sign {exc.sign}, expected {expected_sign}"
+                    f"forest vertex {v}: sign {labels[0]}, expected {expected_sign}"
                 )
             kids = self.children[v]
-            if exc.n != len(kids):
+            n = labels.count(0)
+            if n != len(kids):
                 raise ReconstructionError(
-                    f"forest vertex {v}: decoration has n={exc.n} label-0 "
+                    f"forest vertex {v}: decoration has n={n} label-0 "
                     f"leaves but {len(kids)} forest children"
                 )
             stack.extend((c, -expected_sign) for c in kids)
@@ -173,9 +155,7 @@ def decompose(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
         children=tuple(tuple(number[x] for x in ports[c + 1]) for c in order),
         roots=tuple(number[x] for x in ports[0]),
         decorations=tuple(
-            Excursion(
-                LabelledPlaneTree.unchecked(comp_labels[c + 1], comp_parents[c + 1])
-            )
+            LabelledPlaneTree.unchecked(comp_labels[c + 1], comp_parents[c + 1])
             for c in order
         ),
     )
@@ -187,7 +167,14 @@ def decompose(t: LabelledPlaneTree, m: int) -> ExcursionDecomposition:
 
 
 def reconstruct(d: ExcursionDecomposition) -> LabelledPlaneTree:
-    """Glue the root component and decorated forest back into a tree."""
+    """Glue the root component and decorated forest back into a tree.
+
+    The one check of a decomposition from outside the package:
+    :meth:`ExcursionForest.validate` checks each decoration's root sign
+    and leaf count, and the glue walk rejects a port (label m in the root
+    component, 0 in an excursion) with children, which, with steps of at
+    most 1, also keeps each excursion's labels of its root's weak sign.
+    """
     m = d.level
     if m == 0:
         raise DomainError("decomposition level must be nonzero")
@@ -236,8 +223,8 @@ def reconstruct(d: ExcursionDecomposition) -> LabelledPlaneTree:
             root_parent = out[cp[u]]
             # Signs alternate from s at the roots (validate checked them), so
             # the excursion root's glued label is the port's: m, m - s, m, ...
-            shift = (m - s) if exc.sign == s else m
-            cl, cp, port = exc.tree.labels, exc.tree.parents, 0
+            shift = (m - s) if exc.labels[0] == s else m
+            cl, cp, port = exc.labels, exc.parents, 0
             kids, out, u, used = forest.children[fv], [0] * len(cl), 0, 0
             continue
         out[u] = len(out_labels)
@@ -270,5 +257,5 @@ def decomposition_weight(model: TreeModel, d: ExcursionDecomposition) -> Fractio
     for e in d.forest.decorations:
         if w == 0:
             return w
-        w *= excursion_weight(model, e.tree)
+        w *= excursion_weight(model, e)
     return w

@@ -433,20 +433,19 @@ class ProfileReport:
         return not self.mismatches
 
 
-def verify_profile_relations(q: Quadrangulation, d_star_shift: int = 0):
+def verify_profile_relations(q: Quadrangulation):
     """Compare the ball profile with the tree-side edge profile.
 
     For every radius k: C_k = Xcheck+_{d_star-k} + 1 and
     P_k / 2 = Xcheck+_{d_star-k} + Xcheck-_{d_star-k} below d_star;
     C_k = X+_{k-d_star+1} and P_k / 2 = X+ + X- at k-d_star+1 from
     d_star up.  P_k is even throughout, since ``ball_profile`` computes
-    it as 2 E_k - 4 I_k.  ``d_star_shift`` perturbs the
-    alignment (negative control); 0 is the asserted alignment.
+    it as 2 E_k - 4 I_k.
     """
     summary = ball_profile(q)
     t, _ = map_to_tree(q)
     prof = edge_profile(t)
-    d_star = summary.d_star + d_star_shift
+    d_star = summary.d_star
     mism = []
     for k in range(1, summary.k_max + 1):
         P_k, C_k = summary.P[k - 1], summary.C[k - 1]

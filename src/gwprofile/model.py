@@ -335,13 +335,12 @@ def is_excursion(t: LabelledPlaneTree) -> int:
     return sign
 
 
-def excursion_weight(model: TreeModel, tau) -> Fraction:
-    """Exact excursion weight: Π(τ) omitting the label-0 leaf factors.
+def excursion_weight(model: TreeModel, t: LabelledPlaneTree) -> Fraction:
+    """Exact excursion weight: Π(t) omitting the label-0 leaf factors.
 
-    ``tau`` is a :class:`LabelledPlaneTree` satisfying the excursion
-    invariants, or any object with a ``tree`` attribute holding one.
+    ``t`` is an excursion as a plain tree (see :func:`is_excursion`, which
+    checks it here and raises DomainError when it is not one).
     """
-    t = getattr(tau, "tree", tau)
     is_excursion(t)
     return _vertex_factors(model, t, skip=0)
 

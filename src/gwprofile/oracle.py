@@ -14,12 +14,11 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
-from .excursion import Excursion
 from .model import TreeModel
 from .series import _integer_scale
 from .tree import LabelledPlaneTree, edge_profile
@@ -426,13 +425,24 @@ def enumerate_marked_forests(nu: Sequence[Fraction], p: int, s: int):
     Returns a dict (q, r) -> exact probability of the event
     {sum |T_k| = s, sum |L_k| = q, sum |R_k| = r}.  Every vertex draws
     iota, sigma ~ Bernoulli(1/2); a vertex with sigma = 1 draws its
-    children count from ``nu``; |T| counts edges.  The laws of one tree
-    with e edges and of k trees with ``budget`` edges are each computed
-    once per call, in one pair of memos.
+    children count from ``nu``; |T| counts edges.
     """
     if p < 1 or s < 0:
         raise DomainError("need p >= 1 and s >= 0")
-    nu = [Fraction(x) for x in nu]
+    forest = _marked_forest_law(tuple(Fraction(x) for x in nu))
+    return {qr: w for qr, w in forest(p, s).items() if w != 0}
+
+
+@lru_cache(maxsize=4)
+def _marked_forest_law(nu: Tuple[Fraction, ...]):
+    """``forest(k, budget)``: the law of k marked trees with ``budget``
+    edges in all, for one ``nu``.
+
+    The laws of one tree with e edges and of k trees with ``budget``
+    edges are each computed once, in one pair of memos that every call
+    with this ``nu`` shares, so a grid of (p, s) cells costs what its
+    largest cell does.
+    """
     memo: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
     half = Fraction(1, 2)
 
@@ -471,19 +481,18 @@ def enumerate_marked_forests(nu: Sequence[Fraction], p: int, s: int):
         forest_memo[(k, budget)] = dict(out)
         return forest_memo[(k, budget)]
 
-    return {qr: w for qr, w in forest(p, s).items() if w != 0}
+    return forest
 
 
-def to_marked(tau) -> MarkedTree:
+def to_marked(t: LabelledPlaneTree) -> MarkedTree:
     """The marked tree of label-1 vertices of a positive excursion.
 
-    Vertices are the label-1 vertices of ``tau`` (incomplete binary
+    Vertices are the label-1 vertices of ``t`` (incomplete binary
     model), joined by nearest-label-1-ancestor edges; sigma marks
     vertices with a right (+1) child, iota those with a left (-1)
     child.  The edge-count identities |T| = y-, |L| = n, |R| = y+ are
     asserted.
     """
-    t = tau.tree if isinstance(tau, Excursion) else tau
     if t.labels[0] != 1 or any(l < 0 for l in t.labels):
         raise DomainError("to_marked expects a positive excursion rooted at 1")
     ones = [v for v in range(t.n_vertices) if t.labels[v] == 1]

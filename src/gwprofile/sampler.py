@@ -41,7 +41,6 @@ from itertools import accumulate, repeat
 from typing import Callable, List, Optional, Tuple
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
-from .excursion import Excursion
 from .model import TreeModel, builtin_model
 from .tree import LabelledPlaneTree
 
@@ -194,11 +193,12 @@ class Sampler:
             )
         return t
 
-    def sample_excursion(self, sign: int) -> Excursion:
-        """One excursion of the given sign (+1 or -1).
+    def sample_excursion(self, sign: int) -> LabelledPlaneTree:
+        """One excursion of the given sign (+1 or -1), as a plain tree.
 
         The root is labelled ``sign``; vertices that reach label 0 are
-        leaves by definition and are never expanded.
+        leaves by definition and are never expanded, so every label has
+        the root's weak sign.  It is not re-checked here.
         """
         if sign not in (1, -1):
             raise DomainError(f"excursion sign must be +1 or -1, got {sign}")
@@ -207,7 +207,7 @@ class Sampler:
             raise ResourceLimitError(
                 f"excursion exceeded vertex_cap={self.config.vertex_cap}"
             )
-        return Excursion(t)
+        return t
 
     def sample_conditioned(self, n_edges: int) -> LabelledPlaneTree:
         """One tree conditioned on having exactly ``n_edges`` edges.

@@ -34,8 +34,7 @@ with labels 0, 1, 0.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainError, TreeParseError
@@ -296,8 +295,15 @@ class VerticalEdgeProfile:
     - ``check_minus[m]``: edges from a vertex labelled -m+1 to a child
       labelled -m.
 
-    ``vertical[k]`` counts vertices labelled k.  ``mass_below(m)`` counts
-    edges both of whose endpoint labels are <= m-1.
+    ``vertical[k]`` counts vertices labelled k.
+
+    ``mass_below(m)``, the number of edges with both labels <= m-1, is
+    read off these counts: each non-root vertex labelled <= m-1 is the
+    child end of one edge, whose parent is labelled <= m-1 too unless the
+    edge goes down from m to m-1 (``x_minus[m]`` for m >= 1,
+    ``check_minus[1-m]`` for m <= 0).  So mass_below(m) is the sum of
+    ``vertical[k]`` over k <= m-1, less the root when m >= 1, less those
+    down-edges.
     """
 
     x_plus: dict
@@ -305,11 +311,13 @@ class VerticalEdgeProfile:
     check_plus: dict
     check_minus: dict
     vertical: dict
-    _edge_max_labels: tuple = field(repr=False, default=())
 
     def mass_below(self, m: int) -> int:
         """Number of edges with both endpoint labels <= m - 1."""
-        return bisect.bisect_right(self._edge_max_labels, m - 1)
+        below = sum(c for k, c in self.vertical.items() if k <= m - 1)
+        if m >= 1:
+            return below - 1 - self.x_minus.get(m, 0)
+        return below - self.check_minus.get(1 - m, 0)
 
 
 def edge_profile(t: LabelledPlaneTree) -> VerticalEdgeProfile:
@@ -321,7 +329,6 @@ def edge_profile(t: LabelledPlaneTree) -> VerticalEdgeProfile:
     check_plus: dict = {}
     check_minus: dict = {}
     vertical: dict = {}
-    edge_max: list = []
     labels = t.labels
     for v in t.vertices():
         lv = labels[v]
@@ -330,7 +337,6 @@ def edge_profile(t: LabelledPlaneTree) -> VerticalEdgeProfile:
         if p is None:
             continue
         lp = labels[p]
-        edge_max.append(max(lv, lp))
         if lv == lp:
             continue
         upper = max(lv, lp)
@@ -347,12 +353,4 @@ def edge_profile(t: LabelledPlaneTree) -> VerticalEdgeProfile:
                 check_minus[m] = check_minus.get(m, 0) + 1
             else:
                 check_plus[m] = check_plus.get(m, 0) + 1
-    edge_max.sort()
-    return VerticalEdgeProfile(
-        x_plus=x_plus,
-        x_minus=x_minus,
-        check_plus=check_plus,
-        check_minus=check_minus,
-        vertical=vertical,
-        _edge_max_labels=tuple(edge_max),
-    )
+    return VerticalEdgeProfile(x_plus, x_minus, check_plus, check_minus, vertical)

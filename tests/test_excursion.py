@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gwprofile import LabelledPlaneTree, builtin_model, decode, encode, tree_weight
 from gwprofile.errors import DomainError, ReconstructionError
 from gwprofile.excursion import (
-    Excursion,
     ExcursionDecomposition,
     ExcursionForest,
     decompose,
@@ -26,28 +25,13 @@ def reflect(t):
     return LabelledPlaneTree([-l for l in t.labels], t.parents)
 
 
-class TestExcursion:
-    def test_from_tree(self):
-        e = Excursion(decode("1(-()+())"))
-        assert e.sign == 1 and e.n == 1
-
-    def test_rejects_zero_root(self):
-        with pytest.raises(DomainError):
-            Excursion(decode("0(+())"))
-
-    def test_rejects_inner_zero(self):
-        with pytest.raises(DomainError):
-            Excursion(decode("1(-(+()))"))
-
-
 class TestDecompose:
     def test_two_leaf_children(self):
         # root 0 with two leaf children labelled 1, decomposed at m = 1
         d = decompose(decode("0(+()+())"), 1)
         assert len(d.forest.roots) == 2
         for r in d.forest.roots:
-            exc = d.forest.decorations[r]
-            assert exc.sign == 1 and exc.tree.n_vertices == 1
+            assert d.forest.decorations[r] == decode("1()")
 
     def test_path_example(self):
         # 0 -> 1 -> 2 at m = 1: one root decoration with one zero-leaf,
@@ -55,13 +39,13 @@ class TestDecompose:
         d = decompose(decode("0(+(+()))"), 1)
         assert len(d.forest.roots) == 1
         r = d.forest.roots[0]
-        assert d.forest.decorations[r].n == len(d.forest.children[r])
+        assert d.forest.decorations[r].labels.count(0) == len(d.forest.children[r])
 
     def test_negative_level(self):
         d = decompose(decode("0(-()-())"), -1)
         assert len(d.forest.roots) == 2
         for r in d.forest.roots:
-            assert d.forest.decorations[r].sign == -1
+            assert d.forest.decorations[r].labels[0] == -1
 
     @given(random_trees(root_label=0), st.sampled_from([1, 2, -1, -2]))
     @settings(max_examples=50)
@@ -71,9 +55,7 @@ class TestDecompose:
         d, r = decompose(t, m), decompose(reflect(t), -m)
         assert r.level == -m
         assert r.root_component == reflect(d.root_component)
-        assert [e.tree for e in r.forest.decorations] == [
-            reflect(e.tree) for e in d.forest.decorations
-        ]
+        assert list(r.forest.decorations) == [reflect(e) for e in d.forest.decorations]
         assert (r.forest.roots, r.forest.children) == (d.forest.roots, d.forest.children)
 
     def test_level_zero_rejected(self):
@@ -113,17 +95,25 @@ class TestDecompose:
     @pytest.mark.parametrize(
         "tree, m, good, bad",
         [
-            # a root decoration of the wrong sign; n = 1 with no forest child
-            ("0(+())", 1, "1()", ["-1()", "1(-())"]),
-            ("0(-())", -1, "-1()", ["1()", "-1(+())"]),
+            # In place of the root decoration: the wrong sign, root 0,
+            # root +-2, and n = 1 label-0 leaf with no forest child.
+            ("0(+())", 1, "1()", ["-1()", "0()", "2()", "-2()", "1(-())"]),
+            ("0(-())", -1, "-1()", ["1()", "0()", "-2()", "2()", "-1(+())"]),
+            # n = 1 as the one forest child asks, but the label-0 vertex is
+            # inner (and the label below it leaves the root's sign).
+            ("0(+(-()))", 1, "1(-())", ["1(-(+()))", "1(-(-()))"]),
+            ("0(-(+()))", -1, "-1(+())", ["-1(+(-()))", "-1(+(+()))"]),
         ],
     )
     def test_forest_signs_and_leaf_counts_are_checked(self, tree, m, good, bad):
+        # Decorations are plain trees; reconstruct is what checks them.
         d = decompose(decode(tree), m)
-        assert [encode(e.tree) for e in d.forest.decorations] == [good]
+        (root,) = d.forest.roots
+        assert encode(d.forest.decorations[root]) == good
         for text in bad:
-            decorations = (Excursion(decode(text)),)
-            forest = dataclasses.replace(d.forest, decorations=decorations)
+            decorations = list(d.forest.decorations)
+            decorations[root] = decode(text)
+            forest = dataclasses.replace(d.forest, decorations=tuple(decorations))
             with pytest.raises(ReconstructionError):
                 reconstruct(dataclasses.replace(d, forest=forest))
 

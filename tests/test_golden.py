@@ -70,7 +70,7 @@ def test_sampler_stream(model_id):
     config = SamplerConfig(seed=2026, stream=7, vertex_cap=10**5)
     s = Sampler(builtin_model(model_id), config)
     trees = draw(lambda i: s.sample_tree(), 200)
-    excursions = draw(lambda i: s.sample_excursion(1 - 2 * (i % 2)).tree, 200)
+    excursions = draw(lambda i: s.sample_excursion(1 - 2 * (i % 2)), 200)
     assert (sha256(trees), sha256(excursions)) == STREAMS[model_id]
 
 
@@ -129,7 +129,7 @@ def test_custom_model_stream(name):
     config = SamplerConfig(seed=2026, stream=7, vertex_cap=10**5)
     s = Sampler(CUSTOM_MODELS[name], config)
     trees = draw(lambda i: s.sample_tree(), 300)
-    excursions = draw(lambda i: s.sample_excursion(1 - 2 * (i % 2)).tree, 100)
+    excursions = draw(lambda i: s.sample_excursion(1 - 2 * (i % 2)), 100)
     assert (sha256(trees), sha256(excursions)) == CUSTOM_STREAMS[name]
 
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gwprofile import LabelledPlaneTree, builtin_model, decode
+from gwprofile import LabelledPlaneTree, builtin_model, decode, maps
 from gwprofile.errors import DomainError, IntegrityError
 from gwprofile.maps import (
     PlanarMap,
@@ -309,13 +310,21 @@ class TestBalls:
                 rep = verify_profile_relations(tree_to_map(t, bit))
                 assert rep.ok, rep.mismatches
 
-    def test_negative_control(self):
+    def test_negative_control(self, monkeypatch):
+        # Misalign the two profiles by one radius: every map is flagged.
+        real = maps.ball_profile
+
+        def shifted(q):
+            s = real(q)
+            return dataclasses.replace(s, d_star=s.d_star + 1)
+
+        monkeypatch.setattr(maps, "ball_profile", shifted)
         flagged = 0
         total = 0
         for t in all_trees(3):
             for bit in (0, 1):
                 total += 1
-                rep = verify_profile_relations(tree_to_map(t, bit), d_star_shift=1)
+                rep = verify_profile_relations(tree_to_map(t, bit))
                 flagged += 0 if rep.ok else 1
         assert flagged == total
 

@@ -436,6 +436,23 @@ class TestMarkedForests:
                 got = enumerate_marked_forests(nu, p, s)
                 assert got == {k: w for k, w in want.items() if w}, (p, s)
 
+    def test_a_shared_memo_gives_each_cell_what_a_fresh_one_does(self):
+        # Calls with one nu share their memos: no cell's law may depend on
+        # the cells computed before it, or on what a caller did to a result.
+        nu = nu_table(BINARY, 8)
+        cells = [(p, s) for p in (1, 2, 3) for s in range(5)]
+        fresh = {}
+        for cell in cells:
+            oracle._marked_forest_law.cache_clear()
+            fresh[cell] = enumerate_marked_forests(nu, *cell)
+        oracle._marked_forest_law.cache_clear()
+        for cell in reversed(cells):  # the largest cell fills the memos first
+            got = enumerate_marked_forests(nu, *cell)
+            assert got == fresh[cell], cell
+            got.clear()
+        for cell in cells:
+            assert enumerate_marked_forests(nu, *cell) == fresh[cell], cell
+
 
 class TestToMarked:
     def test_one_left_child(self):

@@ -3,7 +3,9 @@
 Samplers, decode, truncate, the excursion decomposition and its inverse,
 and the map bijection build their trees with
 ``LabelledPlaneTree.unchecked``; these properties re-run every invariant
-on their outputs, on random, deep and wide trees.
+on their outputs, on random, deep and wide trees.  The excursions that
+the decomposition and the sampler produce are not re-checked there
+either, so these properties also run ``is_excursion`` on them.
 """
 
 import random
@@ -14,12 +16,29 @@ from gwprofile import LabelledPlaneTree, builtin_model, decode, encode, truncate
 from gwprofile.errors import ResourceLimitError
 from gwprofile.excursion import decompose, reconstruct
 from gwprofile.maps import map_to_tree, tree_to_map
-from gwprofile.model import BUILTIN_IDS
+from gwprofile.model import BUILTIN_IDS, is_excursion
 from gwprofile.sampler import Sampler, SamplerConfig
 
 
 def assert_valid(t):
     assert LabelledPlaneTree(t.labels, t.parents) == t
+
+
+def assert_valid_decorations(d):
+    """Each decoration of d is a valid tree and an excursion of the sign
+    its forest depth gives: the level's sign at the roots, alternating
+    below."""
+    forest = d.forest
+    stack = [(r, 1 if d.level > 0 else -1) for r in forest.roots]
+    seen = 0
+    while stack:
+        v, sign = stack.pop()
+        e = forest.decorations[v]
+        assert_valid(e)
+        assert is_excursion(e) == sign
+        stack.extend((c, -sign) for c in forest.children[v])
+        seen += 1
+    assert seen == forest.n_vertices
 
 
 @st.composite
@@ -60,8 +79,7 @@ class TestTreeProducers:
     def test_decompose_reconstruct(self, t, m):
         d = decompose(t, m)
         assert_valid(d.root_component)
-        for e in d.forest.decorations:
-            assert_valid(e.tree)
+        assert_valid_decorations(d)
         back = reconstruct(d)
         assert_valid(back)
         assert back == t
@@ -81,13 +99,14 @@ class TestSamplerProducers:
     def test_trees_and_excursions(self, model_id, seed):
         config = SamplerConfig(seed=seed, vertex_cap=20_000)
         s = Sampler(builtin_model(model_id), config)
-        for sample in (s.sample_tree, lambda: s.sample_excursion(1).tree,
-                       lambda: s.sample_excursion(-1).tree):
+        for sign in (0, 1, -1):  # a tree, then an excursion of each sign
             try:
-                t = sample()
+                t = s.sample_excursion(sign) if sign else s.sample_tree()
             except ResourceLimitError:
                 continue
             assert_valid(t)
+            if sign:
+                assert is_excursion(t) == sign
 
     def test_sampled_pipeline(self):
         # Sampled trees through every producer, including the large ones the
@@ -104,7 +123,6 @@ class TestSamplerProducers:
             m = rnd.choice((1, 2, -1, -2))
             d = decompose(t, m)
             assert_valid(d.root_component)
-            for e in d.forest.decorations:
-                assert_valid(e.tree)
+            assert_valid_decorations(d)
             assert_valid(reconstruct(d))
             assert_valid(truncate(t, m))

@@ -129,10 +129,10 @@ class TestExcursionSampler:
                 e = s.sample_excursion(1)
             except ResourceLimitError:
                 continue
-            assert e.sign == 1
-            for v in e.tree.vertices():
-                if e.tree.labels[v] == 0:
-                    assert not e.tree.children[v]
+            assert e.labels[0] == 1
+            for v in e.vertices():
+                if e.labels[v] == 0:
+                    assert not e.children[v]
 
     def test_bad_sign(self):
         s = Sampler(builtin_model("geom-pm1"), SamplerConfig())

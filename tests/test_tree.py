@@ -246,6 +246,10 @@ class TestEdgeProfile:
         assert prof.mass_below(1) == 1  # only the 0-0 edge
         assert prof.mass_below(2) == 2
         assert prof.mass_below(3) == 3
+        # edges (0,-1), (-1,-2), (0,0): at level 0, the two vertices labelled
+        # <= -1 less the down-edge 0 -> -1 that enters them
+        prof = edge_profile(decode("0(-(-())0())"))
+        assert [prof.mass_below(m) for m in (-2, -1, 0, 1)] == [0, 0, 1, 3]
 
     @given(random_trees(root_label=0))
     def test_profile_totals(self, t):
@@ -262,6 +266,13 @@ class TestEdgeProfile:
             )
         )
         assert total == t.n_edges
+        for m in range(min(t.labels) - 1, max(t.labels) + 3):
+            brute = sum(
+                1
+                for v in range(1, t.n_vertices)
+                if max(t.labels[v], t.labels[t.parents[v]]) <= m - 1
+            )
+            assert prof.mass_below(m) == brute, m
 
     @given(random_trees(root_label=0))
     def test_levels_consistent(self, t):
