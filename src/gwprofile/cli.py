@@ -315,40 +315,30 @@ def _cmd_kernel(args) -> Tuple[int, dict]:
     model = builtin_model("incomplete-binary")
     smax, V = args.smax, args.edges
     state = _parse_state(args.from_state, V)
-    if V is not None:
-        p, q, v = state
+    if V is None:
+        p, q = state
+        # The row reads f_p(q), and f_r(s) for r <= p + smax, s <= smax.
+        q_top = max(q, smax + 1)
+        f = f_table(nu_table(model, q_top), p + smax + 1, q_top)
+        header, row = ["r", "s"], K.free_row(f, state, smax)
+    else:
         ftilde = joint_table(model, V + 1, V + 1, V)
-        if p and K._ftilde_at(ftilde, p, q, V - v - p) == 0:
-            raise ConfigurationError(
-                f"state ({p},{q},{v}) is unreachable with {V} edges:"
-                f" f~_{p}({q},{V - v - p}) = 0"
-            )
+        try:
+            row = K.cond_row(ftilde, V, state, smax)
+        except DomainError as exc:  # the state is checked: it can only be unreachable
+            raise ConfigurationError(str(exc)) from None
+        header = ["r", "s", "w"]
     with _out(args.out) as fh:
         w = csv.writer(fh)
-        if V is None:
-            p, q = state
-            # The row reads f_p(q), and f_r(s) for r <= p + smax, s <= smax.
-            q_top = max(q, smax + 1)
-            f = f_table(nu_table(model, q_top), p + smax + 1, q_top)
-            w.writerow(["r", "s", "probability"])
-            for r, s in K.kernel_row(p, smax):
-                prob = K.transition_prob(f, state, (r, s))
-                if prob != 0:
-                    w.writerow([r, s, str(prob)])
-        else:
-            w.writerow(["r", "s", "w", "probability"])
-            # From p = 0 the row is the absorbing state (0, 0, V) alone.
-            for r, s in K.kernel_row(p, min(smax, V)):
-                to = (r, s, v + p + q) if r > 0 else (0, 0, V)
-                prob = K.cond_transition_prob(ftilde, V, state, to)
-                if prob != 0:
-                    w.writerow([*to, str(prob)])
+        w.writerow([*header, "probability"])
+        for to, prob in row:
+            w.writerow([*to, str(prob)])
     return 0, {"model": _BINARY}
 
 
 # -- verify -------------------------------------------------------------------
 # A suite yields (case, got, want) per case and may return counts for its
-# summary line; _cmd_verify alone compares, counts and reports.
+# summary line; _run_cases alone compares, counts and reports.
 
 
 def _counting_lemma(max_pq):
@@ -476,67 +466,79 @@ _SUITES = {  # name: (cases, summary after "PASS <name>", {flag: default})
 _SUITE_FLAGS = {name: flags for name, (_, _, flags) in _SUITES.items()}
 
 
+def _run_cases(fh, name: str, cases, summary: str, counts: dict) -> int:
+    """Write to ``fh`` one ``FAIL <name> <case>: <got> != <want>`` line per
+    failing case, then the ``PASS``/``FAIL`` line: ``name``, then ``summary``
+    filled in from ``counts``, ``cases`` (the case count) and the counts
+    the generator returns.  Returns the exit code."""
+    counts["cases"] = failed = 0
+    while True:
+        try:
+            case, got, want = next(cases)
+        except StopIteration as done:
+            counts.update(done.value or {})
+            break
+        counts["cases"] += 1
+        if got != want:
+            failed += 1
+            fh.write(f"FAIL {name} {case}: {got} != {want}\n")
+    fh.write(f"{'FAIL' if failed else 'PASS'} {name}{summary.format(**counts)}\n")
+    return 1 if failed else 0
+
+
 def _cmd_verify(args) -> Tuple[int, dict]:
     suite, summary, _ = _SUITES[args.suite]
     counts = _mode_flags(args, "--suite ", args.suite, _SUITE_FLAGS)
     cases = suite(**counts)
-    counts["cases"] = failed = 0
     with _out(args.out) as fh:
-        while True:
-            try:
-                case, got, want = next(cases)
-            except StopIteration as done:
-                counts.update(done.value or {})
-                break
-            counts["cases"] += 1
-            if got != want:
-                failed += 1
-                fh.write(f"FAIL {args.suite} {case}: {got} != {want}\n")
-        fh.write(f"{'FAIL' if failed else 'PASS'} {args.suite}{summary.format(**counts)}\n")
-    return (1 if failed else 0), {"model": args.model}
+        code = _run_cases(fh, args.suite, cases, summary, counts)
+    return code, {"model": args.model}
 
 
 # -- maps ---------------------------------------------------------------------
 
 
+def _profile_relations(q, name: str):
+    """The map ``q``'s profile relations as one case, named ``name``."""
+    from .maps import verify_profile_relations
+
+    rep = verify_profile_relations(q)
+    yield name, rep.mismatches, ()
+    return dict(checks=rep.checked, mismatches=len(rep.mismatches))
+
+
 def _cmd_maps(args) -> Tuple[int, dict]:
     from .maps import ball_profile, load_map, map_to_tree, tree_to_map, write_map
-    from .maps import verify_profile_relations
 
     if (args.from_tree is None) == (args.infile is None):
         raise ConfigurationError("provide exactly one of --from-tree or --in")
+    mode = "--in" if args.from_tree is None else "--from-tree"
+    read = _mode_flags(args, "", mode, {
+        "--from-tree": {"orientation": 0},
+        "--in": {"to_tree": False, "profile": False, "check": False},
+    })
     exit_code = 0
-    if args.from_tree is not None:
-        for flag in ("--to-tree", "--profile", "--check"):
-            if getattr(args, flag[2:].replace("-", "_")):
-                raise ConfigurationError(f"{flag} needs --in, not --from-tree")
-        q = tree_to_map(decode(args.from_tree), args.orientation or 0)
+    if mode == "--from-tree":
+        q = tree_to_map(decode(args.from_tree), read["orientation"])
         with _out(args.out) as fh:
             write_map(q, fh)
     else:
-        if args.orientation is not None:
-            raise ConfigurationError("--orientation needs --from-tree, not --in")
         q = load_map(args.infile)
         with _out(args.out) as fh:
-            if args.to_tree:
+            if read["to_tree"]:
                 t, bit = map_to_tree(q)
                 fh.write(f"{encode(t)}\t{bit}\n")
-            if args.profile:
+            if read["profile"]:
                 summary = ball_profile(q)
                 w = csv.writer(fh)
                 w.writerow(["k", "C_k", "P_k"])
                 for k in range(1, summary.k_max + 1):
                     w.writerow([k, summary.C[k - 1], summary.P[k - 1]])
-            if args.check:
-                rep = verify_profile_relations(q)
-                fh.write(
-                    f"{'PASS' if rep.ok else 'FAIL'} profile-relations: "
-                    f"{rep.checked} checks, {len(rep.mismatches)} mismatches\n"
+            if read["check"]:
+                exit_code = _run_cases(
+                    fh, "profile-relations", _profile_relations(q, args.infile),
+                    ": {checks} checks, {mismatches} mismatches", {},
                 )
-                for msg in rep.mismatches:
-                    fh.write(f"FAIL {msg}\n")
-                if not rep.ok:
-                    exit_code = 1
     return exit_code, {"model": _MAP_MODEL}
 
 
@@ -625,24 +627,12 @@ def _cmd_stats(args) -> Tuple[int, dict]:
             w.writerow(["kind", "from_p", "from_q", "statistic", "dof", "p_value"])
             p_values = []
             for from_state in tested:
-                p, q = from_state
-                expected = {}
-                for state in K.kernel_row(p, smax):
-                    prob = float(K.transition_prob(f, from_state, state))
-                    if prob > 0:
-                        expected[state] = prob
-                res = chi_square(census.row(from_state), expected)
+                res = chi_square(census.row(from_state), dict(K.free_row(f, from_state, smax)))
                 p_values.append(res.p_value)
-                w.writerow(
-                    [
-                        "test",
-                        p,
-                        q,
-                        f"{res.statistic:.6g}",
-                        res.dof,
-                        "" if res.p_value is None else f"{res.p_value:.6g}",
-                    ]
-                )
+                w.writerow([
+                    "test", *from_state, f"{res.statistic:.6g}", res.dof,
+                    "" if res.p_value is None else f"{res.p_value:.6g}",
+                ])
             if not bonferroni(p_values, read["alpha"]):
                 exit_code = 1
         if capped:
@@ -736,9 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-tree", dest="from_tree")
     p.add_argument("--orientation", type=int, choices=[0, 1])
     p.add_argument("--in", dest="infile", help="map CSV file")
-    p.add_argument("--to-tree", dest="to_tree", action="store_true")
-    p.add_argument("--profile", action="store_true")
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--to-tree", dest="to_tree", action="store_true", default=None)
+    p.add_argument("--profile", action="store_true", default=None)
+    p.add_argument("--check", action="store_true", default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_maps)
 

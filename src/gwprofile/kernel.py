@@ -12,6 +12,9 @@ replaces the f-ratio by a ratio of joint tables ``f~_p(q, l)`` (p
 excursions, q zero-leaves, l edges) and pins the third coordinate
 ``M^-`` (edge mass below the level) to w = v + p + q.
 
+``free_row`` and ``cond_row`` give one row's nonzero cells in ``kernel_row``
+order; only ``cond_row`` forms the pinned targets and checks the start.
+
 All kernel operations take the f / f~ tables as explicit arguments so
 the provenance of the tables (series expansion, fixed point, dynamic
 program) is part of every computation.  Tables map ``f[p][q]`` and
@@ -22,43 +25,21 @@ nested sequences or nested mappings both work.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple
+from math import comb
+from typing import List, Sequence, Tuple
 
 from .errors import DomainError
 
 
-class State(NamedTuple):
+def check_state(p: int, q: int) -> Tuple[int, int]:
     """Free-chain state (p, q) with q = 0 forced when p = 0."""
-
-    p: int
-    q: int
-
-
-class CondState(NamedTuple):
-    """Conditioned-chain state (p, q, v); absorbing state is (0, 0, V)."""
-
-    p: int
-    q: int
-    v: int
-
-
-@lru_cache(maxsize=None)
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    import math
-
-    return math.comb(n, k)
-
-
-def check_state(p: int, q: int) -> State:
     if p < 0 or q < 0 or (p == 0 and q != 0):
         raise DomainError(f"({p},{q}) is not a valid chain state")
-    return State(p, q)
+    return p, q
 
 
-def check_cond_state(p: int, q: int, v: int, V: int) -> CondState:
+def check_cond_state(p: int, q: int, v: int, V: int) -> Tuple[int, int, int]:
+    """Conditioned-chain state (p, q, v); absorbing state is (0, 0, V)."""
     if V < 0:
         raise DomainError("V must be >= 0")
     if p == 0:
@@ -66,7 +47,7 @@ def check_cond_state(p: int, q: int, v: int, V: int) -> CondState:
             raise DomainError(f"({p},{q},{v}) invalid: absorbing state is (0,0,{V})")
     elif q < 0 or not (0 <= v <= V):
         raise DomainError(f"({p},{q},{v}) outside the conditioned state space")
-    return CondState(p, q, v)
+    return p, q, v
 
 
 def _lookup(table, *idx):
@@ -82,7 +63,7 @@ def _lookup(table, *idx):
 def _weight(p: int, q: int, r: int, s: int) -> Fraction:
     """The table-free factor p/(p+s) 4^{-(p+s)} C(p+s,r) C(p+s,q) of the kernel."""
     n = p + s
-    return Fraction(p * binomial(n, r) * binomial(n, q), n * 4**n)
+    return Fraction(p * comb(n, r) * comb(n, q), n * 4**n)
 
 
 def kernel_row(p: int, smax: int) -> List[Tuple[int, int]]:
@@ -111,12 +92,30 @@ def transition_prob(f, from_state, to_state) -> Fraction:
     return _weight(p, q, r, s) * num / denom
 
 
+def free_row(f, state, smax: int) -> List[Tuple[Tuple[int, int], Fraction]]:
+    """The nonzero cells (target, probability) of the free-chain row from
+    ``state``, for s <= smax, in :func:`kernel_row` order."""
+    cells = ((to, transition_prob(f, state, to)) for to in kernel_row(state[0], smax))
+    return [(to, prob) for to, prob in cells if prob != 0]
+
+
 def _ftilde_at(ftilde, p: int, q: int, l: int) -> Fraction:
     if p == 0:
         return Fraction(1) if (q == 0 and l == 0) else Fraction(0)
     if l < 0:
         return Fraction(0)
     return _lookup(ftilde, p, q, l)
+
+
+def _start_weight(ftilde, V: int, p: int, q: int, v: int) -> Fraction:
+    """f~_p(q, V-v-p), the weight of state (p, q, v); 0 is a DomainError."""
+    rest = V - v - p
+    weight = _ftilde_at(ftilde, p, q, rest)
+    if weight == 0:
+        raise DomainError(
+            f"state ({p},{q},{v}) is unreachable with {V} edges: f~_{p}({q},{rest}) = 0"
+        )
+    return weight
 
 
 def cond_transition_prob(ftilde, V: int, from_state, to_state) -> Fraction:
@@ -138,15 +137,24 @@ def cond_transition_prob(ftilde, V: int, from_state, to_state) -> Fraction:
         return Fraction(1) if (r, s, w) == (0, 0, V) else Fraction(0)
     if w != v + p + q:
         return Fraction(0)
-    denom = _ftilde_at(ftilde, p, q, V - v - p)
-    if denom == 0:
-        raise DomainError(
-            f"state ({p},{q},{v}) is unreachable: f~_{p}({q},{V - v - p}) = 0"
-        )
+    denom = _start_weight(ftilde, V, p, q, v)
     num = _ftilde_at(ftilde, r, s, V - w - r)
     if num == 0:
         return Fraction(0)
     return _weight(p, q, r, s) * num / denom
+
+
+def cond_row(ftilde, V: int, state, smax: int) -> List[Tuple[Tuple[int, int, int], Fraction]]:
+    """The nonzero cells (target, probability) of the conditioned row from
+    ``state``, for s <= min(smax, V), in :func:`kernel_row` order; each
+    target carries the pin w = v + p + q, or is the absorbing (0, 0, V).
+    An unreachable start is refused first: from some, v + p + q > V, and
+    a target would fail as outside the state space instead."""
+    p, q, v = check_cond_state(*state, V)
+    _start_weight(ftilde, V, p, q, v)
+    targets = ((r, s, v + p + q) if r else (0, 0, V) for r, s in kernel_row(p, min(smax, V)))
+    cells = ((to, cond_transition_prob(ftilde, V, state, to)) for to in targets)
+    return [(to, prob) for to, prob in cells if prob != 0]
 
 
 def harmonic_H(f, ftilde, V: int, state) -> Fraction:
@@ -201,13 +209,13 @@ def count_profile(plus, check) -> int:
 
     (p1, q1), (qc1, pc1) = (at(half, 1) for half in halves)
     m0 = pc1 + q1 + 1
-    card = Fraction(binomial(m0, p1) * binomial(m0, qc1), m0)
+    card = Fraction(comb(m0, p1) * comb(m0, qc1), m0)
     for half, m in zip(halves, heights):
         for j in range(1, m + 1):
             p_j, q_j = at(half, j)
             p_n, q_n = at(half, j + 1)
             mj = p_j + q_n
-            card *= Fraction(p_j, mj) * binomial(mj, p_n) * binomial(mj, q_j)
+            card *= Fraction(p_j, mj) * comb(mj, p_n) * comb(mj, q_j)
     if card.denominator != 1:
         raise DomainError("profile count formula produced a non-integer")
     return int(card)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, DomainError
 from .tree import LabelledPlaneTree
@@ -181,18 +182,11 @@ class DisplacementFamily:
         per_child = self.per_child_support()
         if per_child is not None:
             for combo in itertools.product(per_child, repeat=d):
-                yield tuple(c[0] for c in combo), _prod(c[1] for c in combo)
+                yield tuple(c[0] for c in combo), math.prod(c[1] for c in combo)
         else:
             for v, w in self.tables.get(d, ()):
                 if w > 0:
                     yield v, w
-
-
-def _prod(xs: Iterable[Fraction]) -> Fraction:
-    out = Fraction(1)
-    for x in xs:
-        out *= x
-    return out
 
 
 @dataclass(frozen=True)

@@ -568,8 +568,6 @@ def kemperman_check(nu: Sequence[Fraction], p: int, s: int):
     forest exhaustion, rhs = (p/(p+s)) P(S_{p+s} = -p, ...) computed
     from the unconstrained walk.  The two must agree exactly.
     """
-    from .kernel import binomial
-
     nu = [Fraction(x) for x in nu]
     lhs = enumerate_marked_forests(nu, p, s)
     walk = _walk_joint(nu, p + s)
@@ -584,7 +582,7 @@ def kemperman_check(nu: Sequence[Fraction], p: int, s: int):
         rhs = (
             Fraction(p, p + s)
             * walk.get((s, r), Fraction(0))
-            * binomial(p + s, q)
+            * math.comb(p + s, q)
             * iota_denom
         )
         l = lhs.get((q, r), Fraction(0))

@@ -9,6 +9,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,7 +26,6 @@ from gwprofile.genfun import (
     solve_nu_gf,
 )
 from gwprofile.kernel import (
-    binomial,
     cond_transition_prob,
     count_profile,
     kernel_row,
@@ -135,8 +135,8 @@ def test_criterion_04_marked_forest_joint_law():
                     want = (
                         Fraction(p, p + s)
                         * Fraction(1, 4 ** (p + s))
-                        * binomial(p + s, q)
-                        * binomial(p + s, r)
+                        * comb(p + s, q)
+                        * comb(p + s, r)
                         * fr
                     )
                     assert law.get((q, r), Fraction(0)) == want, (p, s, q, r)
@@ -396,8 +396,8 @@ def test_criterion_11_negative_controls():
                 wrong = (
                     Fraction(p, p + s)
                     * Fraction(1, 4 ** (p + s))
-                    * binomial(p + s, q + 1)
-                    * binomial(p + s, r)
+                    * comb(p + s, q + 1)
+                    * comb(p + s, r)
                     * fr
                 )
                 if law.get((q, r), Fraction(0)) != wrong:
@@ -422,8 +422,8 @@ def test_criterion_11_negative_controls():
         return (
             Fraction(p, p + s)
             * Fraction(1, 4 ** (p + s))
-            * binomial(p + s, r)
-            * binomial(p + s, q)
+            * comb(p + s, r)
+            * comb(p + s, q)
             * num
             / denom
         )

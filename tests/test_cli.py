@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -646,7 +647,7 @@ class TestMaps:
         )
         assert (code, out) == (2, "")
         assert err.startswith(
-            "gwprofile: error: ConfigurationError: --orientation needs --from-tree, not --in"
+            "gwprofile: error: ConfigurationError: --orientation applies only to --from-tree"
         )
         assert len(err.splitlines()) == 1
 
@@ -664,8 +665,28 @@ class TestMaps:
         code, out, err = run(capsys, "maps", "--from-tree", "0(+())", flag)
         assert (code, out) == (2, "")
         assert err.startswith(
-            f"gwprofile: error: ConfigurationError: {flag} needs --in, not --from-tree"
+            f"gwprofile: error: ConfigurationError: {flag} applies only to --in"
         )
+
+    def test_check_failure_prints_through_the_verify_runner(self, capsys, tmp_path, monkeypatch):
+        # Misalign the ball profile by one radius, as test_maps' negative control does.
+        path = str(tmp_path / "map.csv")
+        run(capsys, "maps", "--from-tree", "0(-(0()))", "--orientation", "1", "--out", path)
+        real = maps.ball_profile
+
+        def shifted(q):
+            s = real(q)
+            return dataclasses.replace(s, d_star=s.d_star + 1)
+
+        monkeypatch.setattr(maps, "ball_profile", shifted)
+        rep = maps.verify_profile_relations(maps.load_map(path))
+        assert rep.mismatches
+        code, out, _ = run(capsys, "maps", "--in", path, "--check")
+        assert code == 1
+        assert out.splitlines() == [
+            f"FAIL profile-relations {path}: {rep.mismatches} != ()",
+            f"FAIL profile-relations: {rep.checked} checks, {len(rep.mismatches)} mismatches",
+        ]
 
 
 class TestStats:

@@ -6,12 +6,13 @@ from gwprofile import builtin_model
 from gwprofile.errors import DomainError
 from gwprofile.genfun import f_table, joint_table, nu_table
 from gwprofile.kernel import (
-    CondState,
-    State,
+    _ftilde_at,
     check_cond_state,
     check_state,
+    cond_row,
     cond_transition_prob,
     count_profile,
+    free_row,
     harmonic_H,
     kernel_row,
     transition_prob,
@@ -50,8 +51,8 @@ def tables(p_max=8, q_max=8):
 
 class TestStates:
     def test_valid(self):
-        assert check_state(2, 3) == State(2, 3)
-        assert check_cond_state(0, 0, 4, 4) == CondState(0, 0, 4)
+        assert check_state(2, 3) == (2, 3)
+        assert check_cond_state(0, 0, 4, 4) == (0, 0, 4)
 
     def test_invalid(self):
         with pytest.raises(DomainError):
@@ -157,6 +158,54 @@ class TestKernelRow:
                 for r in range(p + s + 2):
                     if transition_prob(f, (p, q), (r, s) if r else (0, 0)) > 0:
                         assert ((r, s) if r else (0, 0)) in row
+
+
+def cond_states(V):
+    """Every valid conditioned state with q <= V + 1."""
+    yield 0, 0, V
+    for p in range(1, V + 2):
+        for q in range(V + 2):
+            for v in range(V + 1):
+                yield p, q, v
+
+
+class TestRows:
+    def test_free_row_is_the_nonzero_cells_of_kernel_row(self):
+        exact = tables(12, 10)
+        floats = f_table([float(x) for x in nu_table(BINARY, 12)], 12, 10)
+        for f in (exact, floats):
+            for state in [(0, 0), (1, 0), (2, 1), (3, 3), (4, 0)]:
+                for smax in (0, 3, 6):
+                    cells = [(to, transition_prob(f, state, to))
+                             for to in kernel_row(state[0], smax)]
+                    assert free_row(f, state, smax) == [c for c in cells if c[1] != 0]
+
+    def test_cond_row_is_the_nonzero_cells_of_the_pinned_targets(self):
+        for V in range(7):
+            ftilde = joint_table(BINARY, V + 1, V + 1, V)
+            for p, q, v in cond_states(V):
+                if _ftilde_at(ftilde, p, q, V - v - p) == 0:
+                    continue
+                for smax in range(V + 2):
+                    cells = []
+                    for r, s in kernel_row(p, min(smax, V)):
+                        to = (r, s, v + p + q) if r else (0, 0, V)
+                        cells.append((to, cond_transition_prob(ftilde, V, (p, q, v), to)))
+                    row = cond_row(ftilde, V, (p, q, v), smax)
+                    assert row == [c for c in cells if c[1] != 0], (V, p, q, v, smax)
+                assert sum(prob for _, prob in cond_row(ftilde, V, (p, q, v), V)) == 1
+
+    def test_cond_row_refuses_an_unreachable_start(self):
+        refused = 0
+        for V in range(9):
+            ftilde = joint_table(BINARY, V + 1, V + 1, V)
+            for p, q, v in cond_states(V):
+                if _ftilde_at(ftilde, p, q, V - v - p) != 0:
+                    continue
+                with pytest.raises(DomainError, match=f"unreachable with {V} edges"):
+                    cond_row(ftilde, V, (p, q, v), V)
+                refused += 1
+        assert refused > 0
 
 
 class TestCountProfile:

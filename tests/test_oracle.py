@@ -3,13 +3,14 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
 from gwprofile import builtin_model, decode, oracle, tree_weight
 from gwprofile.errors import DomainError, IntegrityError, ResourceLimitError
 from gwprofile.genfun import f_table, joint_table, nu_table
-from gwprofile.kernel import binomial, cond_transition_prob
+from gwprofile.kernel import cond_transition_prob
 from gwprofile.oracle import (
     chain_path,
     enumerate_bicoloured_forests,
@@ -164,8 +165,8 @@ def corrupted_kernel(V):
         return (
             Fraction(p, p + ss)
             * Fraction(1, 4 ** (p + ss))
-            * binomial(p + ss, r)
-            * binomial(p + ss, q)
+            * comb(p + ss, r)
+            * comb(p + ss, q)
             * num
             / denom
         )
@@ -417,8 +418,8 @@ class TestMarkedForests:
                         want = (
                             Fraction(p, p + s)
                             * Fraction(1, 4 ** (p + s))
-                            * binomial(p + s, q)
-                            * binomial(p + s, r)
+                            * comb(p + s, q)
+                            * comb(p + s, r)
                             * fr
                         )
                         assert law.get((q, r), Fraction(0)) == want
