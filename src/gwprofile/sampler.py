@@ -24,6 +24,10 @@ makes d calls ``getrandbits(1)`` (bit b is the increment 1 - 2b);
 ``iid-uniform-pm01`` d calls ``randrange(3)`` (r is r - 1); and
 ``per-arity-table`` one ``random()`` against the cumulative float weights
 of the arity's positive-weight vectors in table order, the last set to 1.0.
+These calls are the contract, not how they are taken: each reads whole
+32-bit words (``randrange(3)`` is ``getrandbits(2)`` redrawn while it reads
+3), so the iid steps of k <= 4 children are taken by one ``getrandbits(32 *
+k)``, word i at bit 32i, and the steps whose words read 3 after it.
 
 :func:`sample_incomplete_binary_profile` has a stream of its own: one
 ``getrandbits(2)`` per vertex, bit 0 for the -1 child and bit 1 for the +1
@@ -37,6 +41,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Callable, List, Optional, Tuple
 
@@ -47,6 +52,7 @@ from .tree import LabelledPlaneTree
 STREAM_MIX = 0x9E3779B97F4A7C15  # odd 64-bit mixing constant (golden ratio)
 
 _MASK64 = (1 << 64) - 1
+_QUAD_MODEL_KEY = builtin_model("geom-pm01").key  # the one model of quadrangulations
 
 
 @dataclass(frozen=True)
@@ -85,41 +91,74 @@ def _cumulative(pairs) -> Tuple[tuple, List[float]]:
     return outcomes, cum
 
 
+# The steps of the iid kinds, by the ``width`` bits r a step reads: r >=
+# len(steps) is redrawn, as ``randrange(3)`` redraws 3.
+_IID = {"iid-uniform-pm1": ((1, -1), 1), "iid-uniform-pm01": ((-1, 0, 1), 2)}
+_WORDS = 4  # the most steps one getrandbits call takes
+_tables_memo: dict = {}  # model.key -> _vertex_draw's (offspring sums, step tables)
+
+
+@lru_cache(maxsize=None)
+def _word_tables(steps: Tuple[int, ...], width: int) -> List[Tuple[int, dict]]:
+    """For k = 0 .. ``_WORDS``, the mask of the top ``width`` bits of the k
+    words of ``getrandbits(32 * k)``, and a dict from the masked bits to the
+    steps the words give, last word first, and the number they do not."""
+    out = [(0, {0: ((), 0)})]
+    for shift in range(32 - width, 32 * _WORDS, 32):
+        mask, table = out[-1]
+        table = {
+            key | r << shift: ((steps[r],) + kept, n) if r < len(steps) else (kept, n + 1)
+            for key, (kept, n) in table.items()
+            for r in range(1 << width)
+        }
+        out.append((mask | ((1 << width) - 1) << shift, table))
+    return out
+
+
 def _vertex_draw(model: TreeModel, rng: random.Random) -> Callable[[], Tuple[int, ...]]:
-    """``model``'s vertex draw on ``rng``, compiled once: a closure returning
-    one vertex's child increments (``()`` for a leaf) by the random calls of
-    the module docstring.  ``TreeModel`` gives every drawable arity a table.
+    """``model``'s vertex draw on ``rng``: a closure returning one vertex's
+    child increments last child first (``()`` for a leaf), by the random calls
+    of the module docstring.  Its tables are built once per ``model.key``:
+    ``TreeModel`` gives every drawable arity one.
     """
-    off, disp = model.offspring, model.displacement
-    random_, bits, randrange = rng.random, rng.getrandbits, rng.randrange
-    if off.kind == "finite-table":
-        arities = [d for d, x in enumerate(off.table) if x]  # the positive ones
-        _, arity_cum = _cumulative(enumerate(off.table[: arities[-1] + 1]))
+    off, disp, key = model.offspring, model.displacement, model.key
+    got = _tables_memo.get(key)  # hashing the key's Fractions is most of a hit
+    if got is None:
+        arity_cum = None
+        if off.kind == "finite-table":
+            arities = [d for d, x in enumerate(off.table) if x]  # the positive ones
+            _, arity_cum = _cumulative(enumerate(off.table[: arities[-1] + 1]))
+        if disp.kind in _IID:
+            tables = _word_tables(*_IID[disp.kind])
+        else:  # arity -> (vectors last child first, cumulative); ξ is finite here
+            tables = {d: _cumulative((v[::-1], w) for v, w in disp.vectors(d))
+                      for d in arities if d}
+        got = _tables_memo[key] = arity_cum, tables
+    arity_cum, tables = got
+    random_, bits = rng.random, rng.getrandbits
+    steps, width = _IID.get(disp.kind, (None, 0))
 
-        def arity() -> int:
-            return bisect_right(arity_cum, random_())
-
-    else:  # geometric-half, P(k) = 2^{-k-1}: count leading 1-bits
-
-        def arity() -> int:
+    def draw() -> Tuple[int, ...]:
+        if arity_cum is not None:
+            k = bisect_right(arity_cum, random_())
+        else:  # geometric-half, P(k) = 2^{-k-1}: count leading 1-bits
             k = 0
             while bits(1):
                 k += 1
-            return k
-
-    if disp.kind == "iid-uniform-pm1":
-        return lambda: tuple([1 - 2 * bits(1) for _ in range(arity())])
-    if disp.kind == "iid-uniform-pm01":
-        return lambda: tuple([randrange(3) - 1 for _ in range(arity())])
-    # ξ is finite here (TreeModel); arity -> (positive-weight vectors, cumulative)
-    tables = {d: _cumulative(disp.vectors(d)) for d in arities if d}
-
-    def draw() -> Tuple[int, ...]:
-        d = arity()
-        if not d:
+        if not k:
             return ()
-        vectors, cum = tables[d]
-        return vectors[bisect_right(cum, random_())]
+        if steps is None:  # one vector from the arity's table
+            vectors, cum = tables[k]
+            return vectors[bisect_right(cum, random_())]
+        kept, missing = (), k  # iid steps; k > _WORDS takes one call per step
+        if k <= _WORDS:
+            mask, table = tables[k]
+            kept, missing = table[bits(32 * k) & mask]
+        while missing:
+            r = bits(width)
+            if r < len(steps):
+                kept, missing = (steps[r],) + kept, missing - 1
+        return kept
 
     return draw
 
@@ -170,7 +209,7 @@ class Sampler:
             drawn += len(incs)
             if drawn > vertex_cap:
                 return None
-            stack.extend([(label + inc, v) for inc in reversed(incs)])
+            stack.extend([(label + inc, v) for inc in incs])
         return LabelledPlaneTree.unchecked(labels, parents)
 
     def _first(self, cap: int, accept, what: str) -> LabelledPlaneTree:
@@ -238,7 +277,7 @@ class Sampler:
         """
         from .maps import tree_to_map
 
-        if self.model.key != builtin_model("geom-pm01").key:
+        if self.model.key != _QUAD_MODEL_KEY:
             raise ConfigurationError(
                 f"quadrangulations are sampled from geom-pm01, not {self.model.name!r}"
             )

@@ -1,16 +1,65 @@
+import inspect
 import random
+from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
+from test_golden import CUSTOM_MODELS
 
 from gwprofile import builtin_model, edge_profile
 from gwprofile.errors import ConfigurationError, DomainError, ResourceLimitError
+from gwprofile.model import (
+    BUILTIN_IDS,
+    DisplacementFamily,
+    OffspringDistribution,
+    TreeModel,
+)
 from gwprofile.sampler import (
     Sampler,
     SamplerConfig,
+    _cumulative,
+    _vertex_draw,
     make_rng,
     sample_incomplete_binary_profile,
 )
+
+
+def reference_vertex_draw(model, rng):
+    """The vertex draw with one random call per displacement step, in plane
+    order: the definition the word-table draw must match, draw for draw."""
+    off, disp = model.offspring, model.displacement
+    random_, bits, randrange = rng.random, rng.getrandbits, rng.randrange
+    if off.kind == "finite-table":
+        arities = [d for d, x in enumerate(off.table) if x]  # the positive ones
+        _, arity_cum = _cumulative(enumerate(off.table[: arities[-1] + 1]))
+
+        def arity() -> int:
+            return bisect_right(arity_cum, random_())
+
+    else:  # geometric-half, P(k) = 2^{-k-1}: count leading 1-bits
+
+        def arity() -> int:
+            k = 0
+            while bits(1):
+                k += 1
+            return k
+
+    if disp.kind == "iid-uniform-pm1":
+        return lambda: tuple([1 - 2 * bits(1) for _ in range(arity())])
+    if disp.kind == "iid-uniform-pm01":
+        return lambda: tuple([randrange(3) - 1 for _ in range(arity())])
+    # ξ is finite here (TreeModel); arity -> (positive-weight vectors, cumulative)
+    tables = {d: _cumulative(disp.vectors(d)) for d in arities if d}
+
+    def draw():
+        d = arity()
+        if not d:
+            return ()
+        vectors, cum = tables[d]
+        return vectors[bisect_right(cum, random_())]
+
+    return draw
 
 
 def reference_incomplete_binary_profile(rng, vertex_cap):
@@ -238,3 +287,97 @@ class TestQuadrangulationSampler:
         s = Sampler(builtin_model(model_id), SamplerConfig(seed=41))
         with pytest.raises(ConfigurationError):
             s.sample_quadrangulation()
+
+
+# xi = (3/7, 1/2, 0, 0, 0, 0, 0, 1/14): critical, with an arity-7 atom.
+ARITY_7 = OffspringDistribution(
+    "finite-table", (F(3, 7), F(1, 2)) + (F(0),) * 5 + (F(1, 14),)
+)
+DRAW_MODELS = {
+    **{m: builtin_model(m) for m in BUILTIN_IDS},
+    **CUSTOM_MODELS,
+    "arity7-pm1": TreeModel(
+        "arity7-pm1", ARITY_7, DisplacementFamily("iid-uniform-pm1")
+    ),
+    "arity7-pm01": TreeModel(
+        "arity7-pm01", ARITY_7, DisplacementFamily("iid-uniform-pm01")
+    ),
+}
+
+
+class RecordingRandom(random.Random):
+    """A generator that records the width of each ``getrandbits`` call."""
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+class TestVertexDraw:
+    @pytest.mark.parametrize("name", sorted(DRAW_MODELS))
+    def test_matches_reference_draw_for_draw(self, name):
+        model = DRAW_MODELS[name]
+        rng, twin = RecordingRandom(), random.Random()
+        rng.seed(2026)
+        twin.seed(2026)
+        draw, ref = _vertex_draw(model, rng), reference_vertex_draw(model, twin)
+        iid = model.displacement.kind != "per-arity-table"
+        top = model.offspring.max_arity  # None: unbounded
+        single = redrawn = 0  # draws of k > 4 steps; of k <= 4 with a redraw
+        for _ in range(10**5):
+            rng.widths = []
+            steps = draw()
+            assert steps[::-1] == ref()
+            assert rng.getstate() == twin.getstate()
+            k = len(steps)
+            single += iid and k > 4
+            redrawn += 0 < k <= 4 and 32 * k in rng.widths and 2 in rng.widths
+        if iid and (top is None or top > 4):
+            assert single > 0
+        if model.displacement.kind == "iid-uniform-pm01":
+            assert redrawn > 0
+
+    @pytest.mark.parametrize("name", sorted(DRAW_MODELS))
+    def test_samplers_of_one_model_share_their_tables(self, name):
+        def tables(model, seed):
+            draw = Sampler(model, SamplerConfig(seed))._vertex_draw
+            got = inspect.getclosurevars(draw).nonlocals
+            return got["arity_cum"], got["tables"]
+
+        model = DRAW_MODELS[name]
+        twin = TreeModel(model.name, model.offspring, model.displacement)
+        for a, b in zip(tables(model, 1), tables(twin, 2)):
+            assert a is b
+
+
+class TestWordFacts:
+    """The facts of CPython's ``random`` that let one ``getrandbits(32 * k)``
+    stand for k one-word calls; each leaves two fresh generators equal."""
+
+    def fresh(self):
+        return random.Random(99), random.Random(99)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_few_bits_are_the_top_of_one_word(self, width):
+        a, b = self.fresh()
+        for _ in range(1000):
+            assert a.getrandbits(width) == b.getrandbits(32) >> (32 - width)
+        assert a.getstate() == b.getstate()
+
+    def test_randrange_3_redraws_two_bits_that_read_3(self):
+        a, b = self.fresh()
+        for _ in range(1000):
+            r = b.getrandbits(2)
+            while r == 3:
+                r = b.getrandbits(2)
+            assert a.randrange(3) == r
+        assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_k_words_come_low_word_first(self, k):
+        a, b = self.fresh()
+        for _ in range(200):
+            words = [b.getrandbits(32) for _ in range(k)]
+            joined = sum(w << 32 * i for i, w in enumerate(words))
+            assert a.getrandbits(32 * k) == joined
+        assert a.getstate() == b.getstate()
