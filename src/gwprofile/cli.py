@@ -392,17 +392,12 @@ def _profile_count(max_edges):
     from .kernel import count_profile
     from .oracle import enumerate_trees
 
-    def pairs(a, b, top):  # (a_k, b_k) for k = 1 .. top
-        return tuple((a.get(k, 0), b.get(k, 0)) for k in range(1, top + 1))
-
     model = builtin_model("incomplete-binary")
     for e in range(0, max_edges + 1):
         groups: Dict[tuple, int] = {}
         for t, _ in enumerate_trees(model, e).items:
-            prof = edge_profile(t)
-            plus = pairs(prof.x_plus, prof.x_minus, max([*prof.x_plus, 0]))
-            check = pairs(prof.check_plus, prof.check_minus, max([*prof.check_minus, 0]))
-            groups[(plus, check)] = groups.get((plus, check), 0) + 1
+            halves = edge_profile(t).halves()
+            groups[halves] = groups.get(halves, 0) + 1
         for (plus, check), want in sorted(groups.items()):
             yield f"{plus} {check}", count_profile(plus, check), want
 
@@ -571,7 +566,7 @@ def _census_worker(task):
                 capped += 1
                 continue
             prof = edge_profile(t)
-            xpd, xmd = prof.x_plus, prof.x_minus
+            xpd, xmd = prof.up, prof.down
         top = max(list(xpd) + list(xmd) + [1])
         levels = range(1, min(top, max_level) + 1)
         add_profile_transitions(census, xpd, xmd, levels)

@@ -189,6 +189,7 @@ def count_profile(plus, check) -> int:
     the negative half onto a positive one with up and down swapped, so
     it is read as the pairs (qcheck_k, pcheck_k), and both halves go
     through the same checks and the same product.
+    ``VerticalEdgeProfile.halves()`` gives a tree's pair.
 
     A profile violating the state-space constraint (a downward count
     without the matching upward count) has count 0.
@@ -207,15 +208,15 @@ def count_profile(plus, check) -> int:
     def at(seq, k):  # 1-based, zero beyond range
         return seq[k - 1] if 1 <= k <= len(seq) else (0, 0)
 
+    # Each factor is a kernel weight times 4^n, n = p + s: the root's of
+    # (1, qc1) -> (p1, pc1 + q1), level j's of (p_j, q_j) -> (p_n, q_n).
     (p1, q1), (qc1, pc1) = (at(half, 1) for half in halves)
-    m0 = pc1 + q1 + 1
-    card = Fraction(comb(m0, p1) * comb(m0, qc1), m0)
+    card = 4 ** (1 + pc1 + q1) * _weight(1, qc1, p1, pc1 + q1)
     for half, m in zip(halves, heights):
         for j in range(1, m + 1):
             p_j, q_j = at(half, j)
             p_n, q_n = at(half, j + 1)
-            mj = p_j + q_n
-            card *= Fraction(p_j, mj) * comb(mj, p_n) * comb(mj, q_j)
+            card *= 4 ** (p_j + q_n) * _weight(p_j, q_j, p_n, q_n)
     if card.denominator != 1:
         raise DomainError("profile count formula produced a non-integer")
     return int(card)

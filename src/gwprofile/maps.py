@@ -436,11 +436,14 @@ class ProfileReport:
 def verify_profile_relations(q: Quadrangulation):
     """Compare the ball profile with the tree-side edge profile.
 
-    For every radius k: C_k = Xcheck+_{d_star-k} + 1 and
-    P_k / 2 = Xcheck+_{d_star-k} + Xcheck-_{d_star-k} below d_star;
-    C_k = X+_{k-d_star+1} and P_k / 2 = X+ + X- at k-d_star+1 from
-    d_star up.  P_k is even throughout, since ``ball_profile`` computes
-    it as 2 E_k - 4 I_k.
+    The tree's labels are distances from the point less d_star, so the
+    edges between distances k and k + 1 have upper label u = k - d_star + 1
+    (u <= 0 below d_star), and for every radius k:
+
+        C_k = up[u] + [u <= 0],    P_k = 2 (up[u] + down[u]).
+
+    P_k is even throughout, since ``ball_profile`` computes it as
+    2 E_k - 4 I_k.
     """
     summary = ball_profile(q)
     t, _ = map_to_tree(q)
@@ -449,21 +452,12 @@ def verify_profile_relations(q: Quadrangulation):
     mism = []
     for k in range(1, summary.k_max + 1):
         P_k, C_k = summary.P[k - 1], summary.C[k - 1]
-        if k < d_star:
-            cx = prof.check_plus.get(d_star - k, 0)
-            cm = prof.check_minus.get(d_star - k, 0)
-            if C_k != cx + 1:
-                mism.append(f"k={k}: C={C_k} but Xcheck+({d_star - k})+1={cx + 1}")
-            if P_k != 2 * (cx + cm):
-                mism.append(f"k={k}: P={P_k} but 2(Xcheck+ + Xcheck-)={2 * (cx + cm)}")
-        else:
-            m = k - d_star + 1
-            xp = prof.x_plus.get(m, 0)
-            xm = prof.x_minus.get(m, 0)
-            if C_k != xp:
-                mism.append(f"k={k}: C={C_k} but X+({m})={xp}")
-            if P_k != 2 * (xp + xm):
-                mism.append(f"k={k}: P={P_k} but 2(X+ + X-)({m})={2 * (xp + xm)}")
+        u = k - d_star + 1
+        up, down = prof.up.get(u, 0), prof.down.get(u, 0)
+        if C_k != up + (u <= 0):
+            mism.append(f"k={k}: C={C_k} but up({u})+[{u}<=0]={up + (u <= 0)}")
+        if P_k != 2 * (up + down):
+            mism.append(f"k={k}: P={P_k} but 2(up+down)({u})={2 * (up + down)}")
     return ProfileReport(summary.k_max, tuple(mism))
 
 

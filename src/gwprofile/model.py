@@ -21,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, DomainError
@@ -215,17 +216,18 @@ class TreeModel:
                             f"no displacement law for supported arity {d}"
                         )
 
-    @property
+    @cached_property
     def key(self) -> tuple:
-        """Hashable identity used for caching derived tables."""
-        off = self.offspring
-        disp = self.displacement
-        off_key = (off.kind, off.table)
-        if disp.kind == "per-arity-table":
-            disp_key = (disp.kind, tuple(sorted(disp.tables.items())))
-        else:
-            disp_key = (disp.kind,)
-        return (off_key, disp_key)
+        """Hashable identity used for caching derived tables, built once.
+        Probabilities enter as int (numerator, denominator) pairs, which
+        hash far faster than ``Fraction``s and are equal exactly when they are."""
+        off, disp = self.offspring, self.displacement
+        tables = sorted((disp.tables or {}).items())
+        return (
+            (off.kind, tuple(x.as_integer_ratio() for x in off.table)),
+            (disp.kind, tuple((d, tuple((v, w.as_integer_ratio()) for v, w in entries))
+                              for d, entries in tables)),
+        )
 
 
 def builtin_model(model_id: str) -> TreeModel:

@@ -209,9 +209,7 @@ def chain_path(t: LabelledPlaneTree, V: int) -> Tuple[Tuple[int, int, int], ...]
     absorbing state (0, 0, V).
     """
     prof = edge_profile(t)
-    return _read_path(
-        lambda m: (prof.x_plus.get(m, 0), prof.x_minus.get(m, 0), prof.mass_below(m)), V
-    )
+    return _read_path(lambda m: (prof.up.get(m, 0), prof.down.get(m, 0), prof.mass_below(m)), V)
 
 
 def _read_path(state_at, V: int):

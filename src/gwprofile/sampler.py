@@ -122,7 +122,7 @@ def _vertex_draw(model: TreeModel, rng: random.Random) -> Callable[[], Tuple[int
     ``TreeModel`` gives every drawable arity one.
     """
     off, disp, key = model.offspring, model.displacement, model.key
-    got = _tables_memo.get(key)  # hashing the key's Fractions is most of a hit
+    got = _tables_memo.get(key)
     if got is None:
         arity_cum = None
         if off.kind == "finite-table":

@@ -34,6 +34,7 @@ with labels 0, 1, 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -280,77 +281,76 @@ def truncate(t: LabelledPlaneTree, level: int) -> LabelledPlaneTree:
 
 @dataclass(frozen=True)
 class VerticalEdgeProfile:
-    """Edge and vertex counts of a labelled plane tree, per level.
+    """Edge and vertex counts of a labelled plane tree, per integer label.
 
-    For a tree rooted at label 0 every edge whose labels differ (by ±1)
-    falls into exactly one of four families, indexed by a level m >= 1:
+    For a tree rooted at label 0, every edge whose labels differ (by ±1)
+    is counted once, at its upper label k:
 
-    - ``x_plus[m]``: edges from a vertex labelled m-1 down to a child
-      labelled m (upward label crossings of m - 1/2, upper label >= 1);
-    - ``x_minus[m]``: edges from a vertex labelled m down to a child
-      labelled m-1 (downward crossings of m - 1/2, upper label >= 1);
-    - ``check_plus[m]``: edges from a vertex labelled -m to a child
-      labelled -m+1 (crossings of -m + 1/2 recorded on the mirrored side,
-      upper label <= 0);
-    - ``check_minus[m]``: edges from a vertex labelled -m+1 to a child
-      labelled -m.
+    - ``up[k]``: edges from a vertex labelled k-1 to a child labelled k;
+    - ``down[k]``: edges from a vertex labelled k to a child labelled k-1.
 
-    ``vertical[k]`` counts vertices labelled k.
+    ``vertical[k]`` counts vertices labelled k.  Labels with no count are
+    absent.  The chain's positive and mirrored negative halves are
+    read-only views, indexed by a level m >= 1: ``x_plus[m] = up[m]``,
+    ``x_minus[m] = down[m]``, ``check_plus[m] = up[1-m]`` and
+    ``check_minus[m] = down[1-m]``.
 
     ``mass_below(m)``, the number of edges with both labels <= m-1, is
     read off these counts: each non-root vertex labelled <= m-1 is the
     child end of one edge, whose parent is labelled <= m-1 too unless the
-    edge goes down from m to m-1 (``x_minus[m]`` for m >= 1,
-    ``check_minus[1-m]`` for m <= 0).  So mass_below(m) is the sum of
-    ``vertical[k]`` over k <= m-1, less the root when m >= 1, less those
-    down-edges.
+    edge goes down from m to m-1.  So mass_below(m) is the sum of
+    ``vertical[k]`` over k <= m-1, less the root when m >= 1, less
+    ``down[m]``.
     """
 
-    x_plus: dict
-    x_minus: dict
-    check_plus: dict
-    check_minus: dict
+    up: dict
+    down: dict
     vertical: dict
+
+    @property
+    def x_plus(self) -> dict:
+        return {k: c for k, c in self.up.items() if k >= 1}
+
+    @property
+    def x_minus(self) -> dict:
+        return {k: c for k, c in self.down.items() if k >= 1}
+
+    @property
+    def check_plus(self) -> dict:
+        return {1 - k: c for k, c in self.up.items() if k <= 0}
+
+    @property
+    def check_minus(self) -> dict:
+        return {1 - k: c for k, c in self.down.items() if k <= 0}
+
+    def halves(self) -> tuple:
+        """``(plus, check)``, as :func:`gwprofile.kernel.count_profile` takes
+        them: the pairs (x_plus[m], x_minus[m]) and (check_plus[m],
+        check_minus[m]) for m = 1 up to the last level of each half."""
+
+        def pairs(a, b):
+            top = max([*a, *b], default=0)
+            return tuple((a.get(m, 0), b.get(m, 0)) for m in range(1, top + 1))
+
+        return pairs(self.x_plus, self.x_minus), pairs(self.check_plus, self.check_minus)
 
     def mass_below(self, m: int) -> int:
         """Number of edges with both endpoint labels <= m - 1."""
-        below = sum(c for k, c in self.vertical.items() if k <= m - 1)
-        if m >= 1:
-            return below - 1 - self.x_minus.get(m, 0)
-        return below - self.check_minus.get(1 - m, 0)
+        below = sum(c for k, c in self.vertical.items() if k < m)
+        return below - (m >= 1) - self.down.get(m, 0)
 
 
 def edge_profile(t: LabelledPlaneTree) -> VerticalEdgeProfile:
     """Compute the vertical edge profile of a tree rooted at label 0."""
     if t.root_label != 0:
         raise DomainError("edge profile requires a tree rooted at label 0")
-    x_plus: dict = {}
-    x_minus: dict = {}
-    check_plus: dict = {}
-    check_minus: dict = {}
-    vertical: dict = {}
+    up: dict = {}
+    down: dict = {}
     labels = t.labels
-    for v in t.vertices():
-        lv = labels[v]
-        vertical[lv] = vertical.get(lv, 0) + 1
-        p = t.parents[v]
-        if p is None:
-            continue
+    for lv, p in zip(labels[1:], t.parents[1:]):
         lp = labels[p]
-        if lv == lp:
-            continue
-        upper = max(lv, lp)
-        if upper >= 1:
-            # crossing of upper - 1/2 on the positive side
-            if lv > lp:
-                x_plus[upper] = x_plus.get(upper, 0) + 1
-            else:
-                x_minus[upper] = x_minus.get(upper, 0) + 1
-        else:
-            # upper <= 0: crossing of -m + 1/2 with m = 1 - upper
-            m = 1 - upper
-            if lv < lp:
-                check_minus[m] = check_minus.get(m, 0) + 1
-            else:
-                check_plus[m] = check_plus.get(m, 0) + 1
-    return VerticalEdgeProfile(x_plus, x_minus, check_plus, check_minus, vertical)
+        if lv > lp:
+            up[lv] = up.get(lv, 0) + 1
+        elif lv < lp:
+            down[lp] = down.get(lp, 0) + 1
+    return VerticalEdgeProfile(up, down, dict(Counter(labels)))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -208,7 +209,34 @@ class TestRows:
         assert refused > 0
 
 
+def reference_count_product(plus, check):
+    """The count's product written out with its own binomials, for a
+    profile whose every level up to the top of each half is occupied."""
+    halves = ([tuple(x) for x in plus], [(qc, pc) for pc, qc in check])
+
+    def at(seq, k):  # 1-based, zero beyond range
+        return seq[k - 1] if 1 <= k <= len(seq) else (0, 0)
+
+    (p1, q1), (qc1, pc1) = (at(half, 1) for half in halves)
+    m0 = pc1 + q1 + 1
+    card = Fraction(comb(m0, p1) * comb(m0, qc1), m0)
+    for half in halves:
+        for j in range(1, len(half) + 1):
+            p_j, q_j = at(half, j)
+            p_n, q_n = at(half, j + 1)
+            mj = p_j + q_n
+            card *= Fraction(p_j, mj) * comb(mj, p_n) * comb(mj, q_j)
+    return card
+
+
 class TestCountProfile:
+    def test_matches_reference_product(self):
+        # every profile of the 2,055 incomplete-binary trees with <= 7 edges
+        profiles = set().union(*(binary_profiles(e) for e in range(0, 8)))
+        assert len(profiles) == 740
+        for plus, check in profiles:
+            assert count_profile(plus, check) == reference_count_product(plus, check)
+
     def test_one_edge_up(self):
         assert count_profile([(1, 0)], []) == 1
 

@@ -16,7 +16,7 @@ from gwprofile import (
     resolve_model,
     tree_weight,
 )
-from gwprofile.model import BUILTIN_IDS
+from gwprofile.model import BUILTIN_IDS, TreeModel
 
 # The builtin finite models, written as JSON model configs.
 FINITE_CONFIGS = {
@@ -165,3 +165,65 @@ class TestConfig:
         path.write_text("{")
         with pytest.raises(ConfigurationError):
             load_model(str(path))
+
+
+def reference_key(model):
+    """The model key with ``Fraction`` probabilities, as the package built
+    it before they became int (numerator, denominator) pairs."""
+    off = model.offspring
+    disp = model.displacement
+    off_key = (off.kind, off.table)
+    if disp.kind == "per-arity-table":
+        disp_key = (disp.kind, tuple(sorted(disp.tables.items())))
+    else:
+        disp_key = (disp.kind,)
+    return (off_key, disp_key)
+
+
+def key_models():
+    """Builtins, their configs, equal laws written differently and near misses."""
+    models = [builtin_model(k) for k in BUILTIN_IDS]
+    models += [parse_model_config(cfg) for cfg in FINITE_CONFIGS.values()]
+    binary = json.loads(json.dumps(FINITE_CONFIGS["incomplete-binary"]))
+    binary["offspring"]["table"] = ["2/8", "4/8", "1/4"]
+    binary["displacement"]["tables"]["1"] = [[[-1], "2/4"], [[1], "1/2"]]
+    models.append(parse_model_config(binary))
+    binary["displacement"]["tables"]["1"] = [[[1], "1/3"], [[-1], "2/3"]]
+    models.append(parse_model_config(binary))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    tables = ((half, 0, half), (half, Fraction(0), half), (half, 0, half, 0),
+              (third, third, third), (half / 2, half, half / 2))
+    for table in tables:
+        for disp in ("iid-uniform-pm1", "iid-uniform-pm01"):
+            models.append(TreeModel("t", OffspringDistribution("finite-table", table),
+                                    DisplacementFamily(disp)))
+    return models
+
+
+class TestKey:
+    def test_equal_exactly_when_the_fraction_keys_are(self):
+        models = key_models()
+        equal_pairs = 0
+        for a in models:
+            for b in models:
+                same = reference_key(a) == reference_key(b)
+                assert (a.key == b.key) == same, (a, b)
+                if same:
+                    assert hash(a.key) == hash(b.key)
+                    equal_pairs += a is not b
+        assert equal_pairs == 12  # ordered pairs of distinct equal models
+
+    def test_holds_only_ints_and_strings(self):
+        def leaves(x):
+            if isinstance(x, tuple):
+                for y in x:
+                    yield from leaves(y)
+            else:
+                yield x
+
+        for m in key_models():
+            assert {type(x) for x in leaves(m.key)} <= {int, str}, m.key
+
+    def test_built_once(self):
+        m = builtin_model("incomplete-binary")
+        assert m.key is m.key

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,11 +7,16 @@ from gwprofile import (
     DomainError,
     LabelledPlaneTree,
     TreeParseError,
+    builtin_model,
     decode,
     edge_profile,
     encode,
     truncate,
 )
+from gwprofile.errors import ResourceLimitError
+from gwprofile.model import BUILTIN_IDS
+from gwprofile.oracle import enumerate_trees
+from gwprofile.sampler import Sampler, SamplerConfig
 
 
 def nested_trees(max_children=3):
@@ -280,3 +287,124 @@ class TestEdgeProfile:
         # an up edge at level m needs a vertex reaching label m
         for m in prof.x_plus:
             assert m >= 1 and max(t.labels) - t.labels[0] >= 0
+
+
+# The profile as five dicts split by side, as the package stored it before
+# it held one ``up`` and one ``down`` count per integer label.
+ReferenceProfile = namedtuple(
+    "ReferenceProfile", "x_plus x_minus check_plus check_minus vertical"
+)
+
+
+def reference_edge_profile(t: LabelledPlaneTree) -> ReferenceProfile:
+    """Compute the vertical edge profile of a tree rooted at label 0."""
+    if t.root_label != 0:
+        raise DomainError("edge profile requires a tree rooted at label 0")
+    x_plus: dict = {}
+    x_minus: dict = {}
+    check_plus: dict = {}
+    check_minus: dict = {}
+    vertical: dict = {}
+    labels = t.labels
+    for v in t.vertices():
+        lv = labels[v]
+        vertical[lv] = vertical.get(lv, 0) + 1
+        p = t.parents[v]
+        if p is None:
+            continue
+        lp = labels[p]
+        if lv == lp:
+            continue
+        upper = max(lv, lp)
+        if upper >= 1:
+            # crossing of upper - 1/2 on the positive side
+            if lv > lp:
+                x_plus[upper] = x_plus.get(upper, 0) + 1
+            else:
+                x_minus[upper] = x_minus.get(upper, 0) + 1
+        else:
+            # upper <= 0: crossing of -m + 1/2 with m = 1 - upper
+            m = 1 - upper
+            if lv < lp:
+                check_minus[m] = check_minus.get(m, 0) + 1
+            else:
+                check_plus[m] = check_plus.get(m, 0) + 1
+    return ReferenceProfile(x_plus, x_minus, check_plus, check_minus, vertical)
+
+
+def reference_mass_below(prof: ReferenceProfile, m: int) -> int:
+    below = sum(c for k, c in prof.vertical.items() if k <= m - 1)
+    if m >= 1:
+        return below - 1 - prof.x_minus.get(m, 0)
+    return below - prof.check_minus.get(1 - m, 0)
+
+
+def reference_halves(prof: ReferenceProfile):
+    """The (plus, check) key that the profile-count suite built by hand."""
+
+    def pairs(a, b, top):  # (a_k, b_k) for k = 1 .. top
+        return tuple((a.get(k, 0), b.get(k, 0)) for k in range(1, top + 1))
+
+    plus = pairs(prof.x_plus, prof.x_minus, max([*prof.x_plus, 0]))
+    check = pairs(prof.check_plus, prof.check_minus, max([*prof.check_minus, 0]))
+    return plus, check
+
+
+def small_trees():
+    """Every tree with at most 6 edges of each builtin."""
+    for model_id in BUILTIN_IDS:
+        for edges in range(7):
+            for t, _ in enumerate_trees(builtin_model(model_id), edges).items:
+                yield t
+
+
+def sampled_trees_below_zero(per_model=60):
+    """Sampled trees of each builtin that reach a negative label."""
+    for model_id in BUILTIN_IDS:
+        sampler = Sampler(builtin_model(model_id), SamplerConfig(seed=24, vertex_cap=5000))
+        found = 0
+        while found < per_model:
+            try:
+                t = sampler.sample_tree()
+            except ResourceLimitError:
+                continue
+            if min(t.labels) < 0:
+                found += 1
+                yield t
+
+
+class TestProfileAgainstReference:
+    """``up``/``down`` per integer label, their four side views, ``halves``
+    and ``mass_below`` against the five-dict profile."""
+
+    @staticmethod
+    def check(t):
+        prof, ref = edge_profile(t), reference_edge_profile(t)
+        assert prof.up == {**ref.x_plus, **{1 - m: c for m, c in ref.check_plus.items()}}
+        assert prof.down == {**ref.x_minus, **{1 - m: c for m, c in ref.check_minus.items()}}
+        assert prof.vertical == ref.vertical
+        assert list(prof.vertical) == list(ref.vertical)
+        assert (prof.x_plus, prof.x_minus, prof.check_plus, prof.check_minus) == ref[:4]
+        assert prof.halves() == reference_halves(ref)
+        for m in range(min(t.labels) - 1, max(t.labels) + 3):
+            assert prof.mass_below(m) == reference_mass_below(ref, m), m
+
+    def test_every_small_tree(self):
+        n = 0
+        for t in small_trees():
+            self.check(t)
+            n += 1
+        assert n == 118426
+
+    def test_sampled_trees_with_negative_labels(self):
+        for t in sampled_trees_below_zero():
+            self.check(t)
+
+    def test_both_sides_by_hand(self):
+        prof = edge_profile(decode("0(-(-()+())+())"))
+        assert (prof.up, prof.down) == ({0: 1, 1: 1}, {0: 1, -1: 1})
+        assert (prof.x_plus, prof.x_minus) == ({1: 1}, {})
+        assert (prof.check_plus, prof.check_minus) == ({1: 1}, {1: 1, 2: 1})
+        assert prof.halves() == (((1, 0),), ((1, 1), (0, 1)))
+        with pytest.raises(AttributeError):
+            prof.x_plus = {}
