@@ -6,6 +6,17 @@ the involution pairing the two darts of each edge and the rotation of
 darts around each vertex.  Faces are the orbits of sigma o alpha.
 Vertices are identified with the smallest dart of their sigma-orbit.
 
+Validation runs where maps come from outside the package: the public
+constructors ``PlanarMap(...)`` and ``Quadrangulation(...)`` check every
+invariant and raise at construction, and :func:`load_map` (so ``gwprofile
+maps --in``) reads through the latter.  :func:`tree_to_map`, and through
+it ``Sampler.sample_quadrangulation``, builds its output with
+:meth:`Quadrangulation.unchecked`; the tests check its outputs against the
+validating constructor.  A map's derived views, its vertex and face
+orbits and a quadrangulation's distances from the point, are built on
+first use and cached, so :func:`map_to_tree`, :func:`ball_profile` and
+:func:`verify_profile_relations` share one breadth-first search per map.
+
 The bijection with labelled trees draws one arc from every contour
 corner of the tree to its successor (the next corner, in contour
 order, whose label is one less); corners of minimal label connect to
@@ -47,7 +58,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError
@@ -72,11 +84,18 @@ def _orbits(perm: Sequence[int]) -> Tuple[Tuple[Tuple[int, ...], ...], List[int]
     return tuple(orbits), owner
 
 
+def _is_dart(d, darts: range) -> bool:
+    """Whether ``d`` is one of ``darts``: an int (not a bool) in range."""
+    return type(d) is int and d in darts
+
+
 class PlanarMap:
     """Immutable connected planar map given by its rotation system.
 
-    ``alpha`` and ``sigma`` are lists on darts 0..n-1; ``vertex_of[d]``
-    is the vertex (smallest dart of the sigma-orbit) of dart d.
+    ``alpha`` and ``sigma`` are lists on darts 0..n-1, which the
+    constructor checks.  The derived views, the vertex orbits
+    (``vertices()``, and ``vertex_of[d]``, the vertex of dart d) and the
+    face orbits (``faces()``), are built on first use and cached.
     """
 
     def __init__(
@@ -91,7 +110,7 @@ class PlanarMap:
         self.darts = darts = range(len(alpha))
         if not darts:
             raise IntegrityError("empty dart set")
-        if not all(map(isinstance, chain(alpha, sigma), repeat(int))):
+        if not {int}.issuperset(map(type, chain(alpha, sigma))):
             raise IntegrityError("alpha and sigma must hold int darts")
         dartset = set(darts)
         if len(sigma) != len(darts) or set(sigma) != dartset:
@@ -100,7 +119,6 @@ class PlanarMap:
             a == d or alpha[a] != d for d, a in enumerate(alpha)
         ):
             raise IntegrityError("alpha is not a fixed-point-free involution")
-        self._vertices, self.vertex_of = _orbits(sigma)
         vertex_of = self.vertex_of
         # connectivity under <alpha, sigma>: search vertices, one test per dart
         seen = bytearray(len(darts))
@@ -116,12 +134,11 @@ class PlanarMap:
                 d = sigma[d]
                 if d == v:
                     break
-        if len(queue) != len(self._vertices):
+        if len(queue) != self.n_vertices:
             raise IntegrityError("map is not connected")
         for d, name in ((root_dart, "root dart"), (pointed_vertex, "pointed vertex")):
-            if d is not None and not (isinstance(d, int) and d in darts):
+            if d is not None and not _is_dart(d, darts):
                 raise IntegrityError(f"{name} is not a dart")
-        self._faces = _orbits([sigma[a] for a in alpha])[0]
         self.root_dart = root_dart
         self.pointed_vertex = (
             None if pointed_vertex is None else vertex_of[pointed_vertex]
@@ -129,19 +146,33 @@ class PlanarMap:
 
     # -- structure ---------------------------------------------------------
 
+    @cached_property
+    def _vertex_orbits(self) -> Tuple[Tuple[Tuple[int, ...], ...], List[int]]:
+        return _orbits(self.sigma)
+
+    @cached_property
+    def _faces(self) -> Tuple[Tuple[int, ...], ...]:
+        sigma = self.sigma
+        return _orbits([sigma[a] for a in self.alpha])[0]
+
+    @property
+    def vertex_of(self) -> List[int]:
+        """Per dart, its vertex: the smallest dart of its sigma-orbit."""
+        return self._vertex_orbits[1]
+
     @property
     def n_edges(self) -> int:
         return len(self.darts) // 2
 
     def vertices(self) -> Tuple[Tuple[int, ...], ...]:
-        return self._vertices
+        return self._vertex_orbits[0]
 
     def faces(self) -> Tuple[Tuple[int, ...], ...]:
         return self._faces
 
     @property
     def n_vertices(self) -> int:
-        return len(self._vertices)
+        return len(self.vertices())
 
     @property
     def n_faces(self) -> int:
@@ -152,6 +183,8 @@ class PlanarMap:
 
     def distances_from(self, vertex: int) -> List[int]:
         """For each dart, the graph distance from ``vertex`` to its vertex (BFS)."""
+        if not _is_dart(vertex, self.darts):
+            raise DomainError(f"{vertex!r} is not a dart")
         alpha, sigma, vertex_of = self.alpha, self.sigma, self.vertex_of
         dist = [-1] * len(alpha)  # per vertex, at its representative dart
         v = vertex_of[vertex]
@@ -172,7 +205,12 @@ class PlanarMap:
 
 
 class Quadrangulation(PlanarMap):
-    """A rooted pointed map on the sphere in which every face has degree 4."""
+    """A rooted pointed map on the sphere in which every face has degree 4.
+
+    The constructor checks what ``PlanarMap``'s does, then the face
+    degrees and Euler's formula.  ``tree_to_map`` builds its maps with
+    :meth:`unchecked`.
+    """
 
     def __init__(self, alpha, sigma, root_dart: int, pointed_vertex: int):
         if root_dart is None or pointed_vertex is None:
@@ -184,6 +222,28 @@ class Quadrangulation(PlanarMap):
         chi = self.euler_characteristic()
         if chi != 2:
             raise IntegrityError(f"Euler characteristic {chi}, expected 2: not planar")
+
+    @classmethod
+    def unchecked(cls, alpha, sigma, root_dart: int, pointed_vertex: int) -> "Quadrangulation":
+        """Construct without validation, keeping the two lists as given.
+
+        For the package's own producers, whose outputs are correct by
+        construction and are checked against the validating constructor
+        in tests; ``pointed_vertex`` must be the smallest dart of the
+        point's sigma-orbit.
+        """
+        q = cls.__new__(cls)
+        q.alpha, q.sigma, q.darts = alpha, sigma, range(len(alpha))
+        q.root_dart, q.pointed_vertex = root_dart, pointed_vertex
+        return q
+
+    @cached_property
+    def _point_distances(self) -> Tuple[List[int], int]:
+        """(dist, d_star): each dart's distance from the point, and the
+        larger distance of the root edge's two ends."""
+        dist = self.distances_from(self.pointed_vertex)
+        x0, x1 = self.root_endpoints()
+        return dist, max(dist[x0], dist[x1])
 
     def root_endpoints(self) -> Tuple[int, int]:
         """(origin vertex, head vertex) of the root edge."""
@@ -274,18 +334,12 @@ def tree_to_map(t: LabelledPlaneTree, orientation: int) -> Quadrangulation:
         sigma[2 * s] = head[1]
         sigma[end] = 2 * back[s]
     sigma[tail[0]] = head[0]  # around the point, in contour order
-    return Quadrangulation(alpha, sigma, orientation, head[0])
+    # head[0] = 2s + 1 is the smallest dart around the point: s is the first
+    # label-0 corner.
+    return Quadrangulation.unchecked(alpha, sigma, orientation, head[0])
 
 
 # -- inverse bijection ------------------------------------------------------
-
-
-def _point_distances(q: Quadrangulation) -> Tuple[List[int], int]:
-    """(dist, d_star): each dart's distance from the point, and the larger
-    distance of the root edge's two ends."""
-    dist = q.distances_from(q.pointed_vertex)
-    x0, x1 = q.root_endpoints()
-    return dist, max(dist[x0], dist[x1])
 
 
 def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
@@ -297,7 +351,7 @@ def map_to_tree(q: Quadrangulation) -> Tuple[LabelledPlaneTree, int]:
     is based there.
     """
     vertex_of = q.vertex_of
-    dist, d_star = _point_distances(q)
+    dist, d_star = q._point_distances
     x0, x1 = q.root_endpoints()
     lab = [d - d_star for d in dist]  # per dart: the label of its vertex
     # partner[d]: the anchor dart at the far end of d's selected edge, or -1
@@ -404,7 +458,7 @@ def ball_profile(q: Quadrangulation) -> BallSummary:
     - the ball is a submap of a planar map, so Euler's formula on the
       sphere gives V_k - E_k + (faces) = 2.
     """
-    dist, d_star = _point_distances(q)
+    dist, d_star = q._point_distances
     k_max = max(dist)
     vertices = [0] * (k_max + 1)
     edges = [0] * (k_max + 1)

@@ -15,7 +15,8 @@ and hashing use ``(labels, parents)``.
 
 Validation runs where arrays come from outside the package: the public
 constructor ``LabelledPlaneTree(labels, parents)`` (and so ``from_nested``)
-checks every invariant in one pass.  The package's own producers
+checks that every label is an ``int`` (not a ``bool``), then every other
+invariant in one pass.  The package's own producers
 (samplers, :func:`decode`, :func:`truncate`, the excursion decomposition
 and its inverse, the map bijection) append vertices in preorder and build
 their output with :meth:`LabelledPlaneTree.unchecked`; the tests check
@@ -62,6 +63,10 @@ class LabelledPlaneTree:
             raise DomainError("labels and parents must have equal length")
         if parents[0] is not None:
             raise DomainError("vertex 0 must be the root")
+        # Exact type int: a bool or float label would pass the checks below
+        # and then be written by encode as text that decode refuses.
+        if not {int}.issuperset(map(type, labels)):
+            raise DomainError("labels must be ints")
         # In preorder, v's parent lies on the path from the root to v - 1;
         # this one check also gives connectivity and parents in range.
         path = [0]

@@ -52,9 +52,9 @@ class TestPlanarMap:
         with pytest.raises(IntegrityError, match="pointed vertex is not a dart"):
             Quadrangulation(**TORUS, root_dart=0, pointed_vertex=99)
 
-    @pytest.mark.parametrize("dart", [1.0, "1"])
+    @pytest.mark.parametrize("dart", [1.0, "1", True])
     def test_darts_must_be_ints(self, dart):
-        # 1.0 == 1 is in range(2), but a float is not a dart
+        # 1.0 == 1 and True == 1 are in range(2), but neither is a dart
         with pytest.raises(IntegrityError, match="root dart is not a dart"):
             PlanarMap([1, 0], [0, 1], root_dart=dart)
         with pytest.raises(IntegrityError, match="pointed vertex is not a dart"):
@@ -66,6 +66,14 @@ class TestPlanarMap:
             PlanarMap([1, 0], [0, dart])
         m = PlanarMap([1, 0], [0, 1], root_dart=1, pointed_vertex=1)
         assert (m.root_dart, m.pointed_vertex) == (1, 1)
+
+    def test_distances_from_needs_a_dart(self):
+        # -1 would wrap round to the last dart's vertex; len(darts) is past it
+        q = tree_to_map(decode("0(+()-())"), 0)
+        for vertex in (-1, len(q.darts), 1.0, True, None):
+            with pytest.raises(DomainError, match="is not a dart"):
+                q.distances_from(vertex)
+        assert q.distances_from(q.pointed_vertex)[q.pointed_vertex] == 0
 
     def test_quadrangulation_rejects_torus(self):
         # one vertex, two edges and one degree-4 face: Euler characteristic 0
@@ -349,6 +357,19 @@ class TestCSV:
         assert q2.alpha == q.alpha and q2.sigma == q.sigma
         assert q2.root_dart == q.root_dart
         assert q2.pointed_vertex == q.pointed_vertex
+
+    def test_roundtrip_every_root(self, tmp_path):
+        # A bool root dart would be saved as "True", which load_map refuses,
+        # so the constructor refuses it; every int root dart round-trips.
+        q = tree_to_map(decode("0(-(0()+()))"), 1)
+        with pytest.raises(IntegrityError, match="root dart is not a dart"):
+            Quadrangulation(q.alpha, q.sigma, True, q.pointed_vertex)
+        path = str(tmp_path / "map.csv")
+        for root in q.darts:
+            save_map(Quadrangulation(q.alpha, q.sigma, root, q.pointed_vertex), path)
+            q2 = load_map(path)
+            assert (q2.alpha, q2.sigma) == (q.alpha, q.sigma)
+            assert (q2.root_dart, q2.pointed_vertex) == (root, q.pointed_vertex)
 
     def test_rejects_torus(self, tmp_path):
         path = str(tmp_path / "torus.csv")

@@ -6,6 +6,8 @@ and the map bijection build their trees with
 on their outputs, on random, deep and wide trees.  The excursions that
 the decomposition and the sampler produce are not re-checked there
 either, so these properties also run ``is_excursion`` on them.
+``tree_to_map`` builds its maps with ``Quadrangulation.unchecked``, so
+its outputs are rebuilt through the validating constructor too.
 """
 
 import random
@@ -15,8 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 from gwprofile import LabelledPlaneTree, builtin_model, decode, encode, truncate
 from gwprofile.errors import ResourceLimitError
 from gwprofile.excursion import decompose, reconstruct
-from gwprofile.maps import map_to_tree, tree_to_map
+from gwprofile.maps import Quadrangulation, map_to_tree, tree_to_map
 from gwprofile.model import BUILTIN_IDS, is_excursion
+from gwprofile.oracle import enumerate_trees
 from gwprofile.sampler import Sampler, SamplerConfig
 
 
@@ -39,6 +42,17 @@ def assert_valid_decorations(d):
         stack.extend((c, -sign) for c in forest.children[v])
         seen += 1
     assert seen == forest.n_vertices
+
+
+def assert_valid_map(q):
+    """``q`` passes the validating constructor, whose views equal the ones
+    ``q`` builds on first use."""
+    checked = Quadrangulation(q.alpha, q.sigma, q.root_dart, q.pointed_vertex)
+    assert checked.pointed_vertex == q.pointed_vertex
+    assert checked.vertices() == q.vertices()
+    assert checked.vertex_of == q.vertex_of
+    assert checked.faces() == q.faces()
+    assert checked._point_distances == q._point_distances
 
 
 @st.composite
@@ -126,3 +140,24 @@ class TestSamplerProducers:
             assert_valid_decorations(d)
             assert_valid(reconstruct(d))
             assert_valid(truncate(t, m))
+
+
+class TestMapProducers:
+    def test_every_small_tree(self):
+        # <= 5 edges: up to 6 would take about 17 s on a shared 2-core host.
+        model = builtin_model("geom-pm01")
+        for e in range(1, 6):
+            for t, _ in enumerate_trees(model, e).items:
+                for bit in (0, 1):
+                    assert_valid_map(tree_to_map(t, bit))
+
+    @given(preorder_trees(max_vertices=300), st.sampled_from([0, 1]))
+    @settings(max_examples=30, deadline=None)
+    def test_preorder_trees(self, t, bit):
+        assume(t.n_edges >= 1)
+        assert_valid_map(tree_to_map(t, bit))
+
+    def test_sampled(self):
+        s = Sampler(builtin_model("geom-pm01"), SamplerConfig(seed=25, vertex_cap=2000))
+        for _ in range(200):
+            assert_valid_map(s.sample_quadrangulation())

@@ -55,6 +55,14 @@ class TestConstruction:
         with pytest.raises(Exception):
             LabelledPlaneTree([0, 1], [None, None])
 
+    @pytest.mark.parametrize("labels", [[True, 1], [0, 1.0]])
+    def test_labels_must_be_ints(self, labels):
+        # Both pass the label-step check, as True == 1 and 1.0 == 1, but
+        # encode writes 'True(0())' for the first, which decode refuses.
+        with pytest.raises(DomainError, match="labels must be ints"):
+            LabelledPlaneTree(labels, [None, 0])
+        assert LabelledPlaneTree.unchecked(labels, [None, 0]).labels == tuple(labels)
+
     @pytest.mark.parametrize(
         "labels, parents",
         [
