@@ -18,18 +18,19 @@ routes:
   Before that it runs :func:`_verified_curve` and an exact O(order)
   certificate (:func:`_certify`), on the same ints, that the result lies
   on the verified curve;
-- :func:`closed_form_series` (check) expands the radical closed form with
-  the generic series square root, whose Taylor recurrence runs on
-  integers, and a generic Fraction series division;
-- :func:`solve_nu_gf` (check) expands the algebraic curve by series Newton
-  iteration on Fraction series.
+- :func:`closed_form_series` (check) expands the same radical closed form
+  by another recurrence: h by the Taylor recurrence of h² = R
+  (:func:`_taylor_sqrt`, on ints), then a Fraction division by den;
+- :func:`solve_nu_gf` (check) never uses the closed form: it fixes the
+  branch of the verified curve through c0 one coefficient at a time, on
+  Fractions.
 
 The curve F(x, y) is one bivariate polynomial, a dict {(i, j): c} for
 c·x^i·y^j, built once and verified at runtime by :func:`_verified_curve`
-in exact arithmetic.  The check routes cost O(order²) operations and
-more; tests and benchmarks compare them with :func:`nu_table`.  Neither
-shares a recurrence with it: the square root is the generic
-Σ s_j·s_{k−j} recurrence, not the differential equation of h.
+in exact arithmetic.  The check routes cost O(order²) operations; tests
+and benchmarks compare them with :func:`nu_table`.  Each shares only the
+model data, :func:`_radicand` and :func:`_verified_curve` with it, and
+calls none of its recurrences or its certificate.
 
 Also here: the convolution tables f_p(q) (p-fold convolutions of ν); the
 joint leaf/edge tables f̃_p(q, l), whose single-excursion law
@@ -47,11 +48,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import ConfigurationError, DomainError, IntegrityError, ResourceLimitError
 from .model import TreeModel, builtin_model
-from .series import RationalSeries, _integer_scale
 
 # ---------------------------------------------------------------------------
 # Per-model algebraic data.
@@ -216,64 +216,100 @@ def _verified_curve(name: str) -> Tuple[dict, Fraction]:
     return curve, c0
 
 
-# -- the two exact routes ----------------------------------------------------
+# -- the two check routes ----------------------------------------------------
 
-# Working-order slack: closed-form and Newton routes divide by polynomials
-# vanishing at 0 (valuation <= 2 across the four models), which costs top
-# coefficients; computing with extra order keeps the requested range exact.
-_SLACK = 4
+
+class RationalSeries(NamedTuple):
+    """The coefficients g_0..g_order that a check route returns, as Fractions.
+
+    It holds no arithmetic; it stays a named type only because callers,
+    the benchmark's exact-tables workload and the tests, read ``.coeffs``.
+    """
+
+    coeffs: Tuple[Fraction, ...]
+
+
+def _taylor_sqrt(r: Sequence[int], w: int) -> List[int]:
+    """S_0..S_w, S_k = h_k·(4a)^k, of h = √r for an integer radicand r, a = r_0.
+
+    With σ_k = t_k·(4a)^k for t = √(r/a), the Taylor recurrence of t² = r/a
+    is 2σ_k = r_k·4^k·a^(k−1) − Σ_{j=1..k−1} σ_j·σ_{k−j} with σ_0 = 1, on
+    ints (binom(1/2, m)·4^m is one), and S_k = √a·σ_k.  The sum takes
+    half of its symmetric terms, doubled, and the middle square.  A
+    constant term that is not a positive square, or a remainder, raises
+    IntegrityError.
+    """
+    a = r[0]
+    root = math.isqrt(max(a, 0))
+    if a <= 0 or root * root != a:
+        raise IntegrityError(
+            f"the radicand needs a positive constant term that is a square, not {a}"
+        )
+    sigma = [1]
+    for k in range(1, w + 1):
+        half = sum(sigma[j] * sigma[k - j] for j in range(1, (k + 1) // 2))
+        middle = sigma[k // 2] ** 2 if k % 2 == 0 else 0
+        beta = r[k] * 4**k * a ** (k - 1) if k < len(r) else 0
+        step, rem = divmod(beta - middle, 2)
+        if rem:
+            raise IntegrityError("Taylor square root recurrence left a remainder")
+        sigma.append(step - half)
+    return [root * x for x in sigma]
 
 
 def closed_form_series(model: TreeModel, order: int) -> RationalSeries:
-    """g_ν to the given order via the radical closed form (exact)."""
+    """g_ν to the given order via the radical closed form (exact).
+
+    h = √((a−z)(1−z)³) by :func:`_taylor_sqrt`; then, with den = z^v·d,
+    the Fraction division recurrence d_0·g_k = (num + coef·h)_{k+v} −
+    Σ_{j≥1} d_j·g_{k−j}, after checking that num + coef·h vanishes below
+    z^v.
+    """
     data = _require_builtin(model)
     if order < 0:
         raise DomainError("order must be >= 0")
-    w = order + _SLACK
-    num = RationalSeries.from_polynomial(data["num"], w)
-    den = RationalSeries.from_polynomial(data["den"], w)
-    a = Fraction(data["a"])
-    radicand = RationalSeries.from_polynomial([a, -1], w)
-    one_minus = RationalSeries.from_polynomial([1, -1], w)
-    radicand = radicand * one_minus * one_minus * one_minus
-    g = (num + data["coef"] * radicand.sqrt()) / den
-    return g.truncate(order)
+    num, den, coef, s = data["num"], data["den"], data["coef"], 4 * data["a"]
+    v = next(j for j, c in enumerate(den) if c)
+    d = den[v:]
+    h = _taylor_sqrt(_radicand(data), order + v)
+    top = [
+        Fraction((num[n] if n < len(num) else 0) * s**n + coef * x, s**n)
+        for n, x in enumerate(h)
+    ]
+    if any(top[:v]):
+        raise IntegrityError("num + coef·h does not vanish to den's valuation")
+    g: List[Fraction] = []
+    for k in range(order + 1):
+        acc = top[k + v] - sum(d[j] * g[k - j] for j in range(1, min(k, len(d) - 1) + 1))
+        g.append(acc / d[0])
+    return RationalSeries(tuple(g))
 
 
 def solve_nu_gf(model: TreeModel, order: int) -> RationalSeries:
     """g_ν to the given order via the runtime-verified algebraic curve.
 
-    Series Newton iteration on the x-stripped curve F̃(x, y) = 0 starting
-    from the constant branch point; the result is certified by checking
-    F̃(x, g) ≡ 0 to the working order before returning.
+    With the x-stripped curve F̃ = p2·y² + p1·y + p0 and g_0 = c0,
+    [x^n]F̃(x, g) = 0 is linear in g_n, with the coefficient
+    2·p2(0)·c0 + p1(0) = ∂F̃/∂y(0, c0), which :func:`_verified_curve`
+    checks is nonzero: the formal implicit function theorem fixes the
+    branch one coefficient at a time, on Fractions.
     """
-    data = _require_builtin(model)
+    _require_builtin(model)
     if order < 0:
         raise DomainError("order must be >= 0")
     curve, c0 = _verified_curve(model.name)
-    w = order + _SLACK
     degree = max(i for i, _ in curve)
-    p0, p1, p2 = (
-        RationalSeries.from_polynomial(
-            [curve.get((i, j), 0) for i in range(degree + 1)], w
-        )
-        for j in range(3)
-    )
-    g = RationalSeries.constant(c0, w)
-    for _ in range(w.bit_length() + 3):
-        f_val = (p2 * g + p1) * g + p0
-        f_slope = 2 * p2 * g + p1
-        step = f_val / f_slope
-        new_g = g - step
-        if new_g == g:
-            break
-        g = new_g
-    else:
-        raise IntegrityError("Newton iteration on the curve did not stabilize")
-    residual = (p2 * g + p1) * g + p0
-    if any(c != 0 for c in residual.coeffs):
-        raise IntegrityError("curve branch residual is nonzero")
-    return g.truncate(order)
+    p0, p1, p2 = ([curve.get((i, j), 0) for i in range(degree + 1)] for j in range(3))
+    slope = 2 * p2[0] * c0 + p1[0]
+    g, square = [c0], [c0 * c0]  # square[m] = [x^m] g²
+    for n in range(1, order + 1):
+        cross = sum(g[j] * g[n - j] for j in range(1, n))  # [x^n] g² less 2·c0·g_n
+        known = p0[n] if n <= degree else 0
+        for i in range(1, min(n, degree) + 1):
+            known += p2[i] * square[n - i] + p1[i] * g[n - i]
+        g.append(-(known + p2[0] * cross) / slope)
+        square.append(cross + 2 * c0 * g[n])
+    return RationalSeries(tuple(g))
 
 
 def _radical_series(r: Sequence[int], w: int) -> List[int]:
@@ -417,6 +453,25 @@ def f_table(nu: Sequence, p_max: int, q_max: int) -> List[List]:
 
 
 # -- joint leaf/edge tables --------------------------------------------------
+
+
+def _integer_scale(terms) -> tuple:
+    """(c, [c^j·x for each (j, x) in terms]), every c^j·x an integer.
+
+    c takes the lcm with x's denominator whenever c^j is not yet a
+    multiple of it; raises IntegrityError if some c^j·x is still not an
+    integer (a non-integral x at j = 0).
+    """
+    terms = list(terms)
+    c = 1
+    for j, x in terms:
+        if pow(c, j, x.denominator):
+            c = math.lcm(c, x.denominator)
+    scaled = [x * c**j for j, x in terms]
+    for (j, x), n in zip(terms, scaled):
+        if n.denominator != 1:
+            raise IntegrityError(f"rescaling {x} by {c}^{j} is not integral")
+    return c, [n.numerator for n in scaled]
 
 
 def _fold(head: list, tail: list, budget: int) -> List[int]:

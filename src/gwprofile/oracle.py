@@ -19,8 +19,8 @@ from itertools import count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
+from .genfun import _integer_scale
 from .model import TreeModel
-from .series import _integer_scale
 from .tree import LabelledPlaneTree, edge_profile
 
 ITEM_CAP = 10**7

@@ -67,6 +67,11 @@ class LabelledPlaneTree:
         # and then be written by encode as text that decode refuses.
         if not {int}.issuperset(map(type, labels)):
             raise DomainError("labels must be ints")
+        # Parents are compared by equality on the path below, which a bool
+        # passes and a float passes until it indexes labels; None is left
+        # to the path check.
+        if not {int, type(None)}.issuperset(map(type, parents)):
+            raise DomainError("parents must be ints")
         # In preorder, v's parent lies on the path from the root to v - 1;
         # this one check also gives connectivity and parents in range.
         path = [0]

@@ -84,6 +84,48 @@ class TestNu:
         assert nu_table(m, 210) == solve_nu_gf(m, 210).coeffs
 
     @pytest.mark.parametrize("model_id", MODELS)
+    def test_taylor_sqrt_is_the_radical_recurrence(self, model_id):
+        # two recurrences for h = √R, the Taylor one of h² = R and the one
+        # of 2R·h′ = R′·h, give one set of ints
+        r = genfun._radicand(genfun._MODEL_DATA[model_id])
+        assert genfun._taylor_sqrt(r, 400) == genfun._radical_series(r, 400)
+
+    @pytest.mark.parametrize("model_id", MODELS)
+    def test_check_routes_match_at_high_order(self, model_id):
+        m = builtin_model(model_id)
+        nu = nu_table(m, 400)
+        assert closed_form_series(m, 400).coeffs == nu
+        assert solve_nu_gf(m, 210).coeffs == nu[:211]
+
+    # sha256 of repr(coeffs) of both check routes at order 40, recorded from
+    # the generic series arithmetic they ran on before the recurrences
+    PINNED_ROUTES = {
+        "geom-pm1": "8a3a64d3da1f495291d58f120e3ac26ee6841111045c13eac0667b1b184e90d8",
+        "geom-pm01": "5452a4af5c542056c95fc2d2a3ffb84ee2f696ea92de3c124d8e067847837fe1",
+        "incomplete-binary": "53598e90722bd8c0e9a6dcee865d141c39a7f950c8c42903e8b5da012a9dee3a",
+        "complete-binary": "5644d265d4117101fbc51e7efc63d577d7f914614dedd35eedfa844422b6c581",
+    }
+
+    @pytest.mark.parametrize("model_id", MODELS)
+    def test_check_routes_call_no_production_code(self, model_id, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a check route called the production route")
+
+        for name in ("_radical_series", "_quotient_series", "_certify", "nu_table"):
+            monkeypatch.setattr(genfun, name, refuse)
+        m = builtin_model(model_id)
+        for route in (closed_form_series, solve_nu_gf):
+            digest = hashlib.sha256(repr(route(m, 40).coeffs).encode()).hexdigest()
+            assert digest == self.PINNED_ROUTES[model_id], route.__name__
+
+    def test_closed_form_refuses_a_numerator_off_den_valuation(self, monkeypatch):
+        # den = 4z − z² vanishes at 0, so num + coef·h must vanish there too
+        data = dict(genfun._MODEL_DATA["geom-pm1"], num=(-3, 9, -2))
+        monkeypatch.setitem(genfun._MODEL_DATA, "geom-pm1", data)
+        with pytest.raises(IntegrityError, match="does not vanish"):
+            closed_form_series(builtin_model("geom-pm1"), 5)
+
+    @pytest.mark.parametrize("model_id", MODELS)
     def test_certificate_rejects_corrupted_recurrence(self, model_id, monkeypatch):
         # the recurrence run on R with one coefficient off by one yields the
         # square root of another quartic, which the ODE residual catches

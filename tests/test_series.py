@@ -1,105 +1,79 @@
+"""The power-series recurrences of genfun's check routes: the Taylor square
+root on integers and the integer rescaling."""
+
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gwprofile.errors import DomainError, IntegrityError
-from gwprofile.genfun import _MODEL_DATA, _radicand
-from gwprofile.series import RationalSeries, _integer_scale, _rational_sqrt
+from gwprofile.errors import IntegrityError
+from gwprofile.genfun import _MODEL_DATA, _integer_scale, _radicand, _taylor_sqrt
 
 ORDER = 8
 
-rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
+radicands = st.builds(
+    lambda root, tail: [root * root] + tail,
+    st.integers(min_value=1, max_value=9),
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=0, max_size=14),
 )
 
 
-def series(order=ORDER):
-    return st.lists(rationals, min_size=order + 1, max_size=order + 1).map(
-        RationalSeries
-    )
+def as_fractions(r, w):
+    """h_0..h_w of h = √r, from S_k = h_k·(4a)^k."""
+    return [Fraction(x, (4 * r[0]) ** k) for k, x in enumerate(_taylor_sqrt(r, w))]
 
 
-def reference_sqrt(a: RationalSeries) -> RationalSeries:
-    """The Taylor recurrence 2·r0·s_k = a_k − Σ_{j=1..k−1} s_j·s_{k−j},
-    step by step in Fractions: the definition RationalSeries.sqrt must
-    match."""
-    r0 = _rational_sqrt(a[0])
-    out = [r0]
-    for k in range(1, a.order + 1):
-        acc = a[k]
+def reference_sqrt(r, w):
+    """The Taylor recurrence 2·h_0·h_k = r_k − Σ_{j=1..k−1} h_j·h_{k−j},
+    step by step in Fractions: the definition _taylor_sqrt must match."""
+    out = [Fraction(math.isqrt(r[0]))]
+    for k in range(1, w + 1):
+        acc = Fraction(r[k] if k < len(r) else 0)
         for j in range(1, k):
             acc -= out[j] * out[k - j]
-        out.append(acc / (2 * r0))
-    return RationalSeries(out)
-
-
-class TestRing:
-    @given(series(), series())
-    def test_add_commutes(self, a, b):
-        assert a + b == b + a
-
-    @given(series(), series(), series())
-    def test_mul_distributes(self, a, b, c):
-        assert a * (b + c) == a * b + a * c
-
-    @given(series())
-    def test_sub_self(self, a):
-        assert a - a == RationalSeries([0] * (ORDER + 1))
-
-    def test_getitem(self):
-        s = RationalSeries([1, 2, 3])
-        assert s[0] == 1 and s[2] == 3
-        assert s.extend(5)[5] == 0
-
-
-class TestDivision:
-    @given(series())
-    def test_div_roundtrip(self, a):
-        b = RationalSeries([Fraction(1)] + [Fraction(1, 3)] * ORDER)
-        assert (a / b) * b == a
-
-    def test_div_by_zero_valuation(self):
-        with pytest.raises(DomainError):
-            RationalSeries([1, 0]) / RationalSeries([0, 1])
+        out.append(acc / (2 * out[0]))
+    return out
 
 
 class TestSqrt:
     def test_known(self):
         # sqrt(1 - 4z) has Catalan-related coefficients
-        s = RationalSeries([1, -4] + [0] * 6).sqrt()
+        s = as_fractions([1, -4], 7)
         assert s[0] == 1 and s[1] == -2 and s[2] == -2 and s[3] == -4
 
-    @given(series())
-    def test_square_root_roundtrip(self, a):
-        z = RationalSeries.from_polynomial([0, 1], ORDER)
-        u = RationalSeries.constant(1, ORDER) + a * z
-        assert u.sqrt() * u.sqrt() == u
+    @given(radicands)
+    def test_square_root_roundtrip(self, r):
+        # Σ S_j·S_{k−j} = r_k·(4a)^k: S squares back to the radicand
+        s = _taylor_sqrt(r, ORDER)
+        for k in range(ORDER + 1):
+            r_k = r[k] if k < len(r) else 0
+            assert sum(s[j] * s[k - j] for j in range(k + 1)) == r_k * (4 * r[0]) ** k
 
     @pytest.mark.parametrize("name", sorted(_MODEL_DATA))
     def test_matches_reference_on_builtin_radicands(self, name):
-        radicand = RationalSeries.from_polynomial(_radicand(_MODEL_DATA[name]), 200)
-        assert radicand.sqrt() == reference_sqrt(radicand)
+        r = _radicand(_MODEL_DATA[name])
+        assert as_fractions(r, 200) == reference_sqrt(r, 200)
 
-    @given(
-        st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=12),
-        st.lists(
-            st.fractions(min_value=-20, max_value=20, max_denominator=60),
-            min_size=0, max_size=14,
-        ),
-    )
-    def test_matches_reference(self, root, tail):
-        a = RationalSeries([root * root] + tail)
-        assert a.sqrt() == reference_sqrt(a)
+    @given(radicands)
+    def test_matches_reference(self, r):
+        w = len(r) + 2
+        assert as_fractions(r, w) == reference_sqrt(r, w)
+
+    def test_refuses_a_remainder(self):
+        # a radicand off the integers leaves a remainder, which the integer
+        # recurrence refuses rather than rounds
+        with pytest.raises(IntegrityError, match="left a remainder"):
+            _taylor_sqrt([4, Fraction(1, 3)], 3)
 
     def test_non_square_constant(self):
-        with pytest.raises(DomainError):
-            RationalSeries([2, 1]).sqrt()
+        with pytest.raises(IntegrityError, match="is a square"):
+            _taylor_sqrt([2, 1], 3)
 
     @pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 1], [0, 0, 0], [-1, 2]])
     def test_constant_term_must_be_positive(self, coeffs):
-        with pytest.raises(DomainError, match="positive constant term"):
-            RationalSeries(coeffs).sqrt()
+        with pytest.raises(IntegrityError, match="positive constant term"):
+            _taylor_sqrt(coeffs, 3)
 
 
 class TestIntegerScale:

@@ -63,6 +63,15 @@ class TestConstruction:
             LabelledPlaneTree(labels, [None, 0])
         assert LabelledPlaneTree.unchecked(labels, [None, 0]).labels == tuple(labels)
 
+    @pytest.mark.parametrize("parents", [[None, 0.0], [None, 0, True]])
+    def test_parents_must_be_ints(self, parents):
+        # 0.0 used to raise a raw TypeError when it indexed labels, and
+        # True (== 1) used to be stored as vertex 2's parent
+        labels = [0, 1, 0][: len(parents)]
+        with pytest.raises(DomainError, match="parents must be ints"):
+            LabelledPlaneTree(labels, parents)
+        assert LabelledPlaneTree.unchecked(labels, parents).parents == tuple(parents)
+
     @pytest.mark.parametrize(
         "labels, parents",
         [
