@@ -4,8 +4,9 @@ Everything here is brute force over small edge budgets, with exact
 rational weights: full tree enumeration, bicoloured-forest counting,
 marked-forest joint laws, exact conditioned-chain path laws, and the
 first-hitting-time (cyclic lemma) identity for the associated walk.
-The one exception is :func:`size_mass`, which uses Lagrange inversion;
-the tests compare it with tree enumeration.
+Trees and chain paths come from one subtree enumerator, indexed by
+absolute label.  The one exception is :func:`size_mass`, which uses
+Lagrange inversion; the tests compare it with tree enumeration.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from itertools import count, product
+from functools import cached_property, lru_cache
+from itertools import accumulate, count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
 from .genfun import _integer_scale
-from .model import TreeModel
+from .model import TreeModel, builtin_model
 from .tree import LabelledPlaneTree, edge_profile
 
 ITEM_CAP = 10**7
@@ -81,14 +82,16 @@ class MarkedTree:
 # -- exhaustive tree enumeration -------------------------------------------
 
 
-def _subtrees(model: TreeModel, budget: int, join) -> Tuple[Dict[tuple, int], int]:
-    """Every positive-weight subtree with ``budget`` edges, grouped by key.
+def _subtrees(model: TreeModel, budget: int, span: int, join) -> Tuple[Dict, int]:
+    """Every positive-weight tree with root label 0 and ``budget`` edges, by key.
 
-    A vertex's key is ``join`` of its (child increment, child key) pairs,
-    built bottom-up from the leaves' ``join(())``: the nested shape for
-    :func:`enumerate_trees`, or one int of edge counts for the chain law
-    (:func:`_edge_counts`).  Subtrees with equal keys have their weights
-    summed.  Keys are label-free: increments are relative to the root.
+    The table T(a, e) holds the subtrees rooted at label a with e edges,
+    labels clamped to −span..span: span 0 gives one label-free table, for
+    :func:`enumerate_trees`' nested shapes, and span ``budget`` clamps
+    none, for the chain law's absolute-label keys (:func:`_edge_key`).  A
+    vertex's key is ``join(a, vec, keys)`` of its label, its children's
+    increments and their keys; equal keys have their weights summed.  Only
+    the cells a root at 0 reaches, |a| <= budget − e, are built.
 
     Weights are integers over one common denominator, returned with
     them: every vertex factor ξ(k)·η(vec) is n/D for the lcm D of their
@@ -101,21 +104,22 @@ def _subtrees(model: TreeModel, budget: int, join) -> Tuple[Dict[tuple, int], in
         for vec, eta in model.displacement.vectors(k)
     ]
     D = math.lcm(*(x.denominator for _, _, x in factors))
-    levels: List[Dict[tuple, int]] = []
+    table: Dict[Tuple[int, int], Dict[object, int]] = {}
     for e in range(budget + 1):
-        out: Dict[tuple, int] = defaultdict(int)
-        for k, vec, x in factors:
-            if k > e:
-                break
-            n = x.numerator * (D // x.denominator)
-            for parts in _compositions(e - k, k):
-                for combo in product(*(levels[p].items() for p in parts)):
-                    w = n
-                    for _, cw in combo:
-                        w *= cw
-                    out[join(tuple(zip(vec, (c for c, _ in combo))))] += w
-        levels.append(dict(out))
-    return levels[budget], D ** (budget + 1)
+        reach = min(span, budget - e)
+        for a in range(-reach, reach + 1):
+            out: Dict[object, int] = defaultdict(int)
+            for k, vec, x in factors:
+                if k > e:
+                    break
+                n = x.numerator * (D // x.denominator)
+                kids = [max(-span, min(span, a + inc)) for inc in vec]
+                for parts in _compositions(e - k, k):
+                    cells = [table[c, p] for c, p in zip(kids, parts)]
+                    for keys, ws in zip(product(*cells), product(*map(dict.values, cells))):
+                        out[join(a, vec, keys)] += n * math.prod(ws)
+            table[a, e] = dict(out)
+    return table[0, budget], D ** (budget + 1)
 
 
 def _compositions(total: int, parts: int):
@@ -142,7 +146,7 @@ def enumerate_trees(model: TreeModel, edges: int) -> WeightedEnsemble:
     if edges < 0:
         raise DomainError("edges must be >= 0")
     # keyed by the shape itself: nested (increment, child shape) pairs
-    shapes, denominator = _subtrees(model, edges, lambda children: children)
+    shapes, denominator = _subtrees(model, edges, 0, lambda a, vec, keys: tuple(zip(vec, keys)))
     if len(shapes) > ITEM_CAP:
         raise ResourceLimitError(
             f"enumeration would produce {len(shapes)} > cap {ITEM_CAP} trees"
@@ -209,13 +213,13 @@ def chain_path(t: LabelledPlaneTree, V: int) -> Tuple[Tuple[int, int, int], ...]
     absorbing state (0, 0, V).
     """
     prof = edge_profile(t)
-    return _read_path(lambda m: (prof.up.get(m, 0), prof.down.get(m, 0), prof.mass_below(m)), V)
+    states = ((prof.up.get(m, 0), prof.down.get(m, 0), prof.mass_below(m)) for m in count(1))
+    return _read_path(states, V)
 
 
-def _read_path(state_at, V: int):
+def _read_path(states, V: int):
     path = []
-    for m in count(1):
-        state = state_at(m)
+    for state in states:
         path.append(state)
         if state[0] == 0:
             if state != (0, 0, V):
@@ -223,24 +227,23 @@ def _read_path(state_at, V: int):
             return tuple(path)
 
 
-def _edge_counts(V: int):
-    """A :func:`_subtrees` join counting the edges below a vertex in one int.
+def _edge_key(V: int):
+    """A :func:`_subtrees` join keying a subtree by its edges' absolute labels.
 
-    The ``width``-bit digit 3·(u + V) + d + 1 counts the edges with upper
-    label u in −V..V, relative to the vertex, and direction d, the sign of
-    the child's increment.  A child's key moves one label (three digits)
-    with its increment, and keys add.  No digit carries, as a slot counts
-    at most V edges, and no label moves below −V, as a child has fewer
-    than V edges.  Returns ``(join, width)``.
+    The key is one int of ``width``-bit digits: digit 0 counts the edges
+    whose upper label is <= 0, and digit 3u + d − 1 those with upper label
+    u >= 1 and direction d, the sign of the child's increment.  Keys add,
+    one digit per edge, and no digit carries, as it counts at most V edges.
+    Returns ``(join, width)``.
     """
     width = (V + 1).bit_length()
-    step = 3 * width
-    edge = {inc: 1 << ((V + max(inc, 0)) * 3 + inc + 1) * width for inc in (-1, 0, 1)}
+    edge = {(a, inc): 1 << max(3 * (a + max(inc, 0)) + inc - 1, 0) * width
+            for a in range(-V, V + 1) for inc in (-1, 0, 1)}
 
-    def join(children) -> int:
-        key = 0
-        for inc, sub in children:
-            key += edge[inc] + (sub << step if inc > 0 else sub >> step if inc < 0 else sub)
+    def join(a, vec, keys) -> int:
+        key = sum(keys)
+        for inc in vec:
+            key += edge[a, inc]
         return key
 
     return join, width
@@ -250,35 +253,31 @@ def exact_chain_law(V: int):
     """Exact path law of (X^+, X^-, M^-) for the uniform V-edge binary tree.
 
     Brute force, aggregated: every V-edge tree is enumerated, grouped by
-    its counts of (upper label, direction) edges (:func:`_edge_counts`),
-    which is all its path depends on, so each group gives one path: X^+
-    and X^- are digits of each level, and M^- is the digit sum below it.
-    A lost edge would fail the absorption check.  At V = 10 that is 5,887
-    groups for 58,786 trees.  No kernel or profile-counting formula is
-    used.  ``ITEM_CAP`` bounds the number of groups.  Group weights are
+    its counts of (absolute upper label, direction) edges, with every edge
+    at or below label 0 in one count (:func:`_edge_key`).  That is all its
+    path depends on, so each group gives one path: X^+ and X^- are level
+    m's digits, and M^- is the sum of the digits below level m.  A lost
+    edge would fail the absorption check.  At V = 10 that is 1,737 groups,
+    one per path, for 58,786 trees.  No kernel or profile-counting formula
+    is used.  ``ITEM_CAP`` bounds the number of groups.  Group weights are
     integers over one common denominator, so each path sums ints and
     becomes one Fraction, its weight over the total, at the end.
     """
-    from .model import builtin_model
-
     if V < 0:
         raise DomainError("V must be >= 0")
-    join, width = _edge_counts(V)
-    groups, _ = _subtrees(builtin_model("incomplete-binary"), V, join)
+    join, width = _edge_key(V)
+    groups, _ = _subtrees(builtin_model("incomplete-binary"), V, V, join)
     if len(groups) > ITEM_CAP:
         raise ResourceLimitError(f"{len(groups)} edge multisets exceed cap {ITEM_CAP}")
     total = sum(groups.values())
-    digit = (1 << width) - 1
-
-    def state_at(key, m):
-        low = (m + V) * 3 * width  # level m's first digit
-        # a digit sum is at most V < 2^width − 1: the residue, as in casting out nines
-        below = (key & (1 << low) - 1) % digit
-        return (key >> low + 2 * width & digit, key >> low & digit, below)
-
+    mask = (1 << width) - 1
+    shifts = range(0, (3 * V + 4) * width, width)  # digits 0..3V+3: level V+1 reads 0
     law: Dict[tuple, int] = defaultdict(int)
     for key, w in groups.items():
-        law[_read_path(partial(state_at, key), V)] += w
+        digits = [key >> s & mask for s in shifts]
+        below = list(accumulate(digits))
+        # level m >= 1: X^+ is digit 3m, X^- digit 3m − 2, M^- the digits up to 3m − 3
+        law[_read_path(zip(digits[3::3], digits[1::3], below[::3]), V)] += w
     return {path: Fraction(w, total) for path, w in law.items()}
 
 

@@ -31,8 +31,9 @@ BUILTINS = ("geom-pm1", "geom-pm01", "incomplete-binary", "complete-binary")
 
 def reference_subtrees(model, budget, join):
     """Key -> exact weight of every subtree with ``budget`` edges, multiplied
-    out factor by factor in Fractions: the definition ``oracle._subtrees``
-    must match, keys in the same order."""
+    out factor by factor in Fractions, with keys relative to the root: the
+    definition ``oracle._subtrees`` must match, keys in the same order.
+    ``join`` takes the (child increment, child key) pairs."""
     levels = []
     for e in range(budget + 1):
         out = defaultdict(Fraction)
@@ -52,9 +53,8 @@ def reference_subtrees(model, budget, join):
 def _edge_multiset(children) -> tuple:
     """Sorted (upper label, direction) of every edge below a vertex.
 
-    Labels are relative to the vertex; direction is the sign of the
-    child's increment.  The reference key for ``oracle._edge_counts``,
-    which packs the same multiset into one int.
+    Labels are relative to the vertex, so absolute for a root at 0;
+    direction is the sign of the child's increment.
     """
     edges = []
     for inc, sub in children:
@@ -63,34 +63,38 @@ def _edge_multiset(children) -> tuple:
     return tuple(sorted(edges))
 
 
-def unpack_edge_counts(key, V):
-    """The sorted edge multiset of an ``oracle._edge_counts(V)`` key, read
-    digit by digit from its documented layout."""
-    width = (V + 1).bit_length()
-    edges = []
-    for u in range(-V, V + 1):
-        for d in (-1, 0, 1):
-            edges += [(u, d)] * (key >> ((u + V) * 3 + d + 1) * width & (1 << width) - 1)
-    assert key >> (2 * V + 1) * 3 * width == 0, "a digit above label V"
-    return tuple(edges)
+def shape(a, vec, keys):
+    """The ``oracle._subtrees`` join of :func:`enumerate_trees`: the nested
+    shape, label-free."""
+    return tuple(zip(vec, keys))
+
+
+def edge_key(multiset, width):
+    """The int key ``oracle._edge_key`` documents for a multiset of
+    (absolute upper label, direction) edges: ``width``-bit digit 0 counts
+    the edges with upper label <= 0, digit 3u + d - 1 the others."""
+    return sum(1 << max(3 * u + d - 1, 0) * width for u, d in multiset)
 
 
 def reference_chain_law(V):
-    """``exact_chain_law`` by grouping subtrees by sorted edge multisets and
-    reading each path with counters and a bisection: the definition the
-    packed-key route must match, items and order."""
-    groups, _ = oracle._subtrees(BINARY, V, _edge_multiset)
+    """``exact_chain_law`` by grouping Fraction-weighted trees by sorted
+    multisets of (absolute upper label, direction) edges, and reading each
+    path with counters and a bisection: the definition the absolute-label
+    int keys must match, items and order."""
+    groups = reference_subtrees(BINARY, V, _edge_multiset)
     total = sum(groups.values())
-    law = defaultdict(int)
+    law = defaultdict(Fraction)
     for ms, w in groups.items():
-        x_plus = Counter(u for u, d in ms if u >= 1 and d > 0)
-        x_minus = Counter(u for u, d in ms if u >= 1 and d < 0)
+        x_plus = Counter(u for u, d in ms if d > 0)
+        x_minus = Counter(u for u, d in ms if d < 0)
         uppers = [u for u, _ in ms]  # sorted, as ms is
-        path = oracle._read_path(
-            lambda m: (x_plus[m], x_minus[m], bisect.bisect_right(uppers, m - 1)), V
-        )
-        law[path] += w
-    return {path: Fraction(w, total) for path, w in law.items()}
+        path = [(x_plus[1], x_minus[1], bisect.bisect_right(uppers, 0))]
+        while path[-1][0]:
+            m = len(path) + 1
+            path.append((x_plus[m], x_minus[m], bisect.bisect_right(uppers, m - 1)))
+        assert path[-1] == (0, 0, V)
+        law[tuple(path)] += w
+    return {path: w / total for path, w in law.items()}
 
 
 def reference_verify_markov_exact(law, V, transition=None):
@@ -205,21 +209,33 @@ class TestEnumeration:
     def test_subtrees_match_reference(self, model_id):
         model = builtin_model(model_id)
         for e in range(7):
-            # the packed key groups as the sorted multiset does, in its order;
-            # geom-pm01's 0-increments fill the direction-0 digits
-            want = reference_subtrees(model, e, _edge_multiset)
-            join, _ = oracle._edge_counts(e)
-            weights, denominator = oracle._subtrees(model, e, join)
-            assert [unpack_edge_counts(k, e) for k in weights] == list(want), e
+            # the absolute-label key groups as the sorted multiset does once the
+            # edges at or below label 0 are lumped, in its order; geom-pm01's
+            # 0-increments fill the direction-0 digits
+            join, width = oracle._edge_key(e)
+            assert e < 1 << width  # a digit holds every edge
+            want = defaultdict(Fraction)
+            for ms, w in reference_subtrees(model, e, _edge_multiset).items():
+                want[edge_key(ms, width)] += w
+            weights, denominator = oracle._subtrees(model, e, e, join)
+            assert list(weights) == list(want), e
             got = [Fraction(w, denominator) for w in weights.values()]
             assert got == list(want.values()), e
             want = reference_subtrees(model, e, lambda children: children)
-            weights, denominator = oracle._subtrees(model, e, lambda children: children)
+            weights, denominator = oracle._subtrees(model, e, 0, shape)
             assert list(weights) == list(want), e
             assert all(Fraction(w, denominator) == want[k] for k, w in weights.items())
             # ``want`` is keyed by shape now
             items = [(LabelledPlaneTree.from_nested(0, k), w) for k, w in want.items()]
             assert list(enumerate_trees(model, e).items) == items, e
+
+    @pytest.mark.parametrize("model_id", BUILTINS)
+    def test_label_clamp_keeps_shapes(self, model_id):
+        # label-free keys group alike whether labels clamp to 0 or to -e..e
+        model = builtin_model(model_id)
+        for e in range(6):
+            (want, den0), (got, den) = (oracle._subtrees(model, e, span, shape) for span in (0, e))
+            assert (list(got.items()), den) == (list(want.items()), den0), e
 
     def test_size_mass_partial_sums(self):
         for model_id in ("geom-pm1", "geom-pm01", "incomplete-binary"):
@@ -256,7 +272,7 @@ class TestEnumeration:
             assert got == math.comb(2 * (v + 1), v + 1) // (v + 2)
 
     def test_item_cap_guards_enumeration(self, monkeypatch):
-        # 14 incomplete-binary trees with 3 edges, in 12 edge multisets
+        # 14 incomplete-binary trees with 3 edges, in 8 absolute-label edge multisets
         monkeypatch.setattr(oracle, "ITEM_CAP", 5)
         with pytest.raises(ResourceLimitError, match="14 > cap 5 trees"):
             enumerate_trees(BINARY, 3)
@@ -316,6 +332,17 @@ class TestChainLaw:
         )
         assert rep.ok, rep.discrepancies[:3]
         assert (rep.histories_checked, rep.transitions_checked) == (24058, 2246)
+
+    def test_markov_exact_at_larger_sizes(self):
+        # sizes criterion 5 (V <= 10) does not reach
+        for V in range(11, 15):
+            ftilde = joint_table(BINARY, V + 1, V + 1, V)
+            rep = verify_markov_exact(
+                exact_chain_law(V), V,
+                transition=lambda s, t: cond_transition_prob(ftilde, V, s, t),
+            )
+            assert rep.ok, (V, rep.discrepancies[:3])
+            assert rep.histories_checked > 0 and rep.transitions_checked > 0, V
 
     def test_markov_detects_corruption(self):
         V = 5
