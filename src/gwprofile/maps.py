@@ -468,8 +468,8 @@ def ball_profile(q: Quadrangulation) -> BallSummary:
     for d, e in enumerate(q.alpha):
         if d < e:
             edges[max(dist[d], dist[e])] += 1
-    for f in q.faces():
-        inner[max([dist[d] for d in f])] += 1
+    for a, b, c, d in q.faces():  # every face has 4 darts
+        inner[max(dist[a], dist[b], dist[c], dist[d])] += 1
     V, E, I = (list(accumulate(h)) for h in (vertices, edges, inner))
     radii = range(1, k_max + 1)
     P = tuple(2 * E[k] - 4 * I[k] for k in radii)

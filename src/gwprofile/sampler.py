@@ -24,10 +24,12 @@ makes d calls ``getrandbits(1)`` (bit b is the increment 1 - 2b);
 ``iid-uniform-pm01`` d calls ``randrange(3)`` (r is r - 1); and
 ``per-arity-table`` one ``random()`` against the cumulative float weights
 of the arity's positive-weight vectors in table order, the last set to 1.0.
-These calls are the contract, not how they are taken: each reads whole
-32-bit words (``randrange(3)`` is ``getrandbits(2)`` redrawn while it reads
-3), so the iid steps of k <= 4 children are taken by one ``getrandbits(32 *
-k)``, word i at bit 32i, and the steps whose words read 3 after it.
+These calls are the contract, not how they are taken.  ``Sampler._grow``
+takes them inline, in its one loop over the vertices, from tables built
+once per ``model.key``.  Each call reads whole 32-bit words (``randrange(3)``
+is ``getrandbits(2)`` redrawn while it reads 3), so the iid steps of k <= 4
+children are taken by one ``getrandbits(32 * k)``, word i at bit 32i, and
+the steps whose words read 3 after it.
 
 :func:`sample_incomplete_binary_profile` has a stream of its own: one
 ``getrandbits(2)`` per vertex, bit 0 for the -1 child and bit 1 for the +1
@@ -43,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .model import TreeModel, builtin_model
@@ -95,7 +97,7 @@ def _cumulative(pairs) -> Tuple[tuple, List[float]]:
 # len(steps) is redrawn, as ``randrange(3)`` redraws 3.
 _IID = {"iid-uniform-pm1": ((1, -1), 1), "iid-uniform-pm01": ((-1, 0, 1), 2)}
 _WORDS = 4  # the most steps one getrandbits call takes
-_tables_memo: dict = {}  # model.key -> _vertex_draw's (offspring sums, step tables)
+_tables_memo: dict = {}  # model.key -> _draw_tables(model)
 
 
 @lru_cache(maxsize=None)
@@ -115,52 +117,27 @@ def _word_tables(steps: Tuple[int, ...], width: int) -> List[Tuple[int, dict]]:
     return out
 
 
-def _vertex_draw(model: TreeModel, rng: random.Random) -> Callable[[], Tuple[int, ...]]:
-    """``model``'s vertex draw on ``rng``: a closure returning one vertex's
-    child increments last child first (``()`` for a leaf), by the random calls
-    of the module docstring.  Its tables are built once per ``model.key``:
-    ``TreeModel`` gives every drawable arity one.
-    """
-    off, disp, key = model.offspring, model.displacement, model.key
+def _draw_tables(model: TreeModel):
+    """``model``'s vertex-draw tables, built once per ``model.key`` (``TreeModel``
+    gives every drawable arity one): the float sums of ξ (None for
+    ``geometric-half``), the step tables, and the iid steps and their width
+    (None and 0 for ``per-arity-table``)."""
+    key = model.key
     got = _tables_memo.get(key)
     if got is None:
+        off, disp = model.offspring, model.displacement
         arity_cum = None
         if off.kind == "finite-table":
             arities = [d for d, x in enumerate(off.table) if x]  # the positive ones
             _, arity_cum = _cumulative(enumerate(off.table[: arities[-1] + 1]))
-        if disp.kind in _IID:
-            tables = _word_tables(*_IID[disp.kind])
+        steps, width = _IID.get(disp.kind, (None, 0))
+        if steps is not None:
+            tables = _word_tables(steps, width)
         else:  # arity -> (vectors last child first, cumulative); ξ is finite here
             tables = {d: _cumulative((v[::-1], w) for v, w in disp.vectors(d))
                       for d in arities if d}
-        got = _tables_memo[key] = arity_cum, tables
-    arity_cum, tables = got
-    random_, bits = rng.random, rng.getrandbits
-    steps, width = _IID.get(disp.kind, (None, 0))
-
-    def draw() -> Tuple[int, ...]:
-        if arity_cum is not None:
-            k = bisect_right(arity_cum, random_())
-        else:  # geometric-half, P(k) = 2^{-k-1}: count leading 1-bits
-            k = 0
-            while bits(1):
-                k += 1
-        if not k:
-            return ()
-        if steps is None:  # one vector from the arity's table
-            vectors, cum = tables[k]
-            return vectors[bisect_right(cum, random_())]
-        kept, missing = (), k  # iid steps; k > _WORDS takes one call per step
-        if k <= _WORDS:
-            mask, table = tables[k]
-            kept, missing = table[bits(32 * k) & mask]
-        while missing:
-            r = bits(width)
-            if r < len(steps):
-                kept, missing = (steps[r],) + kept, missing - 1
-        return kept
-
-    return draw
+        got = _tables_memo[key] = arity_cum, tables, steps, width
+    return got
 
 
 class Sampler:
@@ -174,7 +151,7 @@ class Sampler:
         self.model = model
         self.config = config or SamplerConfig()
         self.rng = make_rng(self.config)
-        self._vertex_draw = _vertex_draw(model, self.rng)
+        self._tables = _draw_tables(model)
 
     # -- tree generation ---------------------------------------------------
 
@@ -189,27 +166,51 @@ class Sampler:
         With ``freeze_zero`` vertices labelled 0 are kept as leaves and
         consume no randomness (excursion law).
         """
+        arity_cum, tables, steps, width = self._tables
+        random_, bits = self.rng.random, self.rng.getrandbits
         labels: List[int] = []
         parents: List[Optional[int]] = []
-        draw = self._vertex_draw
+        add_label, add_parent = labels.append, parents.append
         # (label, parent) of every vertex drawn but not yet expanded; a
         # vertex gets its preorder index when it is popped.
         stack: List[Tuple[int, Optional[int]]] = [(root_label, None)]
+        push, pop = stack.append, stack.pop
         drawn = 1
         while stack:
-            label, parent = stack.pop()
+            label, parent = pop()
             v = len(labels)
-            labels.append(label)
-            parents.append(parent)
+            add_label(label)
+            add_parent(parent)
             if freeze_zero and label == 0:
                 continue
-            incs = draw()
-            if not incs:
+            # The vertex draw of the module docstring: the arity k, then the
+            # increments, last child first.
+            if arity_cum is not None:
+                k = bisect_right(arity_cum, random_())
+            else:  # geometric-half, P(k) = 2^{-k-1}: count leading 1-bits
+                k = 0
+                while bits(1):
+                    k += 1
+            if not k:
                 continue
-            drawn += len(incs)
+            if steps is None:  # one vector from the arity's table
+                vectors, cum = tables[k]
+                incs = vectors[bisect_right(cum, random_())]
+            else:  # iid steps; k > _WORDS takes one call per step
+                if k <= _WORDS:
+                    mask, table = tables[k]
+                    incs, missing = table[bits(32 * k) & mask]
+                else:
+                    incs, missing = (), k
+                while missing:
+                    r = bits(width)
+                    if r < len(steps):
+                        incs, missing = (steps[r],) + incs, missing - 1
+            drawn += k
             if drawn > vertex_cap:
                 return None
-            stack.extend([(label + inc, v) for inc in incs])
+            for inc in incs:
+                push((label + inc, v))
         return LabelledPlaneTree.unchecked(labels, parents)
 
     def _first(self, cap: int, accept, what: str) -> LabelledPlaneTree:

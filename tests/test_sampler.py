@@ -1,4 +1,3 @@
-import inspect
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -9,6 +8,7 @@ from test_golden import CUSTOM_MODELS
 
 from gwprofile import builtin_model, edge_profile
 from gwprofile.errors import ConfigurationError, DomainError, ResourceLimitError
+from gwprofile.tree import LabelledPlaneTree
 from gwprofile.model import (
     BUILTIN_IDS,
     DisplacementFamily,
@@ -19,7 +19,6 @@ from gwprofile.sampler import (
     Sampler,
     SamplerConfig,
     _cumulative,
-    _vertex_draw,
     make_rng,
     sample_incomplete_binary_profile,
 )
@@ -60,6 +59,32 @@ def reference_vertex_draw(model, rng):
         return vectors[bisect_right(cum, random_())]
 
     return draw
+
+
+def reference_grow(draw, root_label, vertex_cap, freeze_zero=False):
+    """The tree loop with the vertex draw as a separate call: ``draw`` is a
+    ``reference_vertex_draw``, whose plane-order increments are reversed so
+    that children are pushed last child first.  The definition the sampler's
+    one loop must match, draw for draw, cap included."""
+    labels = []
+    parents = []
+    stack = [(root_label, None)]
+    drawn = 1
+    while stack:
+        label, parent = stack.pop()
+        v = len(labels)
+        labels.append(label)
+        parents.append(parent)
+        if freeze_zero and label == 0:
+            continue
+        incs = draw()[::-1]
+        if not incs:
+            continue
+        drawn += len(incs)
+        if drawn > vertex_cap:
+            return None
+        stack.extend([(label + inc, v) for inc in incs])
+    return LabelledPlaneTree.unchecked(labels, parents)
 
 
 def reference_incomplete_binary_profile(rng, vertex_cap):
@@ -306,48 +331,90 @@ DRAW_MODELS = {
 
 
 class RecordingRandom(random.Random):
-    """A generator that records the width of each ``getrandbits`` call."""
+    """A generator that records each call it makes: the width of a
+    ``getrandbits`` call, and 0 for a ``random()`` call."""
+
+    def random(self):
+        self.widths.append(0)
+        return super().random()
 
     def getrandbits(self, k):
         self.widths.append(k)
         return super().getrandbits(k)
 
 
+def grown(call):
+    """``call()``'s tree, or None where it passes the sampler's vertex cap."""
+    try:
+        return call()
+    except ResourceLimitError:
+        return None
+
+
+def assert_same_trees(model, cap, min_draws):
+    """Trees and excursions of both signs, drawn in turn on generators seeded
+    2026, equal ``reference_grow``'s and leave an equal generator after every
+    call, until the reference has made ``min_draws`` vertex draws.  Returns
+    the calls, their capped calls, the trees with a vertex of more than
+    4 children, and the ``getrandbits(32 * k)`` calls, k <= 4, with a redraw."""
+    rng, twin = RecordingRandom(), random.Random()
+    rng.seed(2026)
+    twin.seed(2026)
+    rng.widths = []
+    s = Sampler(model, SamplerConfig(vertex_cap=cap))
+    s.rng = rng
+    ref, draws = reference_vertex_draw(model, twin), 0
+
+    def counted():
+        nonlocal draws
+        draws += 1
+        return ref()
+
+    kinds = [
+        (s.sample_tree, lambda: reference_grow(counted, 0, cap)),
+        (lambda: s.sample_excursion(1), lambda: reference_grow(counted, 1, cap, True)),
+        (lambda: s.sample_excursion(-1), lambda: reference_grow(counted, -1, cap, True)),
+    ]
+    calls = capped = wide = 0
+    while draws < min_draws:
+        call, expected = kinds[calls % 3]
+        got = grown(call)
+        assert got == expected()
+        assert rng.getstate() == twin.getstate()
+        calls += 1
+        capped += got is None
+        wide += got is not None and max(map(len, got.children)) > 4
+    # a word call is followed by the next vertex's first call, 0 or 1 wide,
+    # unless a step it took read 3 and is redrawn by a 2-bit call
+    w = rng.widths
+    redrawn = sum(a in (32, 64, 96, 128) and b == 2 for a, b in zip(w, w[1:]))
+    return calls, capped, wide, redrawn
+
+
 class TestVertexDraw:
     @pytest.mark.parametrize("name", sorted(DRAW_MODELS))
     def test_matches_reference_draw_for_draw(self, name):
         model = DRAW_MODELS[name]
-        rng, twin = RecordingRandom(), random.Random()
-        rng.seed(2026)
-        twin.seed(2026)
-        draw, ref = _vertex_draw(model, rng), reference_vertex_draw(model, twin)
+        _, _, wide, redrawn = assert_same_trees(model, 10**4, 10**5)
         iid = model.displacement.kind != "per-arity-table"
         top = model.offspring.max_arity  # None: unbounded
-        single = redrawn = 0  # draws of k > 4 steps; of k <= 4 with a redraw
-        for _ in range(10**5):
-            rng.widths = []
-            steps = draw()
-            assert steps[::-1] == ref()
-            assert rng.getstate() == twin.getstate()
-            k = len(steps)
-            single += iid and k > 4
-            redrawn += 0 < k <= 4 and 32 * k in rng.widths and 2 in rng.widths
         if iid and (top is None or top > 4):
-            assert single > 0
+            assert wide > 0
         if model.displacement.kind == "iid-uniform-pm01":
             assert redrawn > 0
 
+    @pytest.mark.parametrize("cap", range(1, 9))
+    @pytest.mark.parametrize("model_id", BUILTIN_IDS)
+    def test_capped_calls_stop_on_the_same_draw(self, model_id, cap):
+        calls, capped, _, _ = assert_same_trees(builtin_model(model_id), cap, 2000)
+        assert 0 < capped < calls
+
     @pytest.mark.parametrize("name", sorted(DRAW_MODELS))
     def test_samplers_of_one_model_share_their_tables(self, name):
-        def tables(model, seed):
-            draw = Sampler(model, SamplerConfig(seed))._vertex_draw
-            got = inspect.getclosurevars(draw).nonlocals
-            return got["arity_cum"], got["tables"]
-
         model = DRAW_MODELS[name]
         twin = TreeModel(model.name, model.offspring, model.displacement)
-        for a, b in zip(tables(model, 1), tables(twin, 2)):
-            assert a is b
+        a = Sampler(model, SamplerConfig(1))._tables
+        assert a is Sampler(twin, SamplerConfig(2))._tables
 
 
 class TestWordFacts:
