@@ -32,7 +32,8 @@ and benchmarks compare them with :func:`nu_table`.  Each shares only the
 model data, :func:`_radicand` and :func:`_verified_curve` with it, and
 calls none of its recurrences or its certificate.
 
-Also here: the convolution tables f_p(q) (p-fold convolutions of ν); the
+Also here: the convolution tables f_p(q), p-fold convolutions of ν by
+:func:`_convolve`, the joint tables' product, on Fractions or floats; the
 joint leaf/edge tables f̃_p(q, l), whose single-excursion law
 (:func:`_excursion_joint_gf`) is a bottom-up DP by edge budget on integer
 numerators over one denominator per (l, q) cell, convolved on integers
@@ -118,13 +119,16 @@ _MODEL_DATA = {
 }
 
 
-def _require_builtin(model: TreeModel) -> dict:
+def _require_builtin(model: TreeModel, order: int = 0) -> dict:
+    """The model's algebraic data; refuses a non-builtin model, then order < 0."""
     data = _MODEL_DATA.get(model.name)
     if data is None or builtin_model(model.name).key != model.key:
         raise ConfigurationError(
             "exact generating functions are available for the four built-in "
             f"models only, not {model.name!r}"
         )
+    if order < 0:
+        raise DomainError("order must be >= 0")
     return data
 
 
@@ -265,9 +269,7 @@ def closed_form_series(model: TreeModel, order: int) -> RationalSeries:
     Σ_{j≥1} d_j·g_{k−j}, after checking that num + coef·h vanishes below
     z^v.
     """
-    data = _require_builtin(model)
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    data = _require_builtin(model, order)
     num, den, coef, s = data["num"], data["den"], data["coef"], 4 * data["a"]
     v = next(j for j, c in enumerate(den) if c)
     d = den[v:]
@@ -294,9 +296,7 @@ def solve_nu_gf(model: TreeModel, order: int) -> RationalSeries:
     checks is nonzero: the formal implicit function theorem fixes the
     branch one coefficient at a time, on Fractions.
     """
-    _require_builtin(model)
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _require_builtin(model, order)
     curve, c0 = _verified_curve(model.name)
     degree = max(i for i, _ in curve)
     p0, p1, p2 = ([curve.get((i, j), 0) for i in range(degree + 1)] for j in range(3))
@@ -407,9 +407,7 @@ def nu_table(model: TreeModel, order: int) -> Tuple[Fraction, ...]:
     certified on it by :func:`_certify` before one Fraction is built per
     coefficient.
     """
-    data = _require_builtin(model)
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    data = _require_builtin(model, order)
     _, c0 = _verified_curve(model.name)
     r, den, s = _radicand(data), data["den"], 4 * data["a"]
     v = next(j for j, c in enumerate(den) if c)
@@ -429,26 +427,21 @@ def nu_table(model: TreeModel, order: int) -> Tuple[Fraction, ...]:
 def f_table(nu: Sequence, p_max: int, q_max: int) -> List[List]:
     """f_p(q) for p <= p_max, q <= q_max: p-fold convolutions of ν.
 
-    Exact when ``nu`` holds Fractions; works identically on floats.
-    ``nu`` must reach index q_max.
+    Row p is row p − 1 times ν by :func:`_convolve` on one-column
+    ``[q][0]`` tables.  Exact when ``nu`` holds Fractions; works
+    identically on floats.  ``nu`` must reach index q_max.
     """
     if len(nu) <= q_max:
         raise DomainError(
             f"nu table reaches index {len(nu) - 1} < q_max = {q_max}"
         )
     zero = nu[0] * 0
-    one = zero + 1
-    rows = [[one] + [zero] * q_max]
+    base = [[x] for x in nu[: q_max + 1]]
+    power = [[zero + 1]] + [[zero]] * q_max
+    rows = [[x for x, in power]]
     for _ in range(p_max):
-        prev = rows[-1]
-        row = []
-        for q in range(q_max + 1):
-            acc = zero
-            for j in range(q + 1):
-                if prev[j] != zero:
-                    acc += prev[j] * nu[q - j]
-            row.append(acc)
-        rows.append(row)
+        power = _convolve(power, base, q_max, 0)
+        rows.append([x for x, in power])
     return rows
 
 
@@ -558,10 +551,12 @@ def _excursion_joint_gf(model: TreeModel, l_max: int) -> List[Dict[int, Fraction
     ]
 
 
-def _convolve(a: List[List[int]], b: List[List[int]], q_max: int, l_max: int) -> list:
-    """The product of two integer tables ``[q][l]``, truncated at (q_max, l_max)."""
+def _convolve(a: list, b: list, q_max: int, l_max: int) -> list:
+    """The product of two tables ``[q][l]``, truncated at (q_max, l_max); its
+    cells start at the inputs' own zero ``a[0][0] * 0``, so keep their type."""
     b_cells = [[(l, n) for l, n in enumerate(row) if n] for row in b[: q_max + 1]]
-    out = [[0] * (l_max + 1) for _ in range(q_max + 1)]
+    zero = a[0][0] * 0
+    out = [[zero] * (l_max + 1) for _ in range(q_max + 1)]
     for q1, row in enumerate(a):
         for l1, w in enumerate(row):
             if w:

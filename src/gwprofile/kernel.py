@@ -17,9 +17,10 @@ order; only ``cond_row`` forms the pinned targets and checks the start.
 
 All kernel operations take the f / f~ tables as explicit arguments so
 the provenance of the tables (series expansion, fixed point, dynamic
-program) is part of every computation.  Tables map ``f[p][q]`` and
-``ftilde[p][q][l]`` to exact rationals (missing entries are zero);
-nested sequences or nested mappings both work.
+program) is part of every computation.  Tables are nested sequences
+``f[p][q]`` and ``ftilde[p][q][l]`` of exact rationals or floats, each
+with its own row 0 (f_0(q) = [q = 0], f~_0(q, l) = [q = l = 0]), as
+:mod:`genfun` builds them; a cell past a row's end reads 0.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _lookup(table, *idx):
     for i in idx:
         try:
             cur = cur[i]
-        except (IndexError, KeyError):
+        except IndexError:
             return Fraction(0)
     return Fraction(cur) if not isinstance(cur, float) else cur
 
@@ -86,7 +87,7 @@ def transition_prob(f, from_state, to_state) -> Fraction:
     denom = _lookup(f, p, q)
     if denom == 0:
         raise DomainError(f"state ({p},{q}) is unreachable: f_{p}({q}) = 0")
-    num = _lookup(f, r, s) if r > 0 else (Fraction(1) if s == 0 else Fraction(0))
+    num = _lookup(f, r, s)
     if num == 0:
         return Fraction(0)
     return _weight(p, q, r, s) * num / denom
@@ -100,8 +101,6 @@ def free_row(f, state, smax: int) -> List[Tuple[Tuple[int, int], Fraction]]:
 
 
 def _ftilde_at(ftilde, p: int, q: int, l: int) -> Fraction:
-    if p == 0:
-        return Fraction(1) if (q == 0 and l == 0) else Fraction(0)
     if l < 0:
         return Fraction(0)
     return _lookup(ftilde, p, q, l)

@@ -119,29 +119,14 @@ class PlanarMap:
             a == d or alpha[a] != d for d, a in enumerate(alpha)
         ):
             raise IntegrityError("alpha is not a fixed-point-free involution")
-        vertex_of = self.vertex_of
-        # connectivity under <alpha, sigma>: search vertices, one test per dart
-        seen = bytearray(len(darts))
-        seen[0] = 1
-        queue = [0]
-        for v in queue:
-            d = v
-            while True:
-                w = vertex_of[alpha[d]]
-                if not seen[w]:
-                    seen[w] = 1
-                    queue.append(w)
-                d = sigma[d]
-                if d == v:
-                    break
-        if len(queue) != self.n_vertices:
+        if -1 in self.distances_from(0):  # connectivity under <alpha, sigma>
             raise IntegrityError("map is not connected")
         for d, name in ((root_dart, "root dart"), (pointed_vertex, "pointed vertex")):
             if d is not None and not _is_dart(d, darts):
                 raise IntegrityError(f"{name} is not a dart")
         self.root_dart = root_dart
         self.pointed_vertex = (
-            None if pointed_vertex is None else vertex_of[pointed_vertex]
+            None if pointed_vertex is None else self.vertex_of[pointed_vertex]
         )
 
     # -- structure ---------------------------------------------------------

@@ -201,7 +201,8 @@ class TreeModel:
     def __post_init__(self):
         disp = self.displacement
         # Every arity with positive offspring probability must have a
-        # displacement law (iid kinds cover all arities).
+        # displacement law: iid kinds cover all arities, and each table of
+        # a DisplacementFamily is checked there to sum to 1.
         if disp.kind == "per-arity-table":
             hi = self.offspring.max_arity
             if hi is None:
@@ -209,12 +210,8 @@ class TreeModel:
                     "per-arity-table displacement requires finite-table offspring"
                 )
             for d in range(1, hi + 1):
-                if self.offspring.prob(d) > 0:
-                    total = sum((w for _, w in disp.vectors(d)), Fraction(0))
-                    if total != 1:
-                        raise ConfigurationError(
-                            f"no displacement law for supported arity {d}"
-                        )
+                if self.offspring.prob(d) > 0 and d not in disp.tables:
+                    raise ConfigurationError(f"no displacement law for supported arity {d}")
 
     @cached_property
     def key(self) -> tuple:

@@ -203,11 +203,48 @@ class TestNu:
             genfun._verified_curve.cache_clear()
 
     def test_bad_order(self):
-        with pytest.raises(DomainError):
-            nu_table(builtin_model("geom-pm1"), -1)
+        for route in (nu_table, closed_form_series, solve_nu_gf):
+            with pytest.raises(DomainError, match="order must be >= 0"):
+                route(builtin_model("geom-pm1"), -1)
+
+
+def reference_f_table(nu, p_max, q_max):
+    """f_p(q) by the direct triple loop f_table ran before it went through
+    _convolve: each cell sums f_{p-1}(j)·ν(q − j) over the nonzero f_{p-1}(j)."""
+    zero = nu[0] * 0
+    one = zero + 1
+    rows = [[one] + [zero] * q_max]
+    for _ in range(p_max):
+        prev = rows[-1]
+        row = []
+        for q in range(q_max + 1):
+            acc = zero
+            for j in range(q + 1):
+                if prev[j] != zero:
+                    acc += prev[j] * nu[q - j]
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 class TestFTable:
+    @pytest.mark.parametrize("name", MODELS + ["odd-support"])
+    def test_matches_reference_in_value_and_type(self, name):
+        # Every cell, for exact and float ν: the same values and the same
+        # element types.  The builtins' ν is positive everywhere, so only
+        # row 0 has zero cells; ν on {1, 3} also leaves cells that no
+        # product reaches (f_p(q) = 0 for q < p or q − p odd).
+        if name == "odd-support":
+            exact = [Fraction(x, 2) for x in (0, 1, 0, 1)] + [Fraction(0)] * 32
+        else:
+            exact = nu_table(builtin_model(name), 35)
+        for nu in (exact, [float(x) for x in exact]):
+            for shape in [(0, 0), (3, 5), (12, 10), (40, 35)]:
+                got, want = f_table(nu, *shape), reference_f_table(nu, *shape)
+                assert [[(type(x), x) for x in row] for row in got] == [
+                    [(type(x), x) for x in row] for row in want
+                ], (name, type(nu[0]), shape)
+
     def test_row_zero_is_delta(self):
         nu = nu_table(builtin_model("incomplete-binary"), 6)
         f = f_table(nu, 3, 5)

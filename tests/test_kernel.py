@@ -8,6 +8,7 @@ from gwprofile.errors import DomainError
 from gwprofile.genfun import f_table, joint_table, nu_table
 from gwprofile.kernel import (
     _ftilde_at,
+    _lookup,
     check_cond_state,
     check_state,
     cond_row,
@@ -90,7 +91,7 @@ class TestFreeKernel:
     def test_unreachable_state(self):
         f = tables()
         with pytest.raises(DomainError):
-            transition_prob({1: {0: 0}}, (1, 0), (0, 0))
+            transition_prob([[1], [0]], (1, 0), (0, 0))
 
 
 class TestConditionedKernel:
@@ -207,6 +208,76 @@ class TestRows:
                     cond_row(ftilde, V, (p, q, v), V)
                 refused += 1
         assert refused > 0
+
+
+def float_tables(table):
+    """A nested table with every cell converted to float."""
+    if isinstance(table, list):
+        return [float_tables(row) for row in table]
+    return float(table)
+
+
+def reference_absorption(f, p, q):
+    """P[(p, q) -> (0, 0)] with f_0(s) = [s = 0] written out, as the kernel
+    read it before it took row 0 from the table."""
+    if p == 0:
+        return Fraction(1)
+    return Fraction(p * comb(p, q), p * 4**p) * Fraction(1) / f[p][q]
+
+
+def reference_cond_absorption(ftilde, V, p, q, v):
+    """P_V[(p, q, v) -> (0, 0, V)] with f~_0(q, l) = [q = l = 0] written
+    out, as the kernel read it before it took row 0 from the table."""
+    if p == 0:
+        return Fraction(1)
+    if v + p + q != V:
+        return Fraction(0)
+    return Fraction(p * comb(p, q), p * 4**p) * Fraction(1) / ftilde[p][q][V - v - p]
+
+
+def same(got, want):
+    return (type(got), got) == (type(want), want)
+
+
+class TestTableRows:
+    def test_cell_past_the_table_reads_zero(self):
+        # The float table of the stats pipeline: rows with p + s > 40 are
+        # past its end, and read 0 without raising.
+        f = f_table([float(x) for x in nu_table(BINARY, 40)], 40, 35)
+        assert _lookup(f, 41, 0) == 0 and _lookup(f, 3, 36) == 0
+        for (p, q), s in [((1, 0), 40), ((5, 2), 36), ((20, 3), 30), ((3, 1), 38)]:
+            assert transition_prob(f, (p, q), (p + s, s)) == 0
+            assert all(to[1] <= 35 for to, _ in free_row(f, (p, q), s))
+
+    def test_absorption_reads_row_zero(self):
+        float_nu = [float(x) for x in nu_table(BINARY, 40)]
+        grids = [tables(), tables(12, 10), f_table(float_nu, 12, 10), f_table(float_nu, 40, 35)]
+        states = [(0, 0), (1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 0)]
+        for f in grids:
+            assert f[0] == [1] + [0] * (len(f[0]) - 1)
+            for p, q in states:
+                got = transition_prob(f, (p, q), (0, 0))
+                assert same(got, reference_absorption(f, p, q)), (p, q)
+
+    def test_conditioned_absorption_reads_row_zero(self):
+        checked = 0
+        for V in range(7):
+            exact = joint_table(BINARY, V + 1, V + 1, V)
+            f = f_table(nu_table(BINARY, V + 2), 2 * V + 2, V + 1)
+            for ftilde, ff in ((exact, f), (float_tables(exact), float_tables(f))):
+                for q in range(V + 3):
+                    for l in range(-1, V + 3):
+                        want = Fraction(1) if q == l == 0 else Fraction(0)
+                        assert _ftilde_at(ftilde, 0, q, l) == want
+                assert same(harmonic_H(ff, ftilde, V, (0, 0, V)), Fraction(1))
+                for p, q, v in cond_states(V):
+                    if _ftilde_at(ftilde, p, q, V - v - p) == 0:
+                        continue
+                    got = cond_transition_prob(ftilde, V, (p, q, v), (0, 0, V))
+                    want = reference_cond_absorption(ftilde, V, p, q, v)
+                    assert same(got, want), (V, p, q, v)
+                    checked += want != 0
+        assert checked > 0
 
 
 def reference_count_product(plus, check):

@@ -45,7 +45,7 @@ class TestPlanarMap:
             PlanarMap(alpha=[0, 1], sigma=[1, 0])
 
     def test_connectivity_required(self):
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="map is not connected"):
             PlanarMap(alpha=[1, 0, 3, 2], sigma=[0, 1, 2, 3])
 
     def test_point_must_be_a_dart(self):

@@ -167,6 +167,29 @@ class TestConfig:
             load_model(str(path))
 
 
+class TestCompleteness:
+    OFFSPRING = OffspringDistribution(
+        "finite-table", (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    )
+    UNARY = (((-1,), Fraction(1, 2)), ((1,), Fraction(1, 2)))
+
+    def test_supported_arity_without_a_table_is_refused(self):
+        # xi(2) = 1/4 > 0, and the family holds a law for arity 1 only.
+        disp = DisplacementFamily("per-arity-table", {1: self.UNARY})
+        with pytest.raises(
+            ConfigurationError, match="^no displacement law for supported arity 2$"
+        ):
+            TreeModel("m", self.OFFSPRING, disp)
+
+    def test_zero_weight_vector_beside_a_full_law_is_accepted(self):
+        zero_unary = self.UNARY + (((0,), Fraction(0)),)
+        binary = (((-1, 1), Fraction(1)), ((1, -1), Fraction(0)))
+        disp = DisplacementFamily("per-arity-table", {1: zero_unary, 2: binary})
+        m = TreeModel("m", self.OFFSPRING, disp)
+        assert [v for v, _ in m.displacement.vectors(1)] == [(-1,), (1,)]
+        assert [v for v, _ in m.displacement.vectors(2)] == [(-1, 1)]
+
+
 def reference_key(model):
     """The model key with ``Fraction`` probabilities, as the package built
     it before they became int (numerator, denominator) pairs."""
