@@ -318,8 +318,8 @@ def _cmd_kernel(args) -> Tuple[int, dict]:
     if V is None:
         p, q = state
         # The row reads f_p(q), and f_r(s) for r <= p + smax, s <= smax.
-        q_top = max(q, smax + 1)
-        f = f_table(nu_table(model, q_top), p + smax + 1, q_top)
+        q_top = max(q, smax)
+        f = f_table(nu_table(model, q_top), p + smax, q_top)
         header, row = ["r", "s"], K.free_row(f, state, smax)
     else:
         ftilde = joint_table(model, V + 1, V + 1, V)
@@ -363,16 +363,16 @@ def _joint_law(max_p, max_s):
     from .kernel import _weight
     from .oracle import enumerate_marked_forests
 
-    nu = nu_table(builtin_model("incomplete-binary"), max_s + 2)
-    f = f_table(nu, max_p + max_s + 1, max_s + 1)
+    # Cell (p, s) reads ν up to s and f_r(s) for r <= p + s.
+    nu = nu_table(builtin_model("incomplete-binary"), max_s)
+    f = f_table(nu, max_p + max_s, max_s)
     for p in range(1, max_p + 1):
         for s in range(0, max_s + 1):
             law = enumerate_marked_forests(nu, p, s)
             for q in range(p + s + 1):
                 for r in range(p + s + 1):
-                    fr = f[r][s] if r > 0 else Fraction(int(s == 0))
                     got = law.get((q, r), Fraction(0))
-                    yield f"p={p} s={s} (q,r)=({q},{r})", got, _weight(p, q, r, s) * fr
+                    yield f"p={p} s={s} (q,r)=({q},{r})", got, _weight(p, q, r, s) * f[r][s]
 
 
 def _chain_law(edges):

@@ -10,9 +10,10 @@ closed-form solution by radicals.
 This module computes g_ν exactly by one production route and two check
 routes:
 
-- :func:`nu_table` (production) computes h = √((a−z)(1−z)³) by the linear
-  recurrence of its differential equation 2R·h′ = R′·h, then g_ν from the
-  radical closed form by a degree-≤2 division recurrence: O(order)
+- :func:`nu_table` (production) computes h = √((a−z)(1−z)³) by
+  :func:`_power` at α = ½, J. C. P. Miller's power recurrence, here the
+  recurrence of h's differential equation 2R·h′ = R′·h; then g_ν from
+  the radical closed form by a degree-≤2 division recurrence: O(order)
   operations, all on Python ints (h_n·(4a)^n and g_k·(4a)^(k+v)·d_0^(k+1)
   are integers), with one Fraction built per coefficient at the end.
   Before that it runs :func:`_verified_curve` and an exact O(order)
@@ -312,30 +313,31 @@ def solve_nu_gf(model: TreeModel, order: int) -> RationalSeries:
     return RationalSeries(tuple(g))
 
 
-def _radical_series(r: Sequence[int], w: int) -> List[int]:
-    """H_0..H_w, H_n = h_n·(4a)^n, of h = √R for an integer quartic R, a = r_0.
+def _power(b: Sequence[int], alpha, w: int, start: int) -> List[int]:
+    """B_0..B_w of B = b^α for an integer series b, b_0 ≠ 0, and B_0 = start.
 
-    h satisfies 2R·h′ = R′·h.  Reading off z^n gives, with r_j = 0 past
-    the degree and h_k = 0 for k < 0,
+    J. C. P. Miller's recurrence, the z^(k−1) coefficient of b·B′ = α·b′·B:
+    with α = n/d and b_j = 0 past b's end,
 
-        2a (n+1) H_{n+1} = −Σ_{i=1..4} r_i (2n + 2 − 3i) (4a)^i H_{n+1−i}.
+        d·k·b_0·B_k = Σ_{j=1..k} ((n + d)·j − d·k)·b_j·B_{k−j}.
 
-    Each H_n is an integer, since h/h_0 = Σ_k binom(1/2, k)·(R/a − 1)^k and
-    binom(1/2, k)·4^k is one; a division that leaves a remainder (a
-    radicand off the integers) raises IntegrityError.
+    ``start`` picks the branch, one with start^d = b_0^n.  A division that
+    leaves a remainder raises IntegrityError.
     """
-    a = r[0]
-    steps = [r[i] * (4 * a) ** i for i in range(5)]
-    h = [math.isqrt(a)]  # _certify checks that it squares to a
-    for n in range(w):
+    n, d = alpha.numerator, alpha.denominator
+    steps = [(j, x) for j, x in enumerate(b[1 : w + 1], 1) if x]
+    out = [start]
+    for k in range(1, w + 1):
         acc = 0
-        for i in range(1, min(4, n + 1) + 1):
-            acc += steps[i] * (2 * n + 2 - 3 * i) * h[n + 1 - i]
-        step, rem = divmod(-acc, 2 * a * (n + 1))
+        for j, x in steps:
+            if j > k:
+                break
+            acc += ((n + d) * j - d * k) * x * out[k - j]
+        step, rem = divmod(acc, d * k * b[0])
         if rem:
-            raise IntegrityError("radical recurrence left a remainder")
-        h.append(step)
-    return h
+            raise IntegrityError("Miller's power recurrence left a remainder")
+        out.append(step)
+    return out
 
 
 def _quotient_series(data: dict, h: Sequence[int], order: int) -> List[int]:
@@ -364,7 +366,7 @@ def _quotient_series(data: dict, h: Sequence[int], order: int) -> List[int]:
 def _certify(data: dict, r: Sequence[int], h: Sequence[int], g: Sequence[int], c0) -> None:
     """Exact O(order) certificate that g lies on the model's curve.
 
-    Runs on the integers H_n = h_n·(4a)^n of :func:`_radical_series` and
+    Runs on the integers H_n = h_n·(4a)^n of :func:`_power` and
     G_k = g_k·(4a)^(k+v)·d_0^(k+1) of :func:`_quotient_series`, each
     identity multiplied through by its own powers of 4a and d_0.  Checks
     h_0² = a; that 2R·h′ − R′·h vanishes coefficient by coefficient to the
@@ -400,8 +402,8 @@ def _certify(data: dict, r: Sequence[int], h: Sequence[int], g: Sequence[int], c
 def nu_table(model: TreeModel, order: int) -> Tuple[Fraction, ...]:
     """ν(0..order) as exact rationals (coefficients of g_ν).
 
-    Production route, on integers: h = √((a−z)(1−z)³) by its holonomic
-    recurrence, then g = (num + coef·h)/den by the degree-≤2 division
+    Production route, on integers: h = √((a−z)(1−z)³) by :func:`_power`
+    at α = ½, then g = (num + coef·h)/den by the degree-≤2 division
     recurrence after stripping den's valuation; O(order) operations in
     all.  The curve is verified by :func:`_verified_curve` and g is
     certified on it by :func:`_certify` before one Fraction is built per
@@ -411,7 +413,8 @@ def nu_table(model: TreeModel, order: int) -> Tuple[Fraction, ...]:
     _, c0 = _verified_curve(model.name)
     r, den, s = _radicand(data), data["den"], 4 * data["a"]
     v = next(j for j, c in enumerate(den) if c)
-    h = _radical_series(r, order + v)
+    b = [x * s**j for j, x in enumerate(r)]  # R(4a·z): H_n = h_n·(4a)^n, ints
+    h = _power(b, Fraction(1, 2), order + v, math.isqrt(r[0]))
     g = _quotient_series(data, h, order)
     _certify(data, r, h, g, c0)
     out, scale = [], s**v * den[v]
@@ -431,6 +434,8 @@ def f_table(nu: Sequence, p_max: int, q_max: int) -> List[List]:
     ``[q][0]`` tables.  Exact when ``nu`` holds Fractions; works
     identically on floats.  ``nu`` must reach index q_max.
     """
+    if p_max < 0 or q_max < 0:
+        raise DomainError("table bounds must be >= 0")
     if len(nu) <= q_max:
         raise DomainError(
             f"nu table reaches index {len(nu) - 1} < q_max = {q_max}"

@@ -52,12 +52,12 @@ def check_cond_state(p: int, q: int, v: int, V: int) -> Tuple[int, int, int]:
 
 
 def _lookup(table, *idx):
+    """The cell ``table[i][j]...``, or 0 for an index below 0 or past a row's end."""
     cur = table
     for i in idx:
-        try:
-            cur = cur[i]
-        except IndexError:
+        if not 0 <= i < len(cur):
             return Fraction(0)
+        cur = cur[i]
     return Fraction(cur) if not isinstance(cur, float) else cur
 
 
@@ -101,8 +101,7 @@ def free_row(f, state, smax: int) -> List[Tuple[Tuple[int, int], Fraction]]:
 
 
 def _ftilde_at(ftilde, p: int, q: int, l: int) -> Fraction:
-    if l < 0:
-        return Fraction(0)
+    """f̃_p(q, l), or 0 outside the table (l < 0 included)."""
     return _lookup(ftilde, p, q, l)
 
 

@@ -20,7 +20,7 @@ from itertools import accumulate, count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IntegrityError, ResourceLimitError
-from .genfun import _integer_scale
+from .genfun import _integer_scale, _power
 from .model import TreeModel, builtin_model
 from .tree import LabelledPlaneTree, edge_profile
 
@@ -170,7 +170,8 @@ def size_mass(model: TreeModel, edges: int) -> Fraction:
     Every η_k is 1, with no vector enumerated: iid laws are products of
     per-child laws, and :class:`TreeModel` checks that each per-arity
     table the offspring law uses sums to 1.  So φ is ξ's generating
-    function.  The power comes from J. C. P. Miller's recurrence in
+    function.  The power ψ^(n+1), ψ = φ/φ(0) rescaled to integers, comes
+    from :func:`genfun._power`, J. C. P. Miller's recurrence, in
     O(n · deg φ) operations.
     """
     if edges < 0:
@@ -182,23 +183,12 @@ def size_mass(model: TreeModel, edges: int) -> Fraction:
     phi = [model.offspring.prob(k) for k in range(edges + 1)]
     # φ^m = φ_0^m·ψ^m with ψ = φ/φ_0.  With c such that every c^j·ψ_j is
     # an integer (c = 2 for geometric(1/2)), b(t) = ψ(c·t) is an integer
-    # polynomial with b_0 = 1, and B = b^m follows Miller's recurrence
-    # k·B_k = Σ_{j=1..k} ((m+1)j − k)·b_j·B_{k−j}, an exact division.
+    # series with b_0 = 1, and [t^n]b^m = c^n·[s^n]ψ^m.
     m = edges + 1
     total = Fraction(0)
     if phi[0]:
         c, b = _integer_scale(enumerate(x / phi[0] for x in phi))
-        power = [1]
-        for k in range(1, edges + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                if b[j]:
-                    acc += ((m + 1) * j - k) * b[j] * power[k - j]
-            coeff, rem = divmod(acc, k)
-            if rem:
-                raise IntegrityError("Miller's power recurrence left a remainder")
-            power.append(coeff)
-        total = phi[0] ** m * Fraction(power[edges], m * c**edges)
+        total = phi[0] ** m * Fraction(_power(b, m, edges, 1)[edges], m * c**edges)
     _mass_memo[key] = total
     return total
 

@@ -8,6 +8,8 @@ from functools import lru_cache, partial
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
+from test_golden import CUSTOM_MODELS
 
 from gwprofile import builtin_model, genfun
 from gwprofile.errors import DomainError, IntegrityError
@@ -21,6 +23,7 @@ from gwprofile.genfun import (
     singular_coefficient,
     solve_nu_gf,
 )
+from gwprofile.oracle import size_mass
 
 MODELS = ["geom-pm1", "geom-pm01", "incomplete-binary", "complete-binary"]
 
@@ -52,6 +55,13 @@ def reference_nu_table(model, order):
                 acc -= d[j] * g[k - j]
         g.append(acc / d[0])
     return tuple(g)
+
+
+def radical(r, w):
+    """H_0..H_w, H_n = h_n·(4a)^n, of h = √R, by _power as nu_table calls it."""
+    s = 4 * r[0]
+    b = [x * s**j for j, x in enumerate(r)]
+    return genfun._power(b, Fraction(1, 2), w, math.isqrt(r[0]))
 
 
 class TestNu:
@@ -88,7 +98,7 @@ class TestNu:
         # two recurrences for h = √R, the Taylor one of h² = R and the one
         # of 2R·h′ = R′·h, give one set of ints
         r = genfun._radicand(genfun._MODEL_DATA[model_id])
-        assert genfun._taylor_sqrt(r, 400) == genfun._radical_series(r, 400)
+        assert genfun._taylor_sqrt(r, 400) == radical(r, 400)
 
     @pytest.mark.parametrize("model_id", MODELS)
     def test_check_routes_match_at_high_order(self, model_id):
@@ -111,7 +121,7 @@ class TestNu:
         def refuse(*args):
             raise AssertionError("a check route called the production route")
 
-        for name in ("_radical_series", "_quotient_series", "_certify", "nu_table"):
+        for name in ("_power", "_quotient_series", "_certify", "nu_table"):
             monkeypatch.setattr(genfun, name, refuse)
         m = builtin_model(model_id)
         for route in (closed_form_series, solve_nu_gf):
@@ -127,14 +137,15 @@ class TestNu:
 
     @pytest.mark.parametrize("model_id", MODELS)
     def test_certificate_rejects_corrupted_recurrence(self, model_id, monkeypatch):
-        # the recurrence run on R with one coefficient off by one yields the
-        # square root of another quartic, which the ODE residual catches
-        honest = genfun._radical_series
+        # the recurrence run on R with one coefficient off by one (b_2 off
+        # by (4a)^2) yields the square root of another quartic, which the
+        # ODE residual catches
+        honest = genfun._power
 
-        def corrupted(r, w):
-            return honest([r[0], r[1], r[2] + 1, r[3], r[4]], w)
+        def corrupted(b, alpha, w, start):
+            return honest([b[0], b[1], b[2] + 16 * b[0] ** 2, *b[3:]], alpha, w, start)
 
-        monkeypatch.setattr(genfun, "_radical_series", corrupted)
+        monkeypatch.setattr(genfun, "_power", corrupted)
         with pytest.raises(IntegrityError, match="ODE residual"):
             nu_table(builtin_model(model_id), 20)
 
@@ -147,7 +158,7 @@ class TestNu:
         # a radicand off the integers leaves a remainder, which the integer
         # recurrence refuses rather than rounds
         with pytest.raises(IntegrityError, match="left a remainder"):
-            genfun._radical_series([4, Fraction(1, 3), 0, 0, 0], 3)
+            radical([4, Fraction(1, 3), 0, 0, 0], 3)
 
     @pytest.mark.parametrize("model_id", MODELS)
     def test_certificate_rejects_a_corrupted_quotient(self, model_id, monkeypatch):
@@ -206,6 +217,82 @@ class TestNu:
         for route in (nu_table, closed_form_series, solve_nu_gf):
             with pytest.raises(DomainError, match="order must be >= 0"):
                 route(builtin_model("geom-pm1"), -1)
+
+
+def reference_radical_series(r, w):
+    """H_0..H_w, H_n = h_n·(4a)^n, of h = √R for an integer quartic R, as
+    nu_table computed them before _power: the recurrence of 2R·h′ = R′·h,
+    2a (n+1) H_{n+1} = −Σ_{i=1..4} r_i (2n + 2 − 3i) (4a)^i H_{n+1−i}."""
+    a = r[0]
+    steps = [r[i] * (4 * a) ** i for i in range(5)]
+    h = [math.isqrt(a)]
+    for n in range(w):
+        acc = 0
+        for i in range(1, min(4, n + 1) + 1):
+            acc += steps[i] * (2 * n + 2 - 3 * i) * h[n + 1 - i]
+        step, rem = divmod(-acc, 2 * a * (n + 1))
+        assert not rem
+        h.append(step)
+    return h
+
+
+def reference_size_mass(model, edges):
+    """oracle.size_mass as it ran Miller's recurrence in its own loop,
+    k·B_k = Σ_{j=1..k} ((m+1)j − k)·b_j·B_{k−j} for B = b^m."""
+    phi = [model.offspring.prob(k) for k in range(edges + 1)]
+    m = edges + 1
+    if not phi[0]:
+        return Fraction(0)
+    c, b = genfun._integer_scale(enumerate(x / phi[0] for x in phi))
+    power = [1]
+    for k in range(1, edges + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            if b[j]:
+                acc += ((m + 1) * j - k) * b[j] * power[k - j]
+        coeff, rem = divmod(acc, k)
+        assert not rem
+        power.append(coeff)
+    return phi[0] ** m * Fraction(power[edges], m * c**edges)
+
+
+series = st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=10)
+
+
+class TestPower:
+    @given(series.filter(lambda b: b[0] != 0), st.integers(min_value=0, max_value=5))
+    def test_integer_power_is_the_repeated_product(self, b, m):
+        w = 8
+        want = [1] + [0] * w
+        for _ in range(m):
+            want = [sum(want[i] * b[k - i] for i in range(max(0, k - len(b) + 1), k + 1))
+                    for k in range(w + 1)]
+        assert genfun._power(b, m, w, b[0] ** m) == want
+
+    @given(st.integers(min_value=1, max_value=9), series)
+    def test_square_root_squares_back(self, root, tail):
+        # b(z) = r(4a·z) for an integer r with r_0 = a = root²: √b is integral
+        a, w = root * root, 8
+        b = [a] + [x * (4 * a) ** j for j, x in enumerate(tail, 1)]
+        h = genfun._power(b, Fraction(1, 2), w, root)
+        for k in range(w + 1):
+            assert sum(h[i] * h[k - i] for i in range(k + 1)) == (b[k] if k < len(b) else 0)
+
+    @pytest.mark.parametrize("model_id", MODELS)
+    def test_square_root_matches_reference_at_high_order(self, model_id):
+        r = genfun._radicand(genfun._MODEL_DATA[model_id])
+        assert radical(r, 3200) == reference_radical_series(r, 3200)
+
+    @pytest.mark.parametrize("name", MODELS + sorted(CUSTOM_MODELS))
+    def test_size_mass_matches_reference(self, name):
+        model = CUSTOM_MODELS.get(name) or builtin_model(name)
+        for edges in range(61):
+            assert size_mass(model, edges) == reference_size_mass(model, edges), edges
+
+    def test_refuses_a_remainder(self):
+        # √(1 + z) = 1 + z/2 − …: no integer B_1
+        with pytest.raises(IntegrityError, match="left a remainder"):
+            genfun._power([1, 1], Fraction(1, 2), 3, 1)
 
 
 def reference_f_table(nu, p_max, q_max):
@@ -267,6 +354,12 @@ class TestFTable:
         nu = nu_table(builtin_model("incomplete-binary"), 3)
         with pytest.raises(DomainError):
             f_table(nu, 2, 5)
+
+    @pytest.mark.parametrize("shape", [(3, -1), (0, -2), (-1, 0), (-1, 3)])
+    def test_negative_bounds_rejected(self, shape):
+        nu = nu_table(builtin_model("incomplete-binary"), 3)
+        with pytest.raises(DomainError, match="table bounds must be >= 0"):
+            f_table(nu, *shape)
 
 
 def reference_excursion_joint_gf(model, l_max):

@@ -249,6 +249,16 @@ class TestTableRows:
             assert transition_prob(f, (p, q), (p + s, s)) == 0
             assert all(to[1] <= 35 for to, _ in free_row(f, (p, q), s))
 
+    def test_negative_index_reads_zero(self):
+        # A negative index reads 0, not the cell at that offset from the end.
+        f = f_table(nu_table(BINARY, 5), 3, 5)
+        assert f[1][-1] == Fraction(526411008, 90075015625)
+        assert same(_lookup(f, 1, -1), Fraction(0)) and same(_lookup(f, -1, 2), Fraction(0))
+        ftilde = joint_table(BINARY, 3, 3, 3)
+        assert ftilde[-1][1][3] == Fraction(15, 512) and ftilde[2][1][-1] == Fraction(3, 64)
+        assert same(_ftilde_at(ftilde, -1, 1, 3), Fraction(0))
+        assert same(_lookup(ftilde, 2, 1, -1), Fraction(0))
+
     def test_absorption_reads_row_zero(self):
         float_nu = [float(x) for x in nu_table(BINARY, 40)]
         grids = [tables(), tables(12, 10), f_table(float_nu, 12, 10), f_table(float_nu, 40, 35)]
