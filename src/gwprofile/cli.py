@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -66,6 +66,18 @@ class RunManifest:
 def _out(path: Optional[str]):
     """For a ``with`` block: the file at ``path``, closed on leaving, or stdout."""
     return open(path, "w", newline="") if path else nullcontext(sys.stdout)
+
+
+@contextmanager
+def _unlimited_digits():
+    """For a ``with`` block: no int-to-string digit limit, where Python has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    set_limit = sys.set_int_max_str_digits if limit else lambda _: None
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 def _checked(kind, ok, bound: str):
@@ -271,7 +283,7 @@ def _cmd_genfun(args) -> Tuple[int, dict]:
         args, "--what ", args.what, {"nu": {"order": 40}, "f": {"pmax": 5, "qmax": 10}}
     )
     model = resolve_model(args.model)
-    with _out(args.out) as fh:
+    with _out(args.out) as fh, _unlimited_digits():  # ν_k outgrows 4,300 digits
         w = csv.writer(fh)
         if args.what == "nu":
             nu = nu_table(model, read["order"])

@@ -36,13 +36,13 @@ calls none of its recurrences or its certificate.
 Also here: the convolution tables f_p(q), p-fold convolutions of ν by
 :func:`_convolve`, the joint tables' product, on Fractions or floats; the
 joint leaf/edge tables f̃_p(q, l), whose single-excursion law
-(:func:`_excursion_joint_gf`) is a bottom-up DP by edge budget on integer
-numerators over one denominator per (l, q) cell, convolved on integers
-and, for incomplete-binary, certified by one step of the bivariate
-fixed-point map that :func:`bivariate_fixed_point` iterates on plain
-Fraction tables as the reference route; and the estimators of the
-singular expansion of g_ν near 1, on Fractions with one integer square
-root.
+(:func:`_excursion_joint_gf`) is a bottom-up DP by edge budget that hands
+:func:`joint_table` its integers (n, c, c_w) over the known denominators
+c^(2l+1−q)·c_w^l, convolved on the same ints and, for incomplete-binary,
+certified on them by one step of the bivariate fixed-point map that
+:func:`bivariate_fixed_point` iterates on plain Fraction tables as the
+reference route; and the estimators of the singular expansion of g_ν
+near 1, on Fractions with one integer square root.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import ConfigurationError, DomainError, IntegrityError, ResourceLimitError
 from .model import TreeModel, builtin_model
@@ -495,24 +495,23 @@ def _mix(terms) -> List[int]:
     return out
 
 
-def _excursion_joint_gf(model: TreeModel, l_max: int) -> List[Dict[int, Fraction]]:
+def _excursion_joint_gf(model: TreeModel, l_max: int) -> Tuple[List[List[int]], int, int]:
     """Joint law of (label-0 leaves, edges) of one positive excursion.
 
-    Returns ``table[l][q]`` = Π⁺-mass of excursions with l edges and q
-    label-0 leaves, by dynamic programming over subtrees rooted at labels
-    j >= 1 with labels >= 0 and label-0 vertices leaves, bottom-up by edge
-    budget b (every child consumes one edge, so only j + b <= l_max + 1
-    is reached).  A vertex with d children contributes its arity's factor
-    times the product of its children's laws, built one child at a time
-    from the tail of its increment vector.  With iid increments every
-    child of a label-j vertex has one law (``child``), so the products
-    for all d are the suffixes of one vector of iid children.
+    Returns ``(n, c, c_w)``: excursions with l edges and q label-0 leaves
+    have Π⁺-mass n[l][q]/(c^(2l+1−q)·c_w^l).  Dynamic programming over
+    subtrees rooted at labels j >= 1 with labels >= 0 and label-0 vertices
+    leaves, bottom-up by edge budget b (every child consumes one edge, so
+    only j + b <= l_max + 1 is reached).  A vertex with d children
+    contributes its arity's factor times the product of its children's
+    laws, built one child at a time from the tail of its increment vector.
+    With iid increments every child of a label-j vertex has one law
+    (``child``), so the products for all d are the suffixes of one vector
+    of iid children.
 
-    Weights are integers over one denominator per (l, q) cell: every
-    vertex factor ξ(d) (times η(vec) without per-child weights) is n/c^(d+1)
-    and every per-child weight m/c_w, so a subtree with l edges and q
-    label-0 leaves, hence l + 1 − q factors, is N/(c^(2l+1−q)·c_w^l).
-    One Fraction is built per output cell.
+    On integers only: every vertex factor ξ(d) (times η(vec) without
+    per-child weights) is an integer over c^(d+1), every per-child weight
+    one over c_w, and l edges and q label-0 leaves mean l + 1 − q factors.
     """
     off, disp = model.offspring, model.displacement
     per_child = disp.per_child_support()
@@ -550,10 +549,7 @@ def _excursion_joint_gf(model: TreeModel, l_max: int) -> List[Dict[int, Fraction
                 if len(s) > 1 and b <= top - j - len(s):
                     head = child[j] if s[0] is None else sub[j + s[0]]
                     prods[j][s].append(_fold(head, prods[j][s[1:]], b))
-    return [
-        {q: Fraction(n, c ** (2 * l + 1 - q) * c_w**l) for q, n in enumerate(sub[1][l]) if n}
-        for l in range(top)
-    ]
+    return sub[1], c, c_w
 
 
 def _convolve(a: list, b: list, q_max: int, l_max: int) -> list:
@@ -580,70 +576,66 @@ def joint_table(
     """f̃_p(q, l) = P(total label-0 leaves = q, total edges = l) over p
     independent positive excursions; exact rationals, ``table[p][q][l]``.
 
-    The single-excursion table is rescaled once, f̃₁(q, l) = φ₀·N[q][l]/c^l
-    with N integral and φ₀ = f̃₁(0, 0) (the scale search checks the
-    division is exact); the p-fold powers of N are convolved on ints.
-    Every nonzero cell has q <= l, since each label-0 leaf is a non-root
-    vertex (checked); the incomplete-binary table is also certified by
+    The single-excursion law comes from :func:`_excursion_joint_gf` as
+    f̃₁(q, l) = n[l][q]/(c^(2l+1−q)·c_w^l), so the p-fold powers of n,
+    convolved on ints, hold f̃_p(q, l) over c^(2l+p−q)·c_w^l.  Every
+    nonzero cell has q <= l, since each label-0 leaf is a non-root vertex
+    (checked); the incomplete-binary table is also certified by
     :func:`_certify_fixed_point`.
     """
     if p_max < 0 or q_max < 0 or l_max < 0:
         raise DomainError("table bounds must be >= 0")
     if (q_max + 1) * (l_max + 1) * (p_max + 1) > 4_000_000:
         raise ResourceLimitError("joint table exceeds the memory budget")
-    single = _excursion_joint_gf(model, l_max)
-    cells = [(q, l, w) for l, row in enumerate(single) for q, w in row.items() if w]
-    for q, l, _ in cells:
-        if q > l:
-            raise IntegrityError(f"single-excursion cell (q={q}, l={l}) has q > l")
-    phi0 = single[0].get(0) or Fraction(1)  # ξ(0), or 1 for a model without leaves
-    c, scaled = _integer_scale((l, w / phi0) for _, l, w in cells)
+    n, c, c_w = _excursion_joint_gf(model, l_max)
     base = [[0] * (l_max + 1) for _ in range(max(q_max, l_max) + 1)]
-    for (q, l, _), n in zip(cells, scaled):
-        base[q][l] = n
+    for l, row in enumerate(n):
+        for q, x in enumerate(row):
+            if x and q > l:
+                raise IntegrityError(f"single-excursion cell (q={q}, l={l}) has q > l")
+            base[q][l] = x
     if model.key == builtin_model("incomplete-binary").key:
-        _certify_fixed_point(base[: l_max + 1], phi0, c)
+        _certify_fixed_point(base[: l_max + 1], c)
 
     zero = Fraction(0)
+    c_pow = [c**k for k in range(2 * l_max + p_max + 1)]
+    c_w_pow = [c_w**l for l in range(l_max + 1)]
     power = [[1] + [0] * l_max] + [[0] * (l_max + 1) for _ in range(q_max)]
     tables = []
     for p in range(p_max + 1):
         if p:
             power = _convolve(power, base, q_max, l_max)
-        num = phi0.numerator**p
-        dens = [phi0.denominator**p * c**l for l in range(l_max + 1)]
-        rows = [zip(row, dens) for row in power]
-        table = [[Fraction(num * n, d) if n else zero for n, d in r] for r in rows]
-        tables.append(table)
+        tables.append([[Fraction(x, c_pow[2 * l + p - q] * c_w_pow[l]) if x else zero
+                        for l, x in enumerate(row)] for q, row in enumerate(power)])
     return tables
 
 
-def _certify_fixed_point(n: List[List[int]], phi0: Fraction, c: int) -> None:
+def _certify_fixed_point(n: List[List[int]], c: int) -> None:
     """Check B = T(B), T(B) = ¼(1 + zu)(1 + u·B(B(z, u), u)), once.
 
-    B = Σ φ₀·n[q][l]·c^−l z^q u^l is the incomplete-binary single-excursion
-    table on q, l <= L.  Tables that agree mod u^k have compositions
-    B(B, u) that agree mod u^k, and T multiplies their difference by u, so
-    T has one fixed point mod u^(L+1): the one that iterating T from 0
-    reaches (:func:`bivariate_fixed_point`), which a passing table equals.
-    Every q <= l, so the terms b_i(u)·B^i of B(B, u) with i > L vanish there.
+    B = Σ n[q][l]·c^(q−2l−1) z^q u^l is the incomplete-binary single-
+    excursion table on q, l <= L.  Tables that agree mod u^k have B(B, u)
+    that agree mod u^k, and T multiplies their difference by u, so T has
+    one fixed point mod u^(L+1): the one that iterating T from 0 reaches
+    (:func:`bivariate_fixed_point`), which a passing table equals.  Every
+    q <= l, so the terms b_i(u)·B^i of B(B, u) with i > L vanish there.
 
-    On integers, with v = u/c, Ñ = Σ n[q][l] z^q v^l, row polynomials
-    n_i(v) and φ₀ = a/d: B(B, u) = φ₀·Σ_i φ₀^i·n_i·Ñ^i = φ₀·G_0/d^L by the
-    Horner scheme G_L = n_L, G_k = d^(L−k)·n_k + a·Ñ·G_(k+1), and B = T(B)
-    reads 4a·d^L·Ñ = (1 + c·zv)(d^(L+1) + c·a·v·G_0).
+    On integers, with y = c·z, x = u/c², Ñ = c·B = Σ n[q][l] y^q x^l and
+    row polynomials n_i(x): B(B, u) = G/c with G = Σ_i n_i·Ñ^i, by the
+    Horner scheme G_L = n_L, G_k = n_k + Ñ·G_(k+1), and B = T(B) reads
+    4Ñ = c·(1 + c·xy)(1 + c·x·G).
     """
-    a, d, L = phi0.numerator, phi0.denominator, len(n) - 1
+    L = len(n) - 1
     g = [list(n[L])] + [[0] * (L + 1) for _ in range(L)]
     for k in range(L - 1, -1, -1):
-        g = [[a * x for x in row] for row in _convolve(n, g, L, L)]
-        g[0] = [x + d ** (L - k) * y for x, y in zip(g[0], n[k])]
-    e = [[0] + [c * a * x for x in row[:L]] for row in g]  # d^(L+1) + c·a·v·G_0
-    e[0][0] += d ** (L + 1)
+        g = _convolve(n, g, L, L)
+        g[0] = [x + y for x, y in zip(g[0], n[k])]
+    e = [[0] + [c * x for x in row[:L]] for row in g]  # 1 + c·x·G
+    e[0][0] += 1
     for q in range(L + 1):
         for l in range(L + 1):
-            rhs = e[q][l] + (c * e[q - 1][l - 1] if q and l else 0)
-            if rhs != 4 * a * d**L * n[q][l]:
+            rhs = c * (e[q][l] + (c * e[q - 1][l - 1] if q and l else 0))
+            if rhs != 4 * n[q][l]:
                 raise IntegrityError(f"fixed-point certificate fails at (q={q}, l={l})")
 
 

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from gwprofile import excursion, kernel, maps, oracle
+from gwprofile import builtin_model, excursion, genfun, kernel, maps, oracle
 from gwprofile.cli import main
 from gwprofile.tree import decode
+
+# Python's int-to-string digit limit, or 0 (none) on 3.10.0-3.10.6, which lack it
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # The flags each verify suite reads, and a value for each flag.
 SUITE_FLAGS = {
@@ -541,6 +545,36 @@ class TestGenfun:
         code, out, _ = run(capsys, "genfun", "--model", "builtin:geom-pm1", "--what", "f")
         assert code == 0 and len(out.splitlines()) == 1 + 6 * 11
 
+    def test_rows_past_the_int_digit_limit(self, capsys):
+        # ν_1801's denominator is the first with more than 4,300 digits,
+        # Python's int-to-string limit; the writer lifts the limit and
+        # restores it
+        limit = digit_limit()
+        code, out, _ = run(
+            capsys, "genfun", "--model", "builtin:incomplete-binary", "--order", "1801"
+        )
+        assert digit_limit() == limit
+        lines = out.splitlines()
+        assert (code, len(lines)) == (0, 1803)
+        nu = genfun.nu_table(builtin_model("incomplete-binary"), 1801)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert lines[-1] == f"1801,{nu[1801]}"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    def test_digit_limit_restored_after_a_failing_writer(self, capsys, monkeypatch):
+        def failing(model, order):
+            raise genfun.IntegrityError("no table")
+
+        limit = digit_limit()
+        monkeypatch.setattr(genfun, "nu_table", failing)
+        code, _, err = run(capsys, "genfun", "--model", "builtin:geom-pm1")
+        assert (code, err) == (1, "gwprofile: error: IntegrityError: no table\n")
+        assert digit_limit() == limit
+
 
 class TestDecompose:
     def test_json_record(self, capsys):
@@ -553,6 +587,12 @@ class TestDecompose:
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "decompose", "--level", "1")
         assert code == 2
+
+    def test_root_label_past_the_int_digit_limit(self, capsys):
+        # parsing keeps Python's 4,300-digit limit
+        code, out, err = run(capsys, "decompose", "--tree", "1" * 4301 + "()", "--level", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("gwprofile: error: TreeParseError: root label too long")
 
 
 class TestRuntimeErrors:

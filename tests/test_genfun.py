@@ -429,6 +429,57 @@ def reference_excursion_joint_gf(model, l_max):
     return [dict(subtree(1, l)) for l in range(l_max + 1)]
 
 
+def as_fractions(joint):
+    """The ``[l]{q: Fraction}`` view of _excursion_joint_gf's (n, c, c_w)."""
+    n, c, c_w = joint
+    return [
+        {q: Fraction(x, c ** (2 * l + 1 - q) * c_w**l) for q, x in enumerate(row) if x}
+        for l, row in enumerate(n)
+    ]
+
+
+def reference_joint_table(model, p_max, q_max, l_max):
+    """joint_table as it ran over the [l]{q: Fraction} single-excursion law:
+    divided by φ₀ = f̃₁(0, 0), or 1 for a model without leaves, rescaled by
+    a searched c to integers, convolved on ints, then each cell rebuilt as
+    φ₀^p·N/c^l.  The incomplete-binary certificate is left out; these
+    tests run it on custom models only."""
+    single = reference_excursion_joint_gf(model, l_max)
+    cells = [(q, l, w) for l, row in enumerate(single) for q, w in row.items() if w]
+    phi0 = single[0].get(0) or Fraction(1)
+    c, scaled = genfun._integer_scale((l, w / phi0) for _, l, w in cells)
+    base = [[0] * (l_max + 1) for _ in range(max(q_max, l_max) + 1)]
+    for (q, l, _), n in zip(cells, scaled):
+        base[q][l] = n
+    zero = Fraction(0)
+    power = [[1] + [0] * l_max] + [[0] * (l_max + 1) for _ in range(q_max)]
+    tables = []
+    for p in range(p_max + 1):
+        if p:
+            power = genfun._convolve(power, base, q_max, l_max)
+        num = phi0.numerator**p
+        dens = [phi0.denominator**p * c**l for l in range(l_max + 1)]
+        rows = [zip(row, dens) for row in power]
+        tables.append([[Fraction(num * n, d) if n else zero for n, d in r] for r in rows])
+    return tables
+
+
+def leafless_model():
+    # ξ = δ₁: f̃₁(0, 0) = ξ(0) = 0, and one excursion is a ±1 walk from 1
+    # to its first visit to 0
+    from gwprofile.model import parse_model_config
+
+    return parse_model_config(
+        {"offspring": {"kind": "finite-table", "table": [0, 1]},
+         "displacement": {"kind": "iid-uniform-pm1"}}
+    )
+
+
+def base_table(n, L):
+    """The ``[q][l]`` table, q, l <= L, of _excursion_joint_gf's n[l][q]."""
+    return [[n[l][q] if q < len(n[l]) else 0 for l in range(L + 1)] for q in range(L + 1)]
+
+
 def ternary_model():
     # per-arity tables with a zero increment and vectors sharing no suffix
     from gwprofile.model import parse_model_config
@@ -450,11 +501,13 @@ class TestJointTable:
     )
     def test_single_excursion_matches_reference(self, model_id, l_max):
         m = builtin_model(model_id)
-        assert genfun._excursion_joint_gf(m, l_max) == reference_excursion_joint_gf(m, l_max)
+        joint = genfun._excursion_joint_gf(m, l_max)
+        assert as_fractions(joint) == reference_excursion_joint_gf(m, l_max)
 
     def test_per_arity_tables_match_reference(self):
         m = ternary_model()
-        assert genfun._excursion_joint_gf(m, 9) == reference_excursion_joint_gf(m, 9)
+        joint = genfun._excursion_joint_gf(m, 9)
+        assert as_fractions(joint) == reference_excursion_joint_gf(m, 9)
 
     def test_deep_budget_needs_no_recursion(self):
         # the recursive route needed a recursion limit of about 256 at
@@ -462,10 +515,12 @@ class TestJointTable:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 50)
         try:
-            table = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), 40)
+            joint = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), 40)
         finally:
             sys.setrecursionlimit(limit)
-        assert table[:21] == genfun._excursion_joint_gf(builtin_model("incomplete-binary"), 20)
+        table = as_fractions(joint)
+        short = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), 20)
+        assert table[:21] == as_fractions(short)
         assert all(0 < sum(row.values()) < 1 for row in table)
 
     def test_single_excursion_values(self):
@@ -512,9 +567,9 @@ class TestJointTable:
         honest = genfun._excursion_joint_gf
 
         def perturbed(model, l_max):
-            table = honest(model, l_max)
-            table[4][1] *= 2
-            return table
+            n, c, c_w = honest(model, l_max)
+            n[4][1] *= 2
+            return n, c, c_w
 
         monkeypatch.setattr(genfun, "_excursion_joint_gf", perturbed)
         with pytest.raises(IntegrityError, match="fixed-point certificate"):
@@ -524,9 +579,10 @@ class TestJointTable:
         honest = genfun._excursion_joint_gf
 
         def perturbed(model, l_max):
-            table = honest(model, l_max)
-            table[3][4] = Fraction(1, 4**5)
-            return table
+            n, c, c_w = honest(model, l_max)
+            n[3] += [0] * (5 - len(n[3]))
+            n[3][4] = 1
+            return n, c, c_w
 
         monkeypatch.setattr(genfun, "_excursion_joint_gf", perturbed)
         with pytest.raises(IntegrityError, match="q > l"):
@@ -561,21 +617,41 @@ class TestJointTable:
         assert digest == self.PINNED[model_id, shape]
 
     def test_model_without_leaves(self):
-        # ξ = δ₁: f̃₁(0, 0) = ξ(0) = 0, and one excursion is a ±1 walk from 1
-        # to its first visit to 0
-        from gwprofile.model import parse_model_config
-
-        m = parse_model_config(
-            {"offspring": {"kind": "finite-table", "table": [0, 1]},
-             "displacement": {"kind": "iid-uniform-pm1"}}
-        )
-        ft = joint_table(m, 2, 2, 5)
+        ft = joint_table(leafless_model(), 2, 2, 5)
         assert ft[1][1] == [0, Fraction(1, 2), 0, Fraction(1, 8), 0, Fraction(1, 16)]
         assert ft[2][2] == [0, 0, Fraction(1, 4), 0, Fraction(1, 8), 0]
         assert ft[1][0] == ft[1][2] == [0] * 6
 
     def test_empty_bounds(self):
         assert joint_table(builtin_model("geom-pm1"), 0, 0, 0) == [[[1]]]
+
+    @pytest.mark.parametrize("model", [ternary_model, leafless_model], ids=["ternary", "leafless"])
+    @pytest.mark.parametrize("shape", [(3, 8, 5), (8, 2, 12), (2, 12, 4)])
+    def test_custom_models_match_reference(self, model, shape):
+        m = model()
+        got, want = joint_table(m, *shape), reference_joint_table(m, *shape)
+        assert got == want
+        assert [type(x) for t in got for r in t for x in r] == [
+            type(x) for t in want for r in t for x in r
+        ]
+
+    @pytest.mark.parametrize("L", range(41))
+    def test_certificate_accepts_the_honest_table(self, L):
+        n, c, c_w = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), L)
+        assert c_w == 1
+        genfun._certify_fixed_point(base_table(n, L), c)
+
+    def test_certificate_checks_every_cell(self):
+        L = 6
+        n, c, _ = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), L)
+        honest = base_table(n, L)
+        cells = [(q, l) for q in range(L + 1) for l in range(q, L + 1)]
+        assert sum(1 for q, l in cells if honest[q][l]) >= 10
+        for q, l in cells:
+            table = [list(row) for row in honest]
+            table[q][l] = 2 * table[q][l] or 1
+            with pytest.raises(IntegrityError, match="fixed-point certificate"):
+                genfun._certify_fixed_point(table, c)
 
 
 def test_exact_layer_does_not_load_sympy():
