@@ -39,10 +39,10 @@ joint leaf/edge tables f̃_p(q, l), whose single-excursion law
 (:func:`_excursion_joint_gf`) is a bottom-up DP by edge budget that hands
 :func:`joint_table` its integers (n, c, c_w) over the known denominators
 c^(2l+1−q)·c_w^l, convolved on the same ints and, for incomplete-binary,
-certified on them by one step of the bivariate fixed-point map that
-:func:`bivariate_fixed_point` iterates on plain Fraction tables as the
-reference route; and the estimators of the singular expansion of g_ν
-near 1, on Fractions with one integer square root.
+certified from their own powers Ñ^i, through G = Σ_i n_i(x)·Ñ^i, by one
+step of the fixed-point map that :func:`bivariate_fixed_point` iterates
+on Fraction tables as the reference route; and the estimators of the
+singular expansion of g_ν near 1, on Fractions with one integer sqrt.
 """
 
 from __future__ import annotations
@@ -580,13 +580,17 @@ def joint_table(
     f̃₁(q, l) = n[l][q]/(c^(2l+1−q)·c_w^l), so the p-fold powers of n,
     convolved on ints, hold f̃_p(q, l) over c^(2l+p−q)·c_w^l.  Every
     nonzero cell has q <= l, since each label-0 leaf is a non-root vertex
-    (checked); the incomplete-binary table is also certified by
-    :func:`_certify_fixed_point`.
+    (checked).  For incomplete-binary the same loop sums G = Σ_i n_i(x)·Ñ^i
+    over the powers it builds, for :func:`_certify_fixed_point`: past p_max
+    to the last i < l_max that G reads, and to q = max(q_max, l_max).  The
+    budget counts those cells, a bound on the work as well as on memory.
     """
     if p_max < 0 or q_max < 0 or l_max < 0:
         raise DomainError("table bounds must be >= 0")
-    if (q_max + 1) * (l_max + 1) * (p_max + 1) > 4_000_000:
-        raise ResourceLimitError("joint table exceeds the memory budget")
+    certify = model.key == builtin_model("incomplete-binary").key
+    steps, rows = (max(p_max, l_max - 1), max(q_max, l_max)) if certify else (p_max, q_max)
+    if (steps + 1) * (rows + 1) * (l_max + 1) > 4_000_000:
+        raise ResourceLimitError("joint table exceeds the work and memory budget")
     n, c, c_w = _excursion_joint_gf(model, l_max)
     base = [[0] * (l_max + 1) for _ in range(max(q_max, l_max) + 1)]
     for l, row in enumerate(n):
@@ -594,23 +598,32 @@ def joint_table(
             if x and q > l:
                 raise IntegrityError(f"single-excursion cell (q={q}, l={l}) has q > l")
             base[q][l] = x
-    if model.key == builtin_model("incomplete-binary").key:
-        _certify_fixed_point(base[: l_max + 1], c)
 
     zero = Fraction(0)
     c_pow = [c**k for k in range(2 * l_max + p_max + 1)]
     c_w_pow = [c_w**l for l in range(l_max + 1)]
-    power = [[1] + [0] * l_max] + [[0] * (l_max + 1) for _ in range(q_max)]
+    power = [[1] + [0] * l_max] + [[0] * (l_max + 1) for _ in range(rows)]
+    g = [[0] * (l_max + 1) for _ in range(l_max + 1)] if certify else None  # Σ n_i·Ñ^i
+    # n_i·Ñ^i adds to c·x·G only if row i has a cell below x^l_max (so i < l_max)
+    last = (max((i for i, row in enumerate(base) if any(row[:l_max])), default=0)
+            if certify else 0)
     tables = []
-    for p in range(p_max + 1):
+    for p in range(max(p_max, last) + 1):
         if p:
-            power = _convolve(power, base, q_max, l_max)
-        tables.append([[Fraction(x, c_pow[2 * l + p - q] * c_w_pow[l]) if x else zero
-                        for l, x in enumerate(row)] for q, row in enumerate(power)])
+            power = _convolve(power, base, rows, l_max)
+        if certify and p <= last:
+            term = _convolve(power, [base[p]], l_max, l_max)
+            g = [[x + y for x, y in zip(r, t)] for r, t in zip(g, term)]
+        if p <= p_max:
+            tables.append([[Fraction(x, c_pow[2 * l + p - q] * c_w_pow[l]) if x else zero
+                            for l, x in enumerate(row)]
+                           for q, row in enumerate(power[: q_max + 1])])
+    if certify:
+        _certify_fixed_point(base[: l_max + 1], g, c)
     return tables
 
 
-def _certify_fixed_point(n: List[List[int]], c: int) -> None:
+def _certify_fixed_point(n: List[List[int]], g: List[List[int]], c: int) -> None:
     """Check B = T(B), T(B) = ¼(1 + zu)(1 + u·B(B(z, u), u)), once.
 
     B = Σ n[q][l]·c^(q−2l−1) z^q u^l is the incomplete-binary single-
@@ -621,15 +634,11 @@ def _certify_fixed_point(n: List[List[int]], c: int) -> None:
     q <= l, so the terms b_i(u)·B^i of B(B, u) with i > L vanish there.
 
     On integers, with y = c·z, x = u/c², Ñ = c·B = Σ n[q][l] y^q x^l and
-    row polynomials n_i(x): B(B, u) = G/c with G = Σ_i n_i·Ñ^i, by the
-    Horner scheme G_L = n_L, G_k = n_k + Ñ·G_(k+1), and B = T(B) reads
-    4Ñ = c·(1 + c·xy)(1 + c·x·G).
+    row polynomials n_i(x): B(B, u) = G/c with G = Σ_i n_i·Ñ^i, the table
+    ``g`` that :func:`joint_table` sums over the powers Ñ^i it builds, and
+    B = T(B) reads 4Ñ = c·(1 + c·xy)(1 + c·x·G).
     """
     L = len(n) - 1
-    g = [list(n[L])] + [[0] * (L + 1) for _ in range(L)]
-    for k in range(L - 1, -1, -1):
-        g = _convolve(n, g, L, L)
-        g[0] = [x + y for x, y in zip(g[0], n[k])]
     e = [[0] + [c * x for x in row[:L]] for row in g]  # 1 + c·x·G
     e[0][0] += 1
     for q in range(L + 1):

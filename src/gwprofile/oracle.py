@@ -288,10 +288,10 @@ def verify_markov_exact(law, V: int, transition=None) -> MarkovReport:
     For every history with positive mass, the conditional next-state
     law must equal the conditional law given the final state alone, and
     that law must be the same at every step where the state occurs
-    (time-homogeneity); if ``transition(from_state, to_state)`` is
-    given, every conditional probability is also compared to it.
-    Histories and states with zero mass are skipped and not counted.
-    Returns a report listing any discrepancy (never raises).
+    (time-homogeneity); if ``transition(from_state, to_state)`` is given,
+    every conditional probability is also compared to it, called once per
+    pair.  Histories and states with zero mass are skipped and not
+    counted.  Returns a report listing any discrepancy (never raises).
 
     Masses, ints or Fractions, are summed as numerators over the lcm of
     their denominators, and conditional laws are cross-multiplied;
@@ -303,6 +303,7 @@ def verify_markov_exact(law, V: int, transition=None) -> MarkovReport:
     mass = {p: w.numerator * (den // w.denominator) for p, w in law.items() if w}
     max_len = max((len(p) for p in mass), default=0)
     first_seen: Dict[tuple, tuple] = {}  # state -> (step, (masses, total))
+    transition = transition and lru_cache(maxsize=None)(transition)  # one call per pair
 
     def differ(a, ta, b, tb):  # do masses a over ta and b over tb give different laws?
         return a.keys() != b.keys() or any(w * tb != b[n] * ta for n, w in a.items())

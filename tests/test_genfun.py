@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from test_golden import CUSTOM_MODELS
 
 from gwprofile import builtin_model, genfun
-from gwprofile.errors import DomainError, IntegrityError
+from gwprofile.errors import DomainError, IntegrityError, ResourceLimitError
 from gwprofile.genfun import (
     bivariate_fixed_point,
     closed_form_series,
@@ -480,6 +480,31 @@ def base_table(n, L):
     return [[n[l][q] if q < len(n[l]) else 0 for l in range(L + 1)] for q in range(L + 1)]
 
 
+def reference_fixed_point_g(n, L):
+    """G = Σ_i n_i(x)·Ñ^i mod (y^(L+1), x^(L+1)) for the ``[q][l]`` table n,
+    by the Horner scheme G_L = n_L, G_k = n_k + Ñ·G_(k+1) that the
+    incomplete-binary certificate ran before it summed the table's own
+    powers."""
+    g = [list(n[L])] + [[0] * (L + 1) for _ in range(L)]
+    for k in range(L - 1, -1, -1):
+        g = genfun._convolve(n, g, L, L)
+        g[0] = [x + y for x, y in zip(g[0], n[k])]
+    return g
+
+
+def certificate_calls(monkeypatch):
+    """Record the (n, g, c) of every _certify_fixed_point call, then run it."""
+    calls = []
+    certify = genfun._certify_fixed_point
+
+    def spy(n, g, c):
+        calls.append((n, g, c))
+        return certify(n, g, c)
+
+    monkeypatch.setattr(genfun, "_certify_fixed_point", spy)
+    return calls
+
+
 def ternary_model():
     # per-arity tables with a zero increment and vectors sharing no suffix
     from gwprofile.model import parse_model_config
@@ -636,22 +661,72 @@ class TestJointTable:
         ]
 
     @pytest.mark.parametrize("L", range(41))
-    def test_certificate_accepts_the_honest_table(self, L):
+    def test_certificate_accepts_the_honest_table(self, L, monkeypatch):
+        # joint_table(·, 0, 0, L) builds every power Ñ^i that G reads for
+        # the certificate alone
         n, c, c_w = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), L)
         assert c_w == 1
-        genfun._certify_fixed_point(base_table(n, L), c)
+        calls = certificate_calls(monkeypatch)
+        joint_table(builtin_model("incomplete-binary"), 0, 0, L)
+        assert [(len(g), k) for _, g, k in calls] == [(L + 1, c)]
 
-    def test_certificate_checks_every_cell(self):
+    def test_certificate_checks_every_cell(self, monkeypatch):
         L = 6
-        n, c, _ = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), L)
-        honest = base_table(n, L)
+        honest = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), L)
+        table = base_table(honest[0], L)
         cells = [(q, l) for q in range(L + 1) for l in range(q, L + 1)]
-        assert sum(1 for q, l in cells if honest[q][l]) >= 10
+        assert sum(1 for q, l in cells if table[q][l]) >= 10
         for q, l in cells:
-            table = [list(row) for row in honest]
-            table[q][l] = 2 * table[q][l] or 1
+            n = [list(row) + [0] * (q + 1 - len(row)) for row in honest[0]]
+            n[l][q] = 2 * n[l][q] or 1
+            monkeypatch.setattr(genfun, "_excursion_joint_gf", lambda m, l_max: (n, *honest[1:]))
             with pytest.raises(IntegrityError, match="fixed-point certificate"):
-                genfun._certify_fixed_point(table, c)
+                joint_table(builtin_model("incomplete-binary"), 0, 0, L)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 12), (2, 2, 10), (0, 0, 8), (12, 12, 3), (3, 8, 5)])
+    def test_certificate_sums_the_horner_polynomial(self, shape, monkeypatch):
+        # loops shorter than l_max (p_max < l_max) and tables narrower than
+        # the certificate (q_max < l_max) still sum G mod x^l_max, all that
+        # c·x·G reads, whatever the table's own shape, and the table is the
+        # reference route's
+        L = shape[2]
+        calls = certificate_calls(monkeypatch)
+        table = joint_table(builtin_model("incomplete-binary"), *shape)
+        assert table == reference_joint_table(builtin_model("incomplete-binary"), *shape)
+        n, _, _ = genfun._excursion_joint_gf(builtin_model("incomplete-binary"), L)
+        g = reference_fixed_point_g(base_table(n, L), L)
+        assert [[row[:L] for row in got] for _, got, _ in calls] == [[row[:L] for row in g]]
+
+    @pytest.mark.parametrize("V, terms", [(5, 3), (10, 4)])
+    def test_production_shape_makes_one_product_per_power(self, V, terms, monkeypatch):
+        # the certificate's G reuses the table's powers: V + 1 table
+        # products, not the V + 1 table products plus V Horner products;
+        # each term n_i(x)·Ñ^i is a one-row product, for the rows with a
+        # cell below x^V (n_i starts at x^(3i − 2): i <= (V + 1) // 3)
+        products = []
+        convolve = genfun._convolve
+
+        def spy(a, b, q_max, l_max):
+            products.append((len(b), q_max, l_max))
+            return convolve(a, b, q_max, l_max)
+
+        monkeypatch.setattr(genfun, "_convolve", spy)
+        joint_table(builtin_model("incomplete-binary"), V + 1, V + 1, V)
+        tables = [shape for shape in products if shape[0] > 1]
+        assert tables == [(V + 2, V + 1, V)] * (V + 1)
+        assert products.count((1, V, V)) == terms == len(products) - len(tables)
+
+    def test_budget_counts_the_certificate_powers(self, monkeypatch):
+        # one output cell, but l_max powers of (l_max + 1)² cells each: it
+        # is refused before the single-excursion DP runs
+        def never(model, l_max):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(genfun, "_excursion_joint_gf", never)
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            joint_table(builtin_model("incomplete-binary"), 0, 0, 2000)
+        with pytest.raises(AssertionError, match="the DP ran"):
+            joint_table(builtin_model("geom-pm1"), 0, 0, 2000)
 
 
 def test_exact_layer_does_not_load_sympy():

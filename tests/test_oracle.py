@@ -344,6 +344,39 @@ class TestChainLaw:
             assert rep.ok, (V, rep.discrepancies[:3])
             assert rep.histories_checked > 0 and rep.transitions_checked > 0, V
 
+    def test_markov_evaluates_each_transition_once(self):
+        # V = 10 compares 960 conditional probabilities, of only 361
+        # distinct (state, next) pairs; the kernel is called once per pair
+        V = 10
+        ftilde = joint_table(BINARY, V + 1, V + 1, V)
+        calls = []
+
+        def kernel(s, t):
+            calls.append((s, t))
+            return cond_transition_prob(ftilde, V, s, t)
+
+        rep = verify_markov_exact(exact_chain_law(V), V, transition=kernel)
+        assert rep.ok, rep.discrepancies[:3]
+        assert (rep.histories_checked, rep.transitions_checked) == (5044, 960)
+        assert len(calls) == len(set(calls)) == 361
+
+    def test_markov_reports_a_recurring_wrong_transition_at_every_step(self):
+        # (1, 1, 2) -> (1, 1, 4) is compared at three steps; a kernel wrong
+        # there alone is reported three times, as before the kernel memo
+        V = 6
+        ftilde = joint_table(BINARY, V + 1, V + 1, V)
+        wrong = ((1, 1, 2), (1, 1, 4))
+
+        def kernel(s, t):
+            prob = cond_transition_prob(ftilde, V, s, t)
+            return prob / 2 if (s, t) == wrong else prob
+
+        rep = verify_markov_exact(exact_chain_law(V), V, transition=kernel)
+        assert (rep.ok, rep.histories_checked, rep.transitions_checked) == (False, 219, 115)
+        assert rep.discrepancies == [
+            "transition (1, 1, 2) -> (1, 1, 4): law 2/3, kernel 1/3"
+        ] * 3
+
     def test_markov_detects_corruption(self):
         V = 5
         rep = verify_markov_exact(exact_chain_law(V), V, transition=corrupted_kernel(V))
